@@ -279,8 +279,17 @@ _HUNT_KEYS = ("family", "p", "q", "s", "direction", "budget", "dims", "seed",
 
 def cmd_hunt(args) -> int:
     if args.replay:
-        cert = Certificate.from_dict(_load_json(args.replay).get("certificate")
-                                     or _load_json(args.replay))
+        payload = _load_json(args.replay)
+        if isinstance(payload, dict) and "certificate" in payload:
+            payload = payload["certificate"]
+            if payload is None:
+                raise CliError(f"{args.replay} holds no certificate: its hunt found "
+                               "no violation")
+        try:
+            cert = Certificate.from_dict(payload)
+        except (KeyError, TypeError) as exc:
+            raise CliError(f"{args.replay} is not a certificate: missing or "
+                           f"malformed field {exc}") from exc
         if certificate_is_valid(cert):
             print("certificate replays within tolerance")
             return EXIT_PASS
@@ -372,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--q-grid", dest="q_grid")
     p_sweep.add_argument("--s-grid", dest="s_grid")
     p_sweep.add_argument("--trials", type=int, default=200)
-    p_sweep.add_argument("--format", choices=("csv",), default="csv")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_hunt = subs.add_parser("hunt", help="search for a violation certificate")

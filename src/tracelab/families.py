@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import (
     PosDef,
@@ -27,7 +26,7 @@ from .linalg import (
 )
 from .means import MeanSpec, eval_mean
 from .norms import NormSpec, eval_norm_from_eigs
-from .posmaps import MapSpec, apply_map, is_strictly_positive
+from .posmaps import MapSpec, apply_map
 
 FAMILIES = frozenset({"lieb", "mean", "epstein", "logexp"})
 
@@ -137,9 +136,9 @@ def _map_power(phi: MapSpec, A: PosDef, p: float) -> PosDef:
 
 
 def _check_strict(spec: FamilySpec):
-    if not is_strictly_positive(spec.phi):
+    if not spec.phi.strictly_positive:
         raise EvaluationError("phi is not strictly positive")
-    if spec.psi is not None and not is_strictly_positive(spec.psi):
+    if spec.psi is not None and not spec.psi.strictly_positive:
         raise EvaluationError("psi is not strictly positive")
 
 
@@ -172,10 +171,7 @@ def eval_epstein(spec: FamilySpec, A: PosDef) -> float:
 
 
 def eval_logexp(spec: FamilySpec, A: PosDef, B: PosDef) -> float:
-    unit = apply_map(spec.phi, np.eye(spec.phi.in_dim, dtype=complex)) + apply_map(
-        spec.psi, np.eye(spec.psi.in_dim, dtype=complex)
-    )
-    if not np.allclose(unit, np.eye(spec.phi.out_dim), atol=1e-10):
+    if not np.allclose(spec.phi.unit + spec.psi.unit, np.eye(spec.phi.out_dim), atol=1e-10):
         raise EvaluationError("logexp family requires Phi(I) + Psi(I) = I")
     H = hermitize(apply_map(spec.phi, matrix_log(A)) + apply_map(spec.psi, matrix_log(B)))
     E = matrix_exp_herm(H)
@@ -227,19 +223,6 @@ def _vec_to_herm(v: np.ndarray, dim: int) -> np.ndarray:
     return M
 
 
-def _herm_to_vec(M: np.ndarray) -> np.ndarray:
-    dim = M.shape[0]
-    v = np.empty(dim * dim)
-    v[:dim] = np.diagonal(M).real
-    idx = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v[idx] = M[i, j].real
-            v[idx + 1] = M[i, j].imag
-            idx += 2
-    return v
-
-
 def _grad_to_vec(K: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the real parametrization of a Hermitian matrix."""
     dim = K.shape[0]
@@ -287,6 +270,8 @@ def variational_min(phi: MapSpec, p: float, r: float, A: "PosDef | np.ndarray",
     Tr Phi(A^p)^{1/r} is reported alongside for gap diagnostics; it is not
     used to seed the descent.
     """
+    import scipy.optimize
+
     if not (1 <= r <= 2):
         raise ValueError(f"r must lie in [1, 2], got {r}")
     A = as_posdef(A)

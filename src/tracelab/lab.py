@@ -176,12 +176,23 @@ def _sample_inputs(family: FamilySpec, rng, cfg: SamplerConfig):
     return A1, B1, A2, B2
 
 
+def _verdict(failures: int, trials: int, violated: bool, worst_rel: float) -> str:
+    """INCONCLUSIVE above 1% failed trials, else VIOLATED on a claimed
+    violation, else PASS within numerical slack, else INCONCLUSIVE."""
+    if failures > 0.01 * trials:
+        return "INCONCLUSIVE"
+    if violated:
+        return "VIOLATED"
+    if worst_rel <= SLACK_REL:
+        return "PASS"
+    return "INCONCLUSIVE"
+
+
 def _make_certificate(family, direction, A1, B1, A2, B2, lam, lhs, rhs, violation,
-                      seed, stream, eps=0.0) -> Certificate:
+                      seed, stream) -> Certificate:
     return Certificate(
         family=family, a1=A1.mat, a2=A2.mat, lam=lam, lhs=lhs, rhs=rhs,
         violation=violation, direction=direction, seed=seed, stream=stream,
-        regularization_eps=eps,
         b1=B1.mat if B1 is not None else None,
         b2=B2.mat if B2 is not None else None,
     )
@@ -224,20 +235,12 @@ def midpoint_test(
                     )
         except (EvaluationError, MatrixError) as _:
             failures += 1
-    if failures > 0.01 * trials:
-        verdict = "INCONCLUSIVE"
-    elif worst_cert is not None:
-        verdict = "VIOLATED"
-    elif worst_rel <= SLACK_REL:
-        verdict = "PASS"
-    else:
-        verdict = "INCONCLUSIVE"
     return TestReport(
         label=label or family.label(),
         direction=direction,
         trials=trials,
         worst_violation=float(worst_rel),
-        verdict=verdict,
+        verdict=_verdict(failures, trials, worst_cert is not None, worst_rel),
         failures=failures,
         worst_case=worst_cert,
     )
@@ -280,18 +283,12 @@ def segment_test(
     # concave claim: second differences <= 0
     signed = d2 if direction == "concave" else -d2
     worst_rel = float(signed.max() / scale)
-    if worst_rel > CLAIM_REL:
-        verdict = "VIOLATED"
-    elif worst_rel <= SLACK_REL:
-        verdict = "PASS"
-    else:
-        verdict = "INCONCLUSIVE"
     return TestReport(
         label=f"segment:{family.label()}",
         direction=direction,
         trials=steps - 2,
         worst_violation=worst_rel,
-        verdict=verdict,
+        verdict=_verdict(0, steps - 2, worst_rel > CLAIM_REL, worst_rel),
         witness={"x_max": x_max, "values": vals.tolist()},
     )
 
@@ -457,33 +454,44 @@ def hunt_counterexample(
     trials_used = 0
     near_miss = None  # best sub-threshold candidate for final refinement
 
+    def certify(A1, B1, A2, B2, lam, found, stream) -> Certificate | None:
+        """Certificate for found = (violation, lhs, rhs, scale) at these inputs.
+
+        The violation must clear the claim threshold and survive the
+        stability re-check; a numerical failure in the re-check counts as
+        not stable.
+        """
+        viol, lhs, rhs, scale = found
+        if viol <= CLAIM_REL * scale:
+            return None
+        try:
+            if any(_stable_violation(family, direction, A1, B1, A2, B2, lam, eps)
+                   <= 0.5 * CLAIM_REL for eps in (CERT_EPS, CERT_EPS / 10)):
+                return None
+        except (EvaluationError, MatrixError):
+            return None
+        return _make_certificate(family, direction, A1, B1, A2, B2, lam, lhs, rhs,
+                                 viol, sampler.seed, stream)
+
     def consider(A1, B1, A2, B2, lam, stream) -> Certificate | None:
         nonlocal best_rel, near_miss
         try:
-            viol, lhs, rhs, scale = midpoint_violation(family, direction, A1, A2, lam, B1, B2)
+            found = midpoint_violation(family, direction, A1, A2, lam, B1, B2)
         except (EvaluationError, MatrixError):
             return None
-        rel = viol / scale
+        rel = found[0] / found[3]
         if rel > best_rel:
             best_rel = rel
             near_miss = (A1, B1, A2, B2, lam, stream)
-        if viol <= CLAIM_REL * scale:
-            return None
-        rng = rng_for(sampler.seed, stream ^ 0x5EED)
-        if refine:
-            A1, B1, A2, B2, lam, best = _hill_climb(
+        if refine and found[0] > CLAIM_REL * found[3]:
+            rng = rng_for(sampler.seed, stream ^ 0x5EED)
+            A1, B1, A2, B2, lam, found = _hill_climb(
                 family, direction, A1, B1, A2, B2, lam, rng
             )
-            viol, lhs, rhs, scale = best
-            if viol <= CLAIM_REL * scale:
-                return None
-        for eps in (CERT_EPS, CERT_EPS / 10):
-            if _stable_violation(family, direction, A1, B1, A2, B2, lam, eps) \
-                    <= 0.5 * CLAIM_REL:
-                return None
-        best_rel = max(best_rel, viol / scale)
-        return _make_certificate(family, direction, A1, B1, A2, B2, lam, lhs, rhs,
-                                 viol, sampler.seed, stream, eps=0.0)
+        cert = certify(A1, B1, A2, B2, lam, found, stream)
+        if cert is not None:
+            best_rel = max(best_rel, found[0] / found[3])
+        return cert
 
     for A1, B1, A2, B2 in _structured_candidates(family, sampler):
         trials_used += 1
@@ -525,21 +533,14 @@ def hunt_counterexample(
     if refine and near_miss is not None:
         A1, B1, A2, B2, lam, stream = near_miss
         rng = rng_for(sampler.seed, stream ^ 0x5EED)
-        A1, B1, A2, B2, lam, best = _hill_climb(
+        A1, B1, A2, B2, lam, found = _hill_climb(
             family, direction, A1, B1, A2, B2, lam, rng, iters=400
         )
-        viol, lhs, rhs, scale = best
-        if viol > CLAIM_REL * scale:
-            ok = all(
-                _stable_violation(family, direction, A1, B1, A2, B2, lam, eps)
-                > 0.5 * CLAIM_REL
-                for eps in (CERT_EPS, CERT_EPS / 10)
-            )
-            if ok:
-                cert = _make_certificate(family, direction, A1, B1, A2, B2, lam,
-                                         lhs, rhs, viol, sampler.seed, stream)
-                return HuntResult(cert, trials_used, viol / scale)
-        best_rel = max(best_rel, viol / scale)
+        rel = found[0] / found[3]
+        cert = certify(A1, B1, A2, B2, lam, found, stream)
+        if cert is not None:
+            return HuntResult(cert, trials_used, rel)
+        best_rel = max(best_rel, rel)
 
     return HuntResult(None, trials_used, best_rel)
 
@@ -568,9 +569,6 @@ def certificate_is_valid(cert: Certificate, rtol: float = 1e-10) -> bool:
 
 # ---------------------------------------------------------------------------
 # Loewner-order midpoint/dominance tests
-
-LOEWNER_EXPRS = ("hat-power", "mean-concavity", "power-mean-dominance")
-
 
 def _loewner_excess(small, big) -> tuple[float, float]:
     """Relative excess of the claim small <= big in the Loewner order.
@@ -707,20 +705,12 @@ def loewner_midpoint_test(
                            "stream": stream, **payload}
                 break
 
-    if failures > 0.01 * trials:
-        verdict = "INCONCLUSIVE"
-    elif witness is not None:
-        verdict = "VIOLATED"
-    elif worst_rel <= SLACK_REL:
-        verdict = "PASS"
-    else:
-        verdict = "INCONCLUSIVE"
     return TestReport(
         label=label or f"loewner:{expr}",
         direction="loewner",
         trials=trials,
         worst_violation=float(worst_rel),
-        verdict=verdict,
+        verdict=_verdict(failures, trials, witness is not None, worst_rel),
         failures=failures,
         witness=witness,
     )

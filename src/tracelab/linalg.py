@@ -112,14 +112,6 @@ class PosDef:
     def inv(self) -> "PosDef":
         return matrix_power(self, -1.0)
 
-    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        return matrix_function(self, f)
-
-    def scaled(self, t: float) -> "PosDef":
-        if t <= 0:
-            raise NotPositiveDefiniteError(f"scale factor must be positive, got {t}")
-        return PosDef(mat=self.mat * t, eigs=self.eigs * t, vecs=self.vecs)
-
 
 def as_posdef(A: "PosDef | np.ndarray") -> PosDef:
     if isinstance(A, PosDef):
@@ -189,9 +181,6 @@ class SamplerConfig:
 
     def rng(self) -> np.random.Generator:
         return rng_for(self.seed, self.stream_index)
-
-    def with_stream(self, stream_index: int) -> "SamplerConfig":
-        return SamplerConfig(self.dim, self.eig_low, self.eig_high, self.seed, stream_index)
 
 
 def rng_for(seed: int, stream_index: int) -> np.random.Generator:

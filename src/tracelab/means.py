@@ -21,7 +21,7 @@ from .linalg import (
     matrix_power,
 )
 
-KUBO_ANDO_KINDS = frozenset({"arithmetic", "harmonic", "geometric", "power", "custom"})
+KUBO_ANDO_KINDS = frozenset({"arithmetic", "harmonic", "geometric", "power"})
 ALL_KINDS = KUBO_ANDO_KINDS | {"sum"}
 MODIFIERS = frozenset({"transposed", "adjoint"})
 
@@ -32,15 +32,12 @@ class MeanSpec:
 
     geometric carries the weight t in [0, 1] (t = 1/2 is the geometric mean);
     power carries r in [-1, 1], r != 0 (r = 1 arithmetic, r = -1 harmonic).
-    A custom representing function is accepted but its operator monotonicity
-    is not certified.
     """
 
     kind: str
     t: float | None = None
     r: float | None = None
     modifier: str | None = None
-    f: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -51,19 +48,12 @@ class MeanSpec:
         if self.kind == "power":
             if self.r is None or not (-1 <= self.r <= 1) or self.r == 0:
                 raise ValueError(f"power mean requires r in [-1, 1], r != 0, got {self.r}")
-        if self.kind == "custom" and self.f is None:
-            raise ValueError("custom mean requires a representing function")
         if self.modifier is not None and self.modifier not in MODIFIERS:
             raise ValueError(f"unknown modifier {self.modifier!r}")
         if self.kind != "sum":
             f = self.rep_function()
             if abs(float(f(np.asarray([1.0]))[0]) - 1.0) > 1e-12:
                 raise ValueError("representing function is not normalized: f(1) != 1")
-
-    @property
-    def verified(self) -> bool:
-        """Whether the Kubo-Ando axioms are certified for this kind."""
-        return self.kind != "custom"
 
     def rep_function(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.kind == "arithmetic":
@@ -76,8 +66,6 @@ class MeanSpec:
         if self.kind == "power":
             r = self.r
             return lambda x: ((1.0 + x**r) / 2.0) ** (1.0 / r)
-        if self.kind == "custom":
-            return self.f
         raise ValueError(f"{self.kind} has no representing function")
 
     def label(self) -> str:
@@ -123,10 +111,10 @@ def eval_mean(spec: MeanSpec, A: PosDef, B: PosDef) -> PosDef:
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dimension mismatch {A.dim} vs {B.dim}")
     if spec.modifier == "transposed":
-        base = MeanSpec(spec.kind, spec.t, spec.r, None, spec.f)
+        base = MeanSpec(spec.kind, spec.t, spec.r)
         return eval_mean(base, B, A)
     if spec.modifier == "adjoint":
-        base = MeanSpec(spec.kind, spec.t, spec.r, None, spec.f)
+        base = MeanSpec(spec.kind, spec.t, spec.r)
         return eval_mean(base, A.inv(), B.inv()).inv()
     if spec.kind == "sum":
         return PosDef.from_matrix(A.mat + B.mat)

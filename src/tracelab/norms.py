@@ -52,10 +52,6 @@ class NormSpec:
     def is_norm(self) -> bool:
         return self.kind in NORM_KINDS
 
-    @property
-    def is_antinorm(self) -> bool:
-        return self.kind in ANTINORM_KINDS
-
     def label(self) -> str:
         if self.k is not None:
             return f"{self.kind}:{self.k}"

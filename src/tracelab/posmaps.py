@@ -1,9 +1,10 @@
 """Positive linear maps between matrix algebras.
 
-Maps are kept in structural form (Kraus lists, projections) rather than as
-Choi matrices: application is cheap and strict positivity directly checkable.
-The transpose-composed variant is positive but not completely positive, so
-CP-only claims can be probed for CP-necessity.
+Every map is a Kraus stack: A -> sum_k X_k* A X_k, optionally applied to A^T
+instead of A.  By Choi's theorem every completely positive map has this form;
+the transpose-composed variant is positive but not completely positive, so
+CP-only claims can be probed for CP-necessity.  Phi(I), and with it strict
+positivity, is computed once when a map is built.
 """
 
 from __future__ import annotations
@@ -31,60 +32,79 @@ STRICT_POS_RTOL = 1e-12
 HAT_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
+def _kraus_sum(kraus: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """sum_k X_k* src X_k over a stack of Kraus pieces of shape (r, n, m)."""
+    return (kraus.conj().transpose(0, 2, 1) @ src @ kraus).sum(axis=0)
+
+
+@dataclass(frozen=True, eq=False)
 class MapSpec:
-    """A positive linear map from in_dim x in_dim to out_dim x out_dim matrices."""
+    """The positive map A -> sum_k X_k* A X_k, applied to A^T when ``transpose``.
+
+    ``kraus`` is the stack of pieces X_k, of shape (r, in_dim, out_dim).
+    ``kind`` only records how the map was spelled (identity, conjugation,
+    kraus, pinching, transpose-kraus) so that it serializes as it was built;
+    evaluation never reads it.  ``unit`` is Phi(I) and ``strictly_positive``
+    whether it is positive definite, both computed at construction.
+    """
 
     kind: str
-    in_dim: int
-    out_dim: int
-    kraus: tuple[np.ndarray, ...] = field(default=())
-    projections: tuple[np.ndarray, ...] = field(default=())
+    kraus: np.ndarray
+    transpose: bool = False
+    unit: np.ndarray = field(init=False, repr=False)
+    strictly_positive: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.kind == "identity":
-            if self.in_dim != self.out_dim:
-                raise DimensionMismatchError("identity map needs in_dim == out_dim")
-        if self.kind in ("conjugation", "kraus", "transpose-kraus"):
-            if not self.kraus:
-                raise ValueError(f"{self.kind} map requires Kraus pieces")
-            for X in self.kraus:
-                if X.shape != (self.in_dim, self.out_dim):
-                    raise DimensionMismatchError(
-                        f"Kraus piece shape {X.shape} incompatible with "
-                        f"({self.in_dim}, {self.out_dim})"
-                    )
-        if self.kind == "pinching":
-            if self.in_dim != self.out_dim:
-                raise DimensionMismatchError("pinching needs in_dim == out_dim")
-            total = sum(P for P in self.projections)
-            if not np.allclose(total, np.eye(self.in_dim), atol=1e-10):
-                raise ValueError("pinching projections must sum to the identity")
-            for i, P in enumerate(self.projections):
-                if not np.allclose(P @ P, P, atol=1e-10):
-                    raise ValueError(f"pinching piece {i} is not a projection")
+        if self.transpose != (self.kind == "transpose-kraus"):
+            raise ValueError(f"a {self.kind} map cannot have transpose={self.transpose}")
+        kraus = np.array(self.kraus, dtype=complex)
+        if kraus.ndim != 3 or 0 in kraus.shape:
+            raise ValueError(f"{self.kind} map requires a non-empty stack of Kraus pieces")
+        kraus.setflags(write=False)
+        unit = _kraus_sum(kraus, np.eye(kraus.shape[1], dtype=complex))
+        unit.setflags(write=False)
+        w = np.linalg.eigvalsh(hermitize(unit))
+        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "strictly_positive",
+                           bool(w[0] > STRICT_POS_RTOL * max(w[-1], 0.0)))
+
+    @property
+    def in_dim(self) -> int:
+        return self.kraus.shape[1]
+
+    @property
+    def out_dim(self) -> int:
+        return self.kraus.shape[2]
 
     @property
     def cp(self) -> bool:
-        return self.kind != "transpose-kraus"
+        return not self.transpose
 
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind, "in_dim": self.in_dim, "out_dim": self.out_dim,
                    "cp": self.cp}
-        if self.kraus:
+        if self.kind == "pinching":
+            d["projections"] = [mat_to_json(P) for P in self.kraus]
+        elif self.kind != "identity":
             d["kraus"] = [mat_to_json_rect(X) for X in self.kraus]
-        if self.projections:
-            d["projections"] = [mat_to_json(P) for P in self.projections]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "MapSpec":
-        kraus = tuple(mat_from_json_rect(x) for x in d.get("kraus", []))
-        projections = tuple(mat_from_json(x) for x in d.get("projections", []))
-        return cls(kind=d["kind"], in_dim=d["in_dim"], out_dim=d["out_dim"],
-                   kraus=kraus, projections=projections)
+        kind = d["kind"]
+        if kind == "identity":
+            spec = identity_map(d["in_dim"])
+        elif kind == "pinching":
+            spec = pinching([mat_from_json(x) for x in d["projections"]])
+        else:
+            spec = cls(kind, [mat_from_json_rect(x) for x in d.get("kraus", ())],
+                       transpose=kind == "transpose-kraus")
+        if (spec.in_dim, spec.out_dim) != (d["in_dim"], d["out_dim"]):
+            raise DimensionMismatchError("map payload dimensions do not match its pieces")
+        return spec
 
 
 def mat_to_json_rect(X: np.ndarray) -> dict:
@@ -101,30 +121,33 @@ def mat_from_json_rect(obj: dict) -> np.ndarray:
 
 
 def identity_map(dim: int) -> MapSpec:
-    return MapSpec(kind="identity", in_dim=dim, out_dim=dim)
+    return MapSpec("identity", np.eye(dim, dtype=complex)[None])
 
 
 def conjugation(X: np.ndarray) -> MapSpec:
-    X = np.asarray(X, dtype=complex)
-    return MapSpec(kind="conjugation", in_dim=X.shape[0], out_dim=X.shape[1], kraus=(X,))
+    return MapSpec("conjugation", [X])
 
 
 def kraus_map(pieces) -> MapSpec:
-    pieces = tuple(np.asarray(X, dtype=complex) for X in pieces)
-    n, m = pieces[0].shape
-    return MapSpec(kind="kraus", in_dim=n, out_dim=m, kraus=pieces)
+    return MapSpec("kraus", list(pieces))
 
 
 def pinching(projections) -> MapSpec:
-    projections = tuple(np.asarray(P, dtype=complex) for P in projections)
-    n = projections[0].shape[0]
-    return MapSpec(kind="pinching", in_dim=n, out_dim=n, projections=projections)
+    """The pinching A -> sum_k P_k A P_k by orthogonal projections summing to I."""
+    P = np.array(list(projections), dtype=complex)
+    if P.ndim != 3 or P.shape[1] != P.shape[2]:
+        raise DimensionMismatchError("pinching needs a stack of square projections")
+    if not np.allclose(P.sum(axis=0), np.eye(P.shape[1]), atol=1e-10):
+        raise ValueError("pinching projections must sum to the identity")
+    for i, Pi in enumerate(P):
+        if not (np.allclose(Pi @ Pi, Pi, atol=1e-10)
+                and np.allclose(Pi.conj().T, Pi, atol=1e-10)):
+            raise ValueError(f"pinching piece {i} is not an orthogonal projection")
+    return MapSpec("pinching", P)
 
 
 def transpose_then_kraus(pieces) -> MapSpec:
-    pieces = tuple(np.asarray(X, dtype=complex) for X in pieces)
-    n, m = pieces[0].shape
-    return MapSpec(kind="transpose-kraus", in_dim=n, out_dim=m, kraus=pieces)
+    return MapSpec("transpose-kraus", list(pieces), transpose=True)
 
 
 def apply_map(spec: MapSpec, A: np.ndarray) -> np.ndarray:
@@ -133,27 +156,15 @@ def apply_map(spec: MapSpec, A: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"input shape {A.shape} does not match map in_dim {spec.in_dim}"
         )
-    if spec.kind == "identity":
-        return A
-    if spec.kind == "pinching":
-        out = np.zeros_like(A)
-        for P in spec.projections:
-            out += P @ A @ P
-        return out
-    src = A.T if spec.kind == "transpose-kraus" else A
-    out = np.zeros((spec.out_dim, spec.out_dim), dtype=complex)
-    for X in spec.kraus:
-        out += X.conj().T @ src @ X
-    return out
+    return _kraus_sum(spec.kraus, A.T if spec.transpose else A)
 
 
 def map_on_identity(spec: MapSpec) -> np.ndarray:
-    return apply_map(spec, np.eye(spec.in_dim, dtype=complex))
+    return spec.unit
 
 
 def is_strictly_positive(spec: MapSpec) -> bool:
-    w = np.linalg.eigvalsh(hermitize(map_on_identity(spec)))
-    return bool(w[0] > STRICT_POS_RTOL * max(w[-1], 0.0))
+    return spec.strictly_positive
 
 
 def hat_map(spec: MapSpec, A: "PosDef | np.ndarray") -> PosDef:
@@ -177,15 +188,15 @@ def sample_kraus(in_dim: int, out_dim: int, rank: int, seed: int,
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     rng = rng_for(seed, stream_index)
+    eye = np.eye(in_dim, dtype=complex)
     for _ in range(100):
-        pieces = [
+        pieces = np.stack([
             (rng.standard_normal((in_dim, out_dim))
              + 1j * rng.standard_normal((in_dim, out_dim))) / np.sqrt(2)
             for _ in range(rank)
-        ]
-        spec = kraus_map(pieces)
-        norm = float(np.linalg.eigvalsh(hermitize(map_on_identity(spec)))[-1])
-        spec = kraus_map([X / np.sqrt(norm) for X in pieces])
-        if is_strictly_positive(spec):
+        ])
+        norm = float(np.linalg.eigvalsh(hermitize(_kraus_sum(pieces, eye)))[-1])
+        spec = kraus_map(pieces / np.sqrt(norm))
+        if spec.strictly_positive:
             return spec
     raise RuntimeError("failed to sample a strictly positive Kraus map")

@@ -149,6 +149,16 @@ class TestHunt:
         capsys.readouterr()
         assert main(["hunt", "--replay", cert_path]) == 0
 
+    def test_replay_of_a_hunt_without_certificate(self, matfiles, capsys):
+        out = f"{matfiles['dir']}/none.json"
+        assert main(["hunt", "--family", "mean", "--mean", "sum", "--p", "1",
+                     "--q", "1", "--s", "1", "--direction", "concave",
+                     "--budget", "5", "--out", out]) == 0
+        assert json.loads(open(out).read())["certificate"] is None
+        capsys.readouterr()
+        assert main(["hunt", "--replay", out]) == 4
+        assert "no certificate" in capsys.readouterr().err
+
     def test_affine_family_exhausts(self, capsys):
         rc = main(["hunt", "--family", "mean", "--mean", "sum", "--p", "1",
                    "--q", "1", "--s", "1", "--direction", "concave",

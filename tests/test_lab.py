@@ -9,6 +9,7 @@ from tracelab.families import FamilySpec, ParameterPoint, eval_family
 from tracelab.lab import (
     CLAIM_REL,
     Certificate,
+    HuntResult,
     certificate_is_valid,
     hunt_counterexample,
     loewner_midpoint_test,
@@ -153,6 +154,19 @@ class TestHuntAndCertificates:
                                      sampler=SamplerConfig(dim=2, seed=108))
         assert result.certificate is None
         assert result.best_violation <= 1e-8
+
+    def test_unstable_recheck_is_not_a_crash(self):
+        # the stability re-check regularizes near-singular structured inputs
+        # of the cube-sum family into a singular matrix; that candidate must
+        # count as not stable instead of aborting the hunt
+        fam = FamilySpec(family="mean", phi=identity_map(2), psi=identity_map(2),
+                         norm=TRACE, mean=MeanSpec(kind="sum"),
+                         params=ParameterPoint(3.0, 3.0, 1 / 3))
+        result = hunt_counterexample(fam, "concave", budget=1,
+                                     sampler=SamplerConfig(dim=2, seed=3))
+        assert isinstance(result, HuntResult)
+        if result.certificate is not None:
+            assert certificate_is_valid(result.certificate)
 
     def test_certificate_serialization_roundtrip(self):
         rng = rng_for(109, 0)

@@ -64,6 +64,21 @@ class TestApplyMap:
         out = apply_map(spec, A)
         assert np.allclose(out, P1 @ A @ P1 + P2 @ A @ P2)
 
+    @pytest.mark.parametrize("n,m,rank,transpose", [
+        (3, 3, 1, False), (3, 2, 2, False), (2, 4, 6, False), (3, 3, 3, True),
+        (3, 2, 2, True),
+    ])
+    def test_stacked_sum_equals_loop_reference(self, n, m, rank, transpose):
+        rng = rng_for(70, rank)
+        pieces = [_gaussian(rng, n, m) for _ in range(rank)]
+        build = transpose_then_kraus if transpose else kraus_map
+        A = _sample(70, rank, dim=n).mat
+        src = A.T if transpose else A
+        expected = np.zeros((m, m), dtype=complex)
+        for X in pieces:
+            expected += X.conj().T @ src @ X
+        assert np.array_equal(apply_map(build(pieces), A), expected)
+
     def test_dimension_mismatch(self):
         spec = identity_map(2)
         with pytest.raises(DimensionMismatchError):
@@ -196,6 +211,24 @@ class TestSpecPlumbing:
             back = MapSpec.from_dict(spec.to_dict())
             assert back.kind == spec.kind
             assert back.in_dim == spec.in_dim and back.out_dim == spec.out_dim
+
+    def test_payload_layout_and_transpose_roundtrip(self):
+        assert identity_map(2).to_dict() == {"kind": "identity", "in_dim": 2,
+                                             "out_dim": 2, "cp": True}
+        P = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        assert pinching(P).to_dict()["projections"][0]["dim"] == 2
+        rng = rng_for(69, 0)
+        spec = transpose_then_kraus([_gaussian(rng, 2, 3)])
+        d = spec.to_dict()
+        assert (d["cp"], d["kraus"][0]["rows"], d["kraus"][0]["cols"]) == (False, 2, 3)
+        back = MapSpec.from_dict(d)
+        A = _sample(69, dim=2).mat
+        assert back.transpose and np.array_equal(apply_map(back, A), apply_map(spec, A))
+
+    def test_pinching_rejects_oblique_projection(self):
+        oblique = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError):
+            pinching([oblique, np.eye(2, dtype=complex) - oblique])
 
     def test_pinching_validation(self):
         bad = np.diag([1.0, 1.0]).astype(complex)

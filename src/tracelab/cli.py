@@ -42,13 +42,7 @@ from .posmaps import (
     pinching,
     transpose_then_kraus,
 )
-from .regions import (
-    THEOREM_DIRECTION,
-    THEOREM_IDS,
-    region_description,
-    region_member,
-    region_violation,
-)
+from .regions import THEOREM_IDS, THEOREMS, Theorem, region_violation
 
 EXIT_PASS = 0
 EXIT_INTERNAL = 1
@@ -68,8 +62,30 @@ class CliError(Exception):
 
 
 def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _load_list(path: str) -> list:
+    if not isinstance(payload := _load_json(path), list):
+        raise CliError(f"{path} must hold a JSON list of matrices")
+    return payload
+
+
+def _config_defaults(args) -> dict:
+    """``--config`` defaults for the chosen subcommand's flags (``trials``,
+    ``p_grid``, ...).  Values other than booleans and null reach argparse as
+    strings, so that it parses them as it parses the flag."""
+    config = _load_json(args.config)
+    if not isinstance(config, dict):
+        raise CliError(f"config file {args.config} must hold a JSON object")
+    flags = set(vars(args)) - {"command", "config", "handler"}
+    if foreign := sorted(set(config) - flags):
+        raise CliError(f"config keys {foreign} are not flags of {args.command}")
+    return {k: v if v is None or isinstance(v, bool) else str(v) for k, v in config.items()}
 
 
 def _parse_map(text: str, dim: int) -> MapSpec:
@@ -88,11 +104,11 @@ def _parse_map(text: str, dim: int) -> MapSpec:
     if kind == "conjugation":
         return conjugation(mat_from_json_rect(_load_json(arg)))
     if kind in ("kraus", "transpose-kraus"):
-        pieces = [mat_from_json_rect(d) for d in _load_json(arg)]
+        pieces = [mat_from_json_rect(d) for d in _load_list(arg)]
         build = kraus_map if kind == "kraus" else transpose_then_kraus
         return build(pieces)
     if kind == "pinching":
-        return pinching([mat_from_json(d) for d in _load_json(arg)])
+        return pinching([mat_from_json(d) for d in _load_list(arg)])
     raise CliError(f"unknown map kind {kind!r}")
 
 
@@ -115,17 +131,11 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     raise CliError(f"--dims expects n or n,m,l, got {text!r}")
 
 
-def _functional_spec(args, dim: int) -> NormSpec:
-    if getattr(args, "antinorm", None):
-        return NormSpec.parse(args.antinorm)
-    return NormSpec.parse(getattr(args, "norm", None) or "trace")
-
-
 def _build_family(args, dims: tuple[int, int, int]) -> FamilySpec:
     n, m, _ = dims
     params = ParameterPoint(p=args.p, q=args.q or 0.0, s=args.s or 1.0)
     phi = _parse_map(args.phi, n)
-    norm = _functional_spec(args, phi.out_dim)
+    norm = NormSpec.parse(args.antinorm or args.norm or "trace")
     if args.family in ("lieb", "mean", "logexp"):
         psi = _parse_map(args.psi, m)
         mean = MeanSpec.parse(args.mean) if args.family == "mean" else None
@@ -193,12 +203,19 @@ _VERIFY_KEYS = ("theorem", "p", "q", "s", "trials", "dims", "seed", "norm",
                 "antinorm", "mean", "phi", "psi", "force")
 
 
-def cmd_verify(args) -> int:
-    if args.theorem not in THEOREM_IDS:
-        raise CliError(f"unknown theorem id {args.theorem!r}; "
+def _theorem(theorem_id: str) -> Theorem:
+    if theorem_id not in THEOREMS:
+        raise CliError(f"unknown theorem id {theorem_id!r}; "
                        f"known: {', '.join(THEOREM_IDS)}")
+    return THEOREMS[theorem_id]
+
+
+def cmd_verify(args) -> int:
+    theorem = _theorem(args.theorem)
+    if theorem.family is None and theorem.direction != "dominance":
+        raise CliError(f"{args.theorem} has no functional to verify: the catalog does "
+                       "not record which functional its statement is about")
     dims = _parse_dims(args.dims)
-    direction = THEOREM_DIRECTION[args.theorem]
     point = ParameterPoint(p=args.p, q=args.q or 0.0, s=args.s or 1.0)
     problem = region_violation(args.theorem, point)
     if problem is not None and not args.force:
@@ -206,47 +223,33 @@ def cmd_verify(args) -> int:
         return EXIT_PRECONDITION
 
     sampler = SamplerConfig(dim=dims[0], seed=args.seed)
-    if direction == "dominance":
+    if theorem.direction == "dominance":
         report = loewner_midpoint_test(
             "power-mean-dominance", {"p": args.p, "q": args.q},
             trials=args.trials, sampler=sampler, refine=True,
             stop_on_violation=True, label=args.theorem,
         )
     else:
-        family = _dispatch_verify_family(args, dims, direction)
-        report = midpoint_test(family, direction, trials=args.trials,
+        family = _verify_family(args, theorem, dims)
+        report = midpoint_test(family, theorem.direction, trials=args.trials,
                                sampler=sampler, label=args.theorem)
     _emit(_report_payload(args, _VERIFY_KEYS, report), args.out)
     return _VERDICT_EXIT[report.verdict]
 
 
-def _dispatch_verify_family(args, dims, direction) -> FamilySpec:
-    tid = args.theorem
-    if tid.startswith("T1.1"):
-        args.family = "lieb"
-    elif tid == "T2.2":
-        args.family = "mean"
-        args.mean = args.mean or "geometric"
-        args.antinorm = args.antinorm or "kyfan-anti:1"
-    elif tid.startswith(("T3.", "P4.")):
-        args.family = "epstein"
-        if tid == "T3.2":
-            phi = _parse_map(args.phi, dims[0])
-            if not phi.cp:
-                raise CliError(
-                    f"{tid} requires cp: true; map kind {phi.kind!r} is "
-                    "positive but not completely positive"
-                )
-    elif tid.startswith(("T5.1", "T5.2")):
-        args.family = "lieb"
-        if args.norm is None and args.antinorm is None:
-            if direction == "concave":
-                args.antinorm = "lambda-min"
-            else:
-                args.norm = "operator"
-    else:
-        raise CliError(f"no verification family for {tid!r}")
-    return _build_family(args, dims)
+def _verify_family(args, theorem: Theorem, dims) -> FamilySpec:
+    """The functional verify tests, with the record's defaults written into
+    ``args`` (and so into the emitted config): its norm or anti-norm when
+    neither flag is given, its mean when ``--mean`` is not."""
+    args.family = theorem.family
+    if args.norm is None and args.antinorm is None:
+        args.norm, args.antinorm = theorem.norm, theorem.antinorm
+    args.mean = args.mean or theorem.mean
+    family = _build_family(args, dims)
+    if theorem.cp_required and not family.phi.cp:
+        raise CliError(f"{args.theorem} requires cp: true; map kind "
+                       f"{family.phi.kind!r} is positive but not completely positive")
+    return family
 
 
 _SWEEP_KEYS = ("family", "p_grid", "q_grid", "s_grid", "trials", "dims",
@@ -317,12 +320,11 @@ def cmd_hunt(args) -> int:
 def cmd_regions(args) -> int:
     ids = [args.theorem] if args.theorem else list(THEOREM_IDS)
     for tid in ids:
-        if tid not in THEOREM_IDS:
-            raise CliError(f"unknown theorem id {tid!r}")
-        line = f"{tid} [{THEOREM_DIRECTION[tid]}]: {region_description(tid)}"
+        theorem = _theorem(tid)
+        line = f"{tid} [{theorem.direction}]: {theorem.description}"
         if args.p is not None:
-            point = ParameterPoint(p=args.p, q=args.q or 0.0, s=args.s or 1.0)
-            verdict = "member" if region_member(tid, point) else "outside"
+            member = theorem.region(args.p, args.q or 0.0, args.s or 1.0)
+            verdict = "member" if member else "outside"
             line += f" -- ({args.p}, {args.q}, {args.s}): {verdict}"
         print(line)
     return EXIT_PASS
@@ -351,7 +353,8 @@ def _add_family_flags(sub, family_required: bool):
     sub.add_argument("--out", help="write output to this path")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the parser of each subcommand by name."""
     parser = argparse.ArgumentParser(
         prog="tracelab",
         description="numerical laboratory for matrix trace/norm convexity",
@@ -396,27 +399,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_regions.add_argument("--q", type=float)
     p_regions.add_argument("--s", type=float)
     p_regions.set_defaults(handler=cmd_regions)
-    return parser
+    return parser, subs.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, _ = parser.parse_known_args(argv)
-    if args.config:
-        defaults = _load_json(args.config)
-        parser.set_defaults(**defaults)
-        args = parser.parse_args(argv)
-    else:
-        args = parser.parse_args(argv)
-    if args.command == "hunt" and not args.replay:
-        if args.family is None or args.direction is None:
-            parser.error("hunt needs --family and --direction (or --replay)")
-    if args.command in ("eval", "verify") or (
-        args.command == "hunt" and not args.replay
-    ):
-        if args.p is None:
-            parser.error(f"{args.command} needs --p")
+    parser, subcommands = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            subcommands[args.command].set_defaults(**_config_defaults(args))
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:  # argparse rejected a value from the file
+                raise CliError(f"config file {args.config} holds a bad flag value") from exc
+        hunting = args.command == "hunt" and not args.replay
+        if hunting and (args.family is None or args.direction is None):
+            parser.error("hunt needs --family and --direction (or --replay)")
+        if (hunting or args.command in ("eval", "verify")) and args.p is None:
+            parser.error(f"{args.command} needs --p")
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -132,7 +132,7 @@ def _floored_eigs(M: np.ndarray) -> np.ndarray:
 
 
 def _map_power(phi: MapSpec, A: PosDef, p: float) -> PosDef:
-    return PosDef.from_matrix(hermitize(apply_map(phi, matrix_power(A, p).mat)))
+    return PosDef.from_hermitian(apply_map(phi, matrix_power(A, p).mat))
 
 
 def _check_strict(spec: FamilySpec):

@@ -3,6 +3,11 @@
 All matrices are dense complex numpy arrays at desk scale (dim <= ~64).
 Every matrix produced by arithmetic is passed through :func:`hermitize`
 before decomposition to suppress floating-point drift.
+
+Hermiticity is checked only where a matrix enters, by check_hermitian,
+spectral_decompose, matrix_exp_herm, PosDef.from_matrix and as_posdef.
+PosDef.from_hermitian and PosDef.from_spectrum do not check; the means and
+families use them on matrices they built from Hermitian ones.
 """
 
 from __future__ import annotations
@@ -38,11 +43,6 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def max_asymmetry(M: np.ndarray) -> float:
-    M = np.asarray(M, dtype=complex)
-    return float(np.max(np.abs(M - M.conj().T)))
-
-
 def check_hermitian(M: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
     """Validate hermiticity; returns the hermitized matrix.
 
@@ -52,7 +52,7 @@ def check_hermitian(M: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {M.shape}")
     scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-    asym = max_asymmetry(M)
+    asym = float(np.max(np.abs(M - M.conj().T)))
     if asym > atol * scale:
         raise NotHermitianError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
@@ -86,12 +86,19 @@ class PosDef:
 
     @classmethod
     def from_matrix(cls, M: np.ndarray) -> "PosDef":
-        w, V = spectral_decompose(M)
+        check_hermitian(M)
+        return cls.from_hermitian(M)
+
+    @classmethod
+    def from_hermitian(cls, M: np.ndarray) -> "PosDef":
+        """The Hermitian part of M, decomposed; M's asymmetry is not checked."""
+        H = hermitize(M)
+        w, V = np.linalg.eigh(H)
         if w[0] <= 0:
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e}"
             )
-        return cls(mat=hermitize(M), eigs=w, vecs=V)
+        return cls(mat=H, eigs=w, vecs=V)
 
     @classmethod
     def from_spectrum(cls, eigs: np.ndarray, vecs: np.ndarray) -> "PosDef":
@@ -228,9 +235,16 @@ def mat_to_json(M: np.ndarray) -> dict:
 
 
 def mat_from_json(obj: dict) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    M = re + 1j * im
-    if M.shape != (obj["dim"], obj["dim"]):
-        raise MatrixError(f"matrix payload shape {M.shape} does not match dim {obj['dim']}")
+    M, dim = _matrix_payload(obj, "dim")
+    if M.shape != (dim, dim):
+        raise MatrixError(f"matrix payload shape {M.shape} does not match dim {dim}")
     return M
+
+
+def _matrix_payload(obj, *size_keys) -> tuple:
+    """The matrix ``re + 1j*im`` of a payload object, then its size fields."""
+    try:
+        M = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+        return (M, *(obj[k] for k in size_keys))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MatrixError(f"malformed matrix payload: {type(exc).__name__} {exc}") from exc

@@ -15,7 +15,6 @@ import numpy as np
 from .linalg import (
     DimensionMismatchError,
     PosDef,
-    hermitize,
     matrix_log,
     matrix_exp_herm,
     matrix_power,
@@ -111,19 +110,20 @@ def eval_mean(spec: MeanSpec, A: PosDef, B: PosDef) -> PosDef:
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dimension mismatch {A.dim} vs {B.dim}")
     if spec.modifier == "transposed":
-        base = MeanSpec(spec.kind, spec.t, spec.r)
-        return eval_mean(base, B, A)
-    if spec.modifier == "adjoint":
-        base = MeanSpec(spec.kind, spec.t, spec.r)
-        return eval_mean(base, A.inv(), B.inv()).inv()
+        A, B = B, A
+    adjoint = spec.modifier == "adjoint"
+    if adjoint:
+        A, B = A.inv(), B.inv()
     if spec.kind == "sum":
-        return PosDef.from_matrix(A.mat + B.mat)
-    f = spec.rep_function()
-    Ah = matrix_power(A, 0.5)
-    Aih = matrix_power(A, -0.5)
-    W = PosDef.from_matrix(hermitize(Aih.mat @ B.mat @ Aih.mat))
-    fW = (W.vecs * np.asarray(f(W.eigs), dtype=float)) @ W.vecs.conj().T
-    return PosDef.from_matrix(hermitize(Ah.mat @ fW @ Ah.mat))
+        M = PosDef.from_hermitian(A.mat + B.mat)
+    else:
+        f = spec.rep_function()
+        Ah = matrix_power(A, 0.5)
+        Aih = matrix_power(A, -0.5)
+        W = PosDef.from_hermitian(Aih.mat @ B.mat @ Aih.mat)
+        fW = (W.vecs * np.asarray(f(W.eigs), dtype=float)) @ W.vecs.conj().T
+        M = PosDef.from_hermitian(Ah.mat @ fW @ Ah.mat)
+    return M.inv() if adjoint else M
 
 
 def power_mean(A: PosDef, B: PosDef, p: float) -> PosDef:
@@ -132,5 +132,5 @@ def power_mean(A: PosDef, B: PosDef, p: float) -> PosDef:
         raise DimensionMismatchError(f"dimension mismatch {A.dim} vs {B.dim}")
     if p == 0:
         return matrix_exp_herm(0.5 * (matrix_log(A) + matrix_log(B)))
-    M = PosDef.from_matrix(0.5 * (matrix_power(A, p).mat + matrix_power(B, p).mat))
+    M = PosDef.from_hermitian(0.5 * (matrix_power(A, p).mat + matrix_power(B, p).mat))
     return matrix_power(M, 1.0 / p)

@@ -17,6 +17,7 @@ from .linalg import (
     DimensionMismatchError,
     MatrixError,
     PosDef,
+    _matrix_payload,
     as_posdef,
     hermitize,
     mat_from_json,
@@ -114,8 +115,8 @@ def mat_to_json_rect(X: np.ndarray) -> dict:
 
 
 def mat_from_json_rect(obj: dict) -> np.ndarray:
-    X = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    if X.shape != (obj["rows"], obj["cols"]):
+    X, rows, cols = _matrix_payload(obj, "rows", "cols")
+    if X.shape != (rows, cols):
         raise MatrixError("rectangular matrix payload shape mismatch")
     return X
 

@@ -1,40 +1,32 @@
-"""Parameter-region predicates for every concavity/convexity statement tested.
+"""The theorem catalog: one record per claim, with its parameter region.
 
-Each predicate implements its quoted condition set verbatim, boundaries
-included exactly as stated.
+Each region predicate implements its quoted condition set verbatim,
+boundaries included exactly as stated.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 from .families import ParameterPoint
 
-THEOREM_IDS = (
-    "T1.1-1", "T1.1-2", "T2.2",
-    "T3.1-1", "T3.1-2-concave-recip", "T3.1-2-convex", "T3.2",
-    "P4.1-1", "P4.1-2", "P4.4-1", "P4.4-2",
-    "T5.1-1", "T5.1-2", "T5.2-1", "T5.2-2",
-    "L5.4",
-)
 
-#: direction of the claim made on each region ("concave" or "convex")
-THEOREM_DIRECTION = {
-    "T1.1-1": "concave",
-    "T1.1-2": "convex",
-    "T2.2": "concave",
-    "T3.1-1": "concave",
-    "T3.1-2-concave-recip": "concave",
-    "T3.1-2-convex": "convex",
-    "T3.2": "convex",
-    "P4.1-1": "concave",
-    "P4.1-2": "concave",
-    "P4.4-1": "convex",
-    "P4.4-2": "convex",
-    "T5.1-1": "concave",
-    "T5.1-2": "convex",
-    "T5.2-1": "concave",
-    "T5.2-2": "convex",
-    "L5.4": "dominance",
-}
+@dataclass(frozen=True)
+class Theorem:
+    """One cataloged claim: its direction, its region predicate on (p, q, s),
+    and the functional verify tests: a family (lieb, mean or epstein; None
+    where there is none), its default mean, norm and anti-norm flags, and
+    whether Phi must be completely positive."""
+
+    direction: str
+    family: str | None
+    region: Callable[[float, float, float], bool]
+    description: str
+    mean: str | None = None
+    norm: str | None = None
+    antinorm: str | None = None
+    cp_required: bool = False
 
 
 def _t11_1(p, q, s):
@@ -128,78 +120,68 @@ def _t51_2(p, q, s):
     return _t51_2_half(p, q, s) or _t51_2_half(-p, -q, -s)
 
 
-def _t52_1(p, q, s):
-    return p != 0 and q != 0 and _t51_1(p, q, s)
-
-
-def _t52_2(p, q, s):
-    return p != 0 and q != 0 and _t51_2(p, q, s)
-
-
 def power_mean_dominates(p: float, q: float) -> bool:
     """Whether ((A^p+B^p)/2)^{1/p} <= ((A^q+B^q)/2)^{1/q} for all PD pairs."""
-    if p == q:
-        return True
-    if 1 <= p < q:
-        return True
-    if p < q <= -1:
-        return True
-    if p <= -1 and q >= 1:
-        return True
-    if 0.5 <= p < 1 <= q:
-        return True
-    return p <= -1 < q <= -0.5
+    return (p == q or 1 <= p < q or p < q <= -1 or (p <= -1 and q >= 1)
+            or 0.5 <= p < 1 <= q or p <= -1 < q <= -0.5)
 
 
-_PREDICATES = {
-    "T1.1-1": lambda p, q, s: s != 0 and _t11_1(p, q, s),
-    "T1.1-2": lambda p, q, s: s != 0 and _t11_2(p, q, s),
-    "T2.2": lambda p, q, s: s != 0 and _t22(p, q, s),
-    "T3.1-1": lambda p, q, s: p != 0 and s != 0 and _t31_1(p, q, s),
-    "T3.1-2-concave-recip": lambda p, q, s: p != 0 and s != 0 and _t31_1(p, q, s),
-    "T3.1-2-convex": lambda p, q, s: p != 0 and s != 0 and _t31_2_convex(p, q, s),
-    "T3.2": lambda p, q, s: p != 0 and s != 0 and _t32(p, q, s),
-    "P4.1-1": lambda p, q, s: p != 0 and s != 0 and _t31_1(p, q, s),
-    "P4.1-2": lambda p, q, s: p != 0 and q != 0 and s != 0 and _p41_2(p, q, s),
-    "P4.4-1": lambda p, q, s: p != 0 and s != 0 and _p44_1(p, q, s),
-    "P4.4-2": lambda p, q, s: p != 0 and q != 0 and s != 0 and _p44_2(p, q, s),
-    "T5.1-1": lambda p, q, s: s != 0 and _t51_1(p, q, s),
-    "T5.1-2": lambda p, q, s: s != 0 and _t51_2(p, q, s),
-    "T5.2-1": lambda p, q, s: s != 0 and _t52_1(p, q, s),
-    "T5.2-2": lambda p, q, s: s != 0 and _t52_2(p, q, s),
-    "L5.4": lambda p, q, s: power_mean_dominates(p, q),
+# The catalog does not say which functional the statements of
+# T3.1-2-concave-recip, P4.1-2 and P4.4-2 are about: the epstein functional
+# has no q for the P4 regions to read, and T3.1-2-concave-recip would repeat
+# T3.1-1.  Their records carry no family, so verify refuses them.
+THEOREMS = {
+    "T1.1-1": Theorem("concave", "lieb", _t11_1, "0<=p,q<=1 and 1/2<=s<=1/(p+q), "
+                      "or -1<=p,q<=0 and 1/(p+q)<=s<=-1/2"),
+    "T1.1-2": Theorem("convex", "lieb", _t11_2, "0<=p,q<=1 and -1/(p+q)<=s<=-1/2, "
+                      "or -1<=p,q<=0 and 1/2<=s<=-1/(p+q)"),
+    "T2.2": Theorem("concave", "mean", _t22, "0<=p,q<=1 and 0<s<=1/max(p,q), "
+                    "or -1<=p,q<=0 and 1/min(p,q)<=s<0",
+                    mean="geometric", antinorm="kyfan-anti:1"),
+    "T3.1-1": Theorem("concave", "epstein", _t31_1,
+                      "0<p<=1 and 0<s<=1/p, or -1<=p<0 and 1/p<=s<0"),
+    "T3.1-2-concave-recip": Theorem("concave", None, _t31_1,
+                                    "0<p<=1 and 0<s<=1/p, or -1<=p<0 and 1/p<=s<0"),
+    "T3.1-2-convex": Theorem("convex", "epstein", _t31_2_convex, "-1<=p<0 and s>0, "
+                             "or 0<p<=1 and s<0, or 1<=p<=2 and s>=1"),
+    "T3.2": Theorem("convex", "epstein", _t32, "1<=p<=2 and s>=1/p (CP map required)",
+                    cp_required=True),
+    "P4.1-1": Theorem("concave", "epstein", _t31_1,
+                      "0<p<=1 and 0<s<=1/p, or -1<=p<0 and 1/p<=s<0"),
+    "P4.1-2": Theorem("concave", None, _p41_2, "0<p,q<=1 and 0<s<=1/(p+q), "
+                      "or -1<=p,q<0 and 1/(p+q)<=s<0"),
+    "P4.4-1": Theorem("convex", "epstein", _p44_1, "-1<=p<0 and s>0, or 1<=p<=2 and "
+                      "s>=1/p, or the (-p,-s) counterparts"),
+    "P4.4-2": Theorem("convex", None, _p44_2,
+                      "six-case necessary condition list with (-p,-q,-s) counterparts"),
+    "T5.1-1": Theorem("concave", "lieb", _t51_1, "0<=p,q<=1 and 0<s<=1/(p+q), "
+                      "or -1<=p,q<=0 and 1/(p+q)<=s<0", antinorm="lambda-min"),
+    "T5.1-2": Theorem("convex", "lieb", _t51_2,
+                      "six-case condition list with (-p,-q,-s) counterparts",
+                      norm="operator"),
+    "T5.2-1": Theorem("concave", "lieb",
+                      lambda p, q, s: p != 0 and q != 0 and _t51_1(p, q, s),
+                      "as T5.1-1, with p,q,s all non-zero", antinorm="lambda-min"),
+    "T5.2-2": Theorem("convex", "lieb",
+                      lambda p, q, s: p != 0 and q != 0 and _t51_2(p, q, s),
+                      "as T5.1-2, with p,q,s all non-zero", norm="operator"),
+    "L5.4": Theorem("dominance", None, lambda p, q, s: power_mean_dominates(p, q),
+                    "p=q, 1<=p<q, p<q<=-1, (p<=-1, q>=1), 1/2<=p<1<=q, "
+                    "or p<=-1<q<=-1/2"),
 }
 
-_DESCRIPTIONS = {
-    "T1.1-1": "0<=p,q<=1 and 1/2<=s<=1/(p+q), or -1<=p,q<=0 and 1/(p+q)<=s<=-1/2",
-    "T1.1-2": "0<=p,q<=1 and -1/(p+q)<=s<=-1/2, or -1<=p,q<=0 and 1/2<=s<=-1/(p+q)",
-    "T2.2": "0<=p,q<=1 and 0<s<=1/max(p,q), or -1<=p,q<=0 and 1/min(p,q)<=s<0",
-    "T3.1-1": "0<p<=1 and 0<s<=1/p, or -1<=p<0 and 1/p<=s<0",
-    "T3.1-2-concave-recip": "0<p<=1 and 0<s<=1/p, or -1<=p<0 and 1/p<=s<0",
-    "T3.1-2-convex": "-1<=p<0 and s>0, or 0<p<=1 and s<0, or 1<=p<=2 and s>=1",
-    "T3.2": "1<=p<=2 and s>=1/p (CP map required)",
-    "P4.1-1": "0<p<=1 and 0<s<=1/p, or -1<=p<0 and 1/p<=s<0",
-    "P4.1-2": "0<p,q<=1 and 0<s<=1/(p+q), or -1<=p,q<0 and 1/(p+q)<=s<0",
-    "P4.4-1": "-1<=p<0 and s>0, or 1<=p<=2 and s>=1/p, or the (-p,-s) counterparts",
-    "P4.4-2": "six-case necessary condition list with (-p,-q,-s) counterparts",
-    "T5.1-1": "0<=p,q<=1 and 0<s<=1/(p+q), or -1<=p,q<=0 and 1/(p+q)<=s<0",
-    "T5.1-2": "six-case condition list with (-p,-q,-s) counterparts",
-    "T5.2-1": "as T5.1-1, with p,q,s all non-zero",
-    "T5.2-2": "as T5.1-2, with p,q,s all non-zero",
-    "L5.4": "p=q, 1<=p<q, p<q<=-1, (p<=-1, q>=1), 1/2<=p<1<=q, or p<=-1<q<=-1/2",
-}
+THEOREM_IDS = tuple(THEOREMS)
+
+#: direction of the claim made on each region ("concave", "convex" or "dominance")
+THEOREM_DIRECTION = {tid: th.direction for tid, th in THEOREMS.items()}
 
 
 def region_member(theorem_id: str, point: ParameterPoint) -> bool:
-    if theorem_id not in _PREDICATES:
-        raise KeyError(f"unknown theorem id {theorem_id!r}")
-    return bool(_PREDICATES[theorem_id](point.p, point.q, point.s))
+    return bool(THEOREMS[theorem_id].region(point.p, point.q, point.s))
 
 
 def region_description(theorem_id: str) -> str:
-    if theorem_id not in _DESCRIPTIONS:
-        raise KeyError(f"unknown theorem id {theorem_id!r}")
-    return _DESCRIPTIONS[theorem_id]
+    return THEOREMS[theorem_id].description
 
 
 def region_violation(theorem_id: str, point: ParameterPoint) -> str | None:

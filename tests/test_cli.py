@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from tracelab.cli import main
+from tracelab.cli import _verify_family, build_parser, main
 from tracelab.linalg import SamplerConfig, mat_to_json, sample_posdef
 from tracelab.posmaps import mat_to_json_rect
+from tracelab.regions import THEOREMS
 
 
 @pytest.fixture()
@@ -78,7 +79,7 @@ class TestEval:
         bad.write_text('{"dim": 2, "re": [[1]]}')
         rc = main(["eval", "--family", "epstein", "--p", "1", "--s", "1",
                    "--a", str(bad)])
-        assert rc != 0
+        assert rc == 4
 
 
 class TestVerify:
@@ -109,6 +110,71 @@ class TestVerify:
     def test_unknown_theorem(self, capsys):
         rc = main(["verify", "--theorem", "T7.7", "--p", "1"])
         assert rc == 4
+
+    @pytest.mark.parametrize("theorem", ["T3.1-2-concave-recip", "P4.1-2", "P4.4-2"])
+    def test_id_without_functional_refused_even_forced(self, theorem, capsys):
+        assert THEOREMS[theorem].family is None
+        rc = main(["verify", "--theorem", theorem, "--p", "0.3", "--q", "0.4",
+                   "--s", "0.8", "--force", "--trials", "5"])
+        assert rc == 4
+        assert "no functional" in capsys.readouterr().err
+
+    def test_explicit_norm_replaces_the_default_antinorm(self):
+        args = build_parser()[0].parse_args(
+            ["verify", "--theorem", "T2.2", "--p", "0.6", "--q", "0.9", "--s", "1.1",
+             "--norm", "operator"])
+        family = _verify_family(args, THEOREMS["T2.2"], (2, 2, 2))
+        assert family.norm.to_dict() == {"kind": "operator"}
+        assert family.mean.label() == "geometric:0.5"
+        assert args.antinorm is None
+
+
+_ON_REGION = ["verify", "--theorem", "T1.1-1", "--p", "0.7", "--q", "0.7", "--s", "0.6"]
+_EVAL = ["eval", "--family", "epstein", "--p", "1"]
+_PIECE = '{"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}'
+
+
+class TestBadInput:
+    """Malformed files and config exit 4, never 1."""
+
+    @pytest.mark.parametrize("content,argv", [
+        pytest.param(None, ["--config", "{missing}"] + _ON_REGION, id="config-missing"),
+        pytest.param("{not json", ["--config", "{file}"] + _ON_REGION,
+                     id="config-malformed"),
+        pytest.param("[1, 2]", ["--config", "{file}"] + _ON_REGION, id="config-list"),
+        pytest.param('{"budget": 5}', ["--config", "{file}"] + _ON_REGION,
+                     id="config-foreign-key"),
+        pytest.param('{"trials": [7]}', ["--config", "{file}"] + _ON_REGION,
+                     id="config-list-value"),
+        pytest.param('{"dim": 2}', _EVAL + ["--a", "{file}"], id="matrix-without-entries"),
+        pytest.param("[[1, 2]]", _EVAL + ["--a", "{file}"], id="matrix-list"),
+        pytest.param(_PIECE, _ON_REGION + ["--phi", "kraus:{file}"], id="kraus-object"),
+        pytest.param('[{"rows": 2, "cols": 2}]', _ON_REGION + ["--phi", "kraus:{file}"],
+                     id="kraus-incomplete-piece"),
+        pytest.param(f"[{_PIECE}]", _ON_REGION + ["--phi", "conjugation:{file}"],
+                     id="conjugation-list"),
+        pytest.param('{"dim": 2}', _ON_REGION + ["--phi", "pinching:{file}"],
+                     id="pinching-object"),
+    ])
+    def test_exits_4(self, content, argv, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        argv = [a.format(file=path, missing=tmp_path / "missing.json") for a in argv]
+        assert main(argv) == 4
+        assert "internal error" not in capsys.readouterr().err
+
+
+class TestConfig:
+    def test_config_reaches_subcommand_flags_and_explicit_flags_win(self, tmp_path,
+                                                                    capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"trials": 7, "seed": 3}')
+        assert main(["--config", str(config)] + _ON_REGION) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report"]["trials"] == 7 and payload["seed"] == 3
+        assert main(["--config", str(config)] + _ON_REGION + ["--trials", "9"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["trials"] == 9
 
 
 class TestSweep:
@@ -178,3 +244,49 @@ class TestRegions:
         assert main(["regions", "--theorem", "L5.4", "--p", "0.5", "--q", "1",
                      "--s", "1"]) == 0
         assert "member" in capsys.readouterr().out
+
+
+_REGIONS_LISTING = """\
+T1.1-1 [concave]: 0<=p,q<=1 and 1/2<=s<=1/(p+q), or -1<=p,q<=0 and 1/(p+q)<=s<=-1/2
+T1.1-2 [convex]: 0<=p,q<=1 and -1/(p+q)<=s<=-1/2, or -1<=p,q<=0 and 1/2<=s<=-1/(p+q)
+T2.2 [concave]: 0<=p,q<=1 and 0<s<=1/max(p,q), or -1<=p,q<=0 and 1/min(p,q)<=s<0
+T3.1-1 [concave]: 0<p<=1 and 0<s<=1/p, or -1<=p<0 and 1/p<=s<0
+T3.1-2-concave-recip [concave]: 0<p<=1 and 0<s<=1/p, or -1<=p<0 and 1/p<=s<0
+T3.1-2-convex [convex]: -1<=p<0 and s>0, or 0<p<=1 and s<0, or 1<=p<=2 and s>=1
+T3.2 [convex]: 1<=p<=2 and s>=1/p (CP map required)
+P4.1-1 [concave]: 0<p<=1 and 0<s<=1/p, or -1<=p<0 and 1/p<=s<0
+P4.1-2 [concave]: 0<p,q<=1 and 0<s<=1/(p+q), or -1<=p,q<0 and 1/(p+q)<=s<0
+P4.4-1 [convex]: -1<=p<0 and s>0, or 1<=p<=2 and s>=1/p, or the (-p,-s) counterparts
+P4.4-2 [convex]: six-case necessary condition list with (-p,-q,-s) counterparts
+T5.1-1 [concave]: 0<=p,q<=1 and 0<s<=1/(p+q), or -1<=p,q<=0 and 1/(p+q)<=s<0
+T5.1-2 [convex]: six-case condition list with (-p,-q,-s) counterparts
+T5.2-1 [concave]: as T5.1-1, with p,q,s all non-zero
+T5.2-2 [convex]: as T5.1-2, with p,q,s all non-zero
+L5.4 [dominance]: p=q, 1<=p<q, p<q<=-1, (p<=-1, q>=1), 1/2<=p<1<=q, or p<=-1<q<=-1/2
+"""
+
+
+class TestPinnedOutput:
+    """The catalog listing and the functional flags verify fills in."""
+
+    def test_regions_listing(self, capsys):
+        assert main(["regions"]) == 0
+        assert capsys.readouterr().out == _REGIONS_LISTING
+
+    @pytest.mark.parametrize("theorem,point,filled", [
+        ("T2.2", ("0.6", "0.9", "1.1"),
+         {"mean": "geometric", "antinorm": "kyfan-anti:1"}),
+        ("T5.1-1", ("0.8", "0.8", "0.6"), {"antinorm": "lambda-min"}),
+        ("T5.1-2", ("-0.5", "1.5", "1"), {"norm": "operator"}),
+    ])
+    def test_verify_config_fills_default_functional(self, theorem, point, filled,
+                                                     capsys):
+        p, q, s = point
+        rc = main(["verify", "--theorem", theorem, "--p", p, "--q", q, "--s", s,
+                   "--trials", "5"])
+        assert rc == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {"command": "verify", "theorem": theorem, "p": float(p),
+                          "q": float(q), "s": float(s), "trials": 5, "dims": "2",
+                          "seed": 0, "phi": "identity", "psi": "identity",
+                          "force": False, **filled}

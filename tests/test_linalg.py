@@ -52,6 +52,12 @@ class TestSpectralDecompose:
         with pytest.raises(NotHermitianError, match="asymmetry"):
             spectral_decompose(M)
 
+    def test_only_from_matrix_checks_hermiticity(self):
+        M = np.array([[2.0, 1e-6], [0.0, 2.0]], dtype=complex)
+        with pytest.raises(NotHermitianError, match="asymmetry"):
+            PosDef.from_matrix(M)
+        assert np.array_equal(PosDef.from_hermitian(M).mat, 0.5 * (M + M.conj().T))
+
 
 class TestMatrixPower:
     def test_square_root_diagonal(self):

@@ -147,6 +147,17 @@ class TestModifiers:
         assert np.allclose(eval_mean(swapped, A, B).mat,
                            eval_mean(spec, B, A).mat)
 
+    @pytest.mark.parametrize("modifier", ["transposed", "adjoint"])
+    def test_modifier_builds_no_spec(self, modifier, monkeypatch):
+        spec = MeanSpec(kind="power", r=0.5, modifier=modifier)
+        A, B = _sample(44), _sample(44, 1)
+        built = []
+        original = MeanSpec.__post_init__
+        monkeypatch.setattr(MeanSpec, "__post_init__",
+                            lambda self: built.append(self) or original(self))
+        eval_mean(spec, A, B)
+        assert built == []
+
 
 class TestSpecPlumbing:
     def test_roundtrip(self):

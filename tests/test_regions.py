@@ -1,11 +1,16 @@
 """Parameter-region predicates for every verified inequality."""
 
+import itertools
+
 import pytest
 
-from tracelab.families import ParameterPoint
+from tracelab.cli import _verify_family, build_parser
+from tracelab.families import ParameterPoint, eval_family
+from tracelab.linalg import SamplerConfig, sample_posdef
 from tracelab.regions import (
     THEOREM_DIRECTION,
     THEOREM_IDS,
+    THEOREMS,
     power_mean_dominates,
     region_description,
     region_member,
@@ -97,3 +102,27 @@ class TestPlumbing:
     def test_unknown_id_rejected(self):
         with pytest.raises(KeyError):
             region_member("T9.9", P(1.0, 1.0, 1.0))
+
+
+_PQ_GRID = (-1.5, -0.5, 0.5, 1.5)
+_S_GRID = (-2.0, -0.6, 0.6, 2.0)
+
+
+def _verify_value(tid, p, q, s):
+    """The functional verify tests for ``tid``, at fixed seeded inputs."""
+    args = build_parser()[0].parse_args(
+        ["verify", "--theorem", tid, "--p", str(p), "--q", str(q), "--s", str(s)])
+    family = _verify_family(args, THEOREMS[tid], (2, 2, 2))
+    A = sample_posdef(SamplerConfig(dim=2, seed=17))
+    B = sample_posdef(SamplerConfig(dim=2, seed=17, stream_index=1))
+    return eval_family(family, A, B)
+
+
+@pytest.mark.parametrize("tid", [t for t in THEOREM_IDS if THEOREMS[t].family])
+def test_functional_reads_q_where_the_region_does(tid):
+    region = THEOREMS[tid].region
+    for p, s in itertools.product(_PQ_GRID, _S_GRID):
+        for q1, q2 in itertools.combinations(_PQ_GRID, 2):
+            if region(p, q1, s) != region(p, q2, s):
+                assert _verify_value(tid, p, q1, s) != _verify_value(tid, p, q2, s), \
+                    f"{tid}: the region reads q but the functional does not"

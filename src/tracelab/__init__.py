@@ -30,11 +30,7 @@ from .posmaps import (
 from .families import (
     FamilySpec,
     ParameterPoint,
-    eval_epstein,
     eval_family,
-    eval_lieb,
-    eval_logexp,
-    eval_mean_family,
     variational_min,
     variational_value,
 )

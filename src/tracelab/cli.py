@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .families import EvaluationError, FamilySpec, ParameterPoint, eval_family
+from .families import FAMILIES, EvaluationError, FamilySpec, ParameterPoint, eval_family
 from .lab import (
     Certificate,
     HuntResult,
@@ -59,6 +59,14 @@ _VERDICT_EXIT = {
 
 class CliError(Exception):
     """Precondition failure reported to the user with exit code 4."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as CliError: argparse's own exit code 2 is the
+    code of a violated claim."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _load_json(path: str):
@@ -155,15 +163,18 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _resolved_config(args, keys: tuple[str, ...]) -> dict:
@@ -333,10 +344,10 @@ def cmd_regions(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+_FAMILY_CHOICES = sorted(FAMILIES)
 
-def _add_family_flags(sub, family_required: bool):
-    sub.add_argument("--family", required=family_required,
-                     choices=("lieb", "mean", "epstein", "logexp"))
+
+def _add_functional_flags(sub):
     sub.add_argument("--p", type=float)
     sub.add_argument("--q", type=float)
     sub.add_argument("--s", type=float)
@@ -355,7 +366,7 @@ def _add_family_flags(sub, family_required: bool):
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and the parser of each subcommand by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tracelab",
         description="numerical laboratory for matrix trace/norm convexity",
     )
@@ -365,13 +376,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_eval = subs.add_parser("eval", help="evaluate a functional on matrices")
-    _add_family_flags(p_eval, family_required=True)
+    p_eval.add_argument("--family", required=True, choices=_FAMILY_CHOICES)
+    _add_functional_flags(p_eval)
     p_eval.add_argument("--a", required=True, help="JSON file for A")
     p_eval.add_argument("--b", help="JSON file for B")
     p_eval.set_defaults(handler=cmd_eval)
 
     p_verify = subs.add_parser("verify", help="randomized test of a theorem region")
-    _add_family_flags(p_verify, family_required=False)
+    _add_functional_flags(p_verify)
     p_verify.add_argument("--theorem", required=True)
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--force", action="store_true",
@@ -379,7 +391,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_verify.set_defaults(handler=cmd_verify)
 
     p_sweep = subs.add_parser("sweep", help="verdict grid over a parameter box")
-    _add_family_flags(p_sweep, family_required=True)
+    p_sweep.add_argument("--family", required=True, choices=_FAMILY_CHOICES)
+    _add_functional_flags(p_sweep)
     p_sweep.add_argument("--p-grid", dest="p_grid", help="lo:hi:count or list")
     p_sweep.add_argument("--q-grid", dest="q_grid")
     p_sweep.add_argument("--s-grid", dest="s_grid")
@@ -387,7 +400,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_hunt = subs.add_parser("hunt", help="search for a violation certificate")
-    _add_family_flags(p_hunt, family_required=False)
+    p_hunt.add_argument("--family", choices=_FAMILY_CHOICES)
+    _add_functional_flags(p_hunt)
     p_hunt.add_argument("--direction", choices=("concave", "convex"))
     p_hunt.add_argument("--budget", type=int, default=10000)
     p_hunt.add_argument("--replay", help="re-validate a certificate file")
@@ -404,14 +418,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def main(argv: list[str] | None = None) -> int:
     parser, subcommands = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             subcommands[args.command].set_defaults(**_config_defaults(args))
-            try:
-                args = parser.parse_args(argv)
-            except SystemExit as exc:  # argparse rejected a value from the file
-                raise CliError(f"config file {args.config} holds a bad flag value") from exc
+            args = parser.parse_args(argv)
         hunting = args.command == "hunt" and not args.replay
         if hunting and (args.family is None or args.direction is None):
             parser.error("hunt needs --family and --direction (or --replay)")

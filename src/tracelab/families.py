@@ -19,10 +19,12 @@ import numpy as np
 from .linalg import (
     PosDef,
     as_posdef,
+    herm_grad_to_vec,
     hermitize,
     matrix_exp_herm,
     matrix_log,
     matrix_power,
+    vec_to_herm,
 )
 from .means import MeanSpec, eval_mean
 from .norms import NormSpec, eval_norm_from_eigs
@@ -76,6 +78,12 @@ class FamilySpec:
                 raise ValueError("epstein family requires p != 0 and s != 0")
         if self.psi is not None and self.psi.out_dim != self.phi.out_dim:
             raise ValueError("phi and psi output dimensions must agree")
+        # logexp needs Phi(I) + Psi(I) = I instead, checked when it is evaluated
+        if self.family != "logexp":
+            for name, m in (("phi", self.phi), ("psi", self.psi)):
+                if m is not None and not m.strictly_positive:
+                    raise ValueError(f"{self.family} family requires a strictly "
+                                     f"positive {name}")
 
     @property
     def two_variable(self) -> bool:
@@ -135,59 +143,31 @@ def _map_power(phi: MapSpec, A: PosDef, p: float) -> PosDef:
     return PosDef.from_hermitian(apply_map(phi, matrix_power(A, p).mat))
 
 
-def _check_strict(spec: FamilySpec):
-    if not spec.phi.strictly_positive:
-        raise EvaluationError("phi is not strictly positive")
-    if spec.psi is not None and not spec.psi.strictly_positive:
-        raise EvaluationError("psi is not strictly positive")
-
-
-def lieb_inner_eigs(spec: FamilySpec, A: PosDef, B: PosDef) -> np.ndarray:
-    """Spectrum of Phi(A^p)^{1/2} Psi(B^q) Phi(A^p)^{1/2}, ascending."""
-    S = _map_power(spec.phi, A, spec.params.p)
-    T = _map_power(spec.psi, B, spec.params.q)
-    Sh = matrix_power(S, 0.5).mat
-    return _floored_eigs(Sh @ T.mat @ Sh)
-
-
-def eval_lieb(spec: FamilySpec, A: PosDef, B: PosDef) -> float:
-    _check_strict(spec)
-    w = lieb_inner_eigs(spec, A, B)
-    return eval_norm_from_eigs(spec.norm, w ** spec.params.s)
-
-
-def eval_mean_family(spec: FamilySpec, A: PosDef, B: PosDef) -> float:
-    _check_strict(spec)
-    S = _map_power(spec.phi, A, spec.params.p)
-    T = _map_power(spec.psi, B, spec.params.q)
-    M = eval_mean(spec.mean, S, T)
-    return eval_norm_from_eigs(spec.norm, M.eigs ** spec.params.s)
-
-
-def eval_epstein(spec: FamilySpec, A: PosDef) -> float:
-    _check_strict(spec)
-    S = _map_power(spec.phi, A, spec.params.p)
-    return eval_norm_from_eigs(spec.norm, S.eigs ** spec.params.s)
-
-
-def eval_logexp(spec: FamilySpec, A: PosDef, B: PosDef) -> float:
-    if not np.allclose(spec.phi.unit + spec.psi.unit, np.eye(spec.phi.out_dim), atol=1e-10):
-        raise EvaluationError("logexp family requires Phi(I) + Psi(I) = I")
-    H = hermitize(apply_map(spec.phi, matrix_log(A)) + apply_map(spec.psi, matrix_log(B)))
-    E = matrix_exp_herm(H)
-    return eval_norm_from_eigs(spec.norm, E.eigs)
-
-
 def eval_family(spec: FamilySpec, A: PosDef, B: PosDef | None = None) -> float:
-    if spec.family == "lieb":
-        return eval_lieb(spec, A, B)
-    if spec.family == "mean":
-        return eval_mean_family(spec, A, B)
-    if spec.family == "epstein":
-        return eval_epstein(spec, A)
+    """The family's value at (A, B); ``epstein`` reads A only.
+
+    Every family but ``logexp`` is the norm of the s-th power of an inner
+    spectrum built from S = Phi(A^p) and T = Psi(B^q): S's own (``epstein``),
+    that of the mean S sigma T (``mean``), or the floored spectrum of
+    S^{1/2} T S^{1/2} (``lieb``).
+    """
     if spec.family == "logexp":
-        return eval_logexp(spec, A, B)
-    raise AssertionError(spec.family)
+        if not np.allclose(spec.phi.unit + spec.psi.unit, np.eye(spec.phi.out_dim),
+                           atol=1e-10):
+            raise EvaluationError("logexp family requires Phi(I) + Psi(I) = I")
+        H = hermitize(apply_map(spec.phi, matrix_log(A)) + apply_map(spec.psi, matrix_log(B)))
+        return eval_norm_from_eigs(spec.norm, matrix_exp_herm(H).eigs)
+    S = _map_power(spec.phi, A, spec.params.p)
+    if spec.family == "epstein":
+        w = S.eigs
+    else:
+        T = _map_power(spec.psi, B, spec.params.q)
+        if spec.family == "mean":
+            w = eval_mean(spec.mean, S, T).eigs
+        else:
+            Sh = matrix_power(S, 0.5).mat
+            w = _floored_eigs(Sh @ T.mat @ Sh)
+    return eval_norm_from_eigs(spec.norm, w ** spec.params.s)
 
 
 # ---------------------------------------------------------------------------
@@ -204,37 +184,6 @@ def variational_value(phi: MapSpec, p: float, r: float, A: "PosDef | np.ndarray"
     C = _map_power(phi, A, p)
     val = np.trace(C.mat @ matrix_power(B, 1.0 - r).mat).real + (r - 1) * B.eigs.sum()
     return float(val / r)
-
-
-def _herm_basis_size(dim: int) -> int:
-    return dim * dim
-
-
-def _vec_to_herm(v: np.ndarray, dim: int) -> np.ndarray:
-    M = np.zeros((dim, dim), dtype=complex)
-    idx = dim
-    M[np.diag_indices(dim)] = v[:dim]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            a, b = v[idx], v[idx + 1]
-            M[i, j] = a + 1j * b
-            M[j, i] = a - 1j * b
-            idx += 2
-    return M
-
-
-def _grad_to_vec(K: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the real parametrization of a Hermitian matrix."""
-    dim = K.shape[0]
-    v = np.empty(dim * dim)
-    v[:dim] = np.diagonal(K).real
-    idx = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v[idx] = 2.0 * K[i, j].real
-            v[idx + 1] = 2.0 * K[i, j].imag
-            idx += 2
-    return v
 
 
 def _dalecki_krein(w: np.ndarray, V: np.ndarray, C: np.ndarray, g, gprime) -> np.ndarray:
@@ -288,7 +237,7 @@ def variational_min(phi: MapSpec, p: float, r: float, A: "PosDef | np.ndarray",
     gprime = lambda x: (1.0 - r) * x ** (-r)
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        M = _vec_to_herm(v, dim)
+        M = vec_to_herm(v, dim)
         wM, VM = np.linalg.eigh(M)
         wB = np.exp(wM)
         val = (np.sum((VM.conj().T @ C.mat @ VM).diagonal().real * g(wB))
@@ -296,9 +245,9 @@ def variational_min(phi: MapSpec, p: float, r: float, A: "PosDef | np.ndarray",
         grad_B = (_dalecki_krein(wB, VM, C.mat, g, gprime)
                   + (r - 1) * np.eye(dim)) / r
         grad_M = _dalecki_krein(wM, VM, grad_B, np.exp, np.exp)
-        return float(val), _grad_to_vec(grad_M)
+        return float(val), herm_grad_to_vec(grad_M)
 
-    v0 = np.zeros(_herm_basis_size(dim))
+    v0 = np.zeros(dim * dim)
     res = scipy.optimize.minimize(
         objective, v0, jac=True, method="L-BFGS-B",
         options={"maxiter": descent_budget, "ftol": 1e-15, "gtol": 1e-12},

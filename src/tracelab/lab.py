@@ -12,26 +12,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import EvaluationError, FamilySpec, _vec_to_herm, eval_family
+from .families import EvaluationError, FamilySpec, eval_family
 from .linalg import (
     MatrixError,
     PosDef,
     SamplerConfig,
     as_posdef,
     hermitize,
+    loewner_leq,
     matrix_exp_herm,
     mat_from_json,
     mat_to_json,
     rng_for,
     sample_hermitian_rng,
     sample_posdef_rng,
+    vec_to_herm,
 )
 from .means import MeanSpec, eval_mean, power_mean
 from .posmaps import MapSpec, apply_map, hat_map
 
 SLACK_REL = 1e-8
 CLAIM_REL = 1e-4
-#: default mixing weights; 1/2 always included (midpoint arguments)
+#: mixing weights of every midpoint trial, besides one drawn per trial; 1/2 always
+#: included (midpoint arguments)
 DEFAULT_LAMBDAS = (0.5, 0.25, 0.9)
 #: input regularization used for certificate stability re-checks
 CERT_EPS = 1e-8
@@ -130,7 +133,6 @@ class HuntResult:
     certificate: Certificate | None
     trials_used: int
     best_violation: float
-    report: TestReport | None = None
 
 
 def _mix(P1: PosDef, P2: PosDef, lam: float) -> PosDef:
@@ -203,7 +205,6 @@ def midpoint_test(
     direction: str,
     trials: int,
     sampler: SamplerConfig,
-    lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
     label: str | None = None,
 ) -> TestReport:
     """Randomized joint midpoint concavity/convexity test."""
@@ -221,7 +222,7 @@ def midpoint_test(
             f1 = eval_family(family, A1, B1)
             f2 = eval_family(family, A2, B2)
             lam_extra = float(rng.uniform())
-            for lam in (*lambdas, lam_extra):
+            for lam in (*DEFAULT_LAMBDAS, lam_extra):
                 viol, lhs, rhs, scale = midpoint_violation(
                     family, direction, A1, A2, lam, B1, B2, f1, f2
                 )
@@ -306,7 +307,7 @@ def _stable_violation(family, direction, A1, B1, A2, B2, lam, eps: float) -> flo
     return viol / scale
 
 
-def _structured_candidates(family: FamilySpec, cfg: SamplerConfig):
+def _structured_candidates(family: FamilySpec):
     """Near-singular diagonal pairs that seed known counterexample shapes."""
     n = family.phi.in_dim
     if n % 2 != 0:
@@ -375,34 +376,28 @@ def _curvature_direction(family, direction, rng, cfg):
     h = 1e-4 * (1.0 + float(A0.eigs[-1]))
 
     def value(v):
-        A = PosDef.from_matrix(A0.mat + _vec_to_herm(v[:k1], n1))
+        A = PosDef.from_matrix(A0.mat + vec_to_herm(v[:k1], n1))
         B = None
         if B0 is not None:
-            B = PosDef.from_matrix(B0.mat + _vec_to_herm(v[k1:], B0.dim))
+            B = PosDef.from_matrix(B0.mat + vec_to_herm(v[k1:], B0.dim))
         return eval_family(family, A, B)
 
-    evals = 0
+    # central differences: 0, then +-h e_i, then +-h(e_i + e_j), +-h(e_i - e_j)
+    E = h * np.eye(nparams)
+    upper = np.triu_indices(nparams, 1)
+    steps = [np.zeros(nparams)]
+    for i in range(nparams):
+        steps += [E[i], -E[i]]
+    for i, j in zip(*upper):
+        steps += [E[i] + E[j], -(E[i] + E[j]), E[i] - E[j], -(E[i] - E[j])]
     try:
-        f0 = value(np.zeros(nparams))
-        hess = np.empty((nparams, nparams))
-        for i in range(nparams):
-            ei = np.zeros(nparams)
-            ei[i] = h
-            fp, fm = value(ei), value(-ei)
-            evals += 2
-            hess[i, i] = (fp - 2.0 * f0 + fm) / h**2
-        for i in range(nparams):
-            for j in range(i + 1, nparams):
-                e = np.zeros(nparams)
-                e[i] = h
-                e[j] = h
-                fpp, fmm = value(e), value(-e)
-                e[j] = -h
-                fpm, fmp = value(e), value(-e)
-                evals += 4
-                hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h**2)
+        f = np.array([value(v) for v in steps])
     except (EvaluationError, MatrixError):
         return None
+    fp, fm = f[1:2 * nparams + 1:2], f[2:2 * nparams + 1:2]
+    fpp, fmm, fpm, fmp = f[2 * nparams + 1:].reshape(-1, 4).T
+    hess = np.diag((fp - 2.0 * f[0] + fm) / h**2)
+    hess[upper] = hess[upper[::-1]] = (fpp - fpm - fmp + fmm) / (4.0 * h**2)
 
     eigs, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
     scale_h = max(1.0, float(np.max(np.abs(eigs))))
@@ -415,9 +410,9 @@ def _curvature_direction(family, direction, rng, cfg):
         if curv < 1e-8 * scale_h:
             return None
     u = vecs[:, idx]
-    G1 = _vec_to_herm(u[:k1], n1)
-    G2 = _vec_to_herm(u[k1:], B0.dim) if B0 is not None else None
-    return A0, B0, G1, G2, evals
+    G1 = vec_to_herm(u[:k1], n1)
+    G2 = vec_to_herm(u[k1:], B0.dim) if B0 is not None else None
+    return A0, B0, G1, G2, len(steps) - 1
 
 
 def _segment_endpoints(A0, B0, G1, G2):
@@ -442,11 +437,10 @@ def hunt_counterexample(
     direction: str,
     budget: int,
     sampler: SamplerConfig,
-    refine: bool = True,
 ) -> HuntResult:
     """Random + structured search for a certified violation.
 
-    Raw violations above the claim threshold are optionally hill-climbed and
+    Raw violations above the claim threshold are hill-climbed and
     must survive a stability re-check under input regularization at eps and
     eps/10 before a certificate is emitted.
     """
@@ -483,7 +477,7 @@ def hunt_counterexample(
         if rel > best_rel:
             best_rel = rel
             near_miss = (A1, B1, A2, B2, lam, stream)
-        if refine and found[0] > CLAIM_REL * found[3]:
+        if found[0] > CLAIM_REL * found[3]:
             rng = rng_for(sampler.seed, stream ^ 0x5EED)
             A1, B1, A2, B2, lam, found = _hill_climb(
                 family, direction, A1, B1, A2, B2, lam, rng
@@ -493,7 +487,7 @@ def hunt_counterexample(
             best_rel = max(best_rel, found[0] / found[3])
         return cert
 
-    for A1, B1, A2, B2 in _structured_candidates(family, sampler):
+    for A1, B1, A2, B2 in _structured_candidates(family):
         trials_used += 1
         for lam in (0.5, 0.25, 0.75):
             cert = consider(A1, B1, A2, B2, lam, stream=0)
@@ -530,7 +524,7 @@ def hunt_counterexample(
                 return HuntResult(cert, trials_used, best_rel)
 
     # budget exhausted: one last refinement from the best near-miss
-    if refine and near_miss is not None:
+    if near_miss is not None:
         A1, B1, A2, B2, lam, stream = near_miss
         rng = rng_for(sampler.seed, stream ^ 0x5EED)
         A1, B1, A2, B2, lam, found = _hill_climb(
@@ -584,8 +578,7 @@ def _loewner_excess(small, big) -> tuple[float, float]:
     excess = float(np.linalg.eigvalsh(C)[-1] - 1.0)
     if excess <= 0.0:
         return excess, excess  # witness only needed for violations
-    witness = float(np.linalg.eigvalsh(hermitize(big.mat - small.mat))[0])
-    return excess, witness
+    return excess, loewner_leq(small.mat, big.mat)[1]
 
 
 def _loewner_gap(expr: str, params: dict, rng, cfg: SamplerConfig):
@@ -648,8 +641,8 @@ def _nm_dominance_search(p, q, dim, rng, maxiter=2000):
     def objective(v):
         if np.max(np.abs(v)) > 10.0:
             return 1.0
-        A = as_posdef(matrix_exp_herm(_vec_to_herm(v[:k], dim)))
-        B = as_posdef(matrix_exp_herm(_vec_to_herm(v[k:], dim)))
+        A = matrix_exp_herm(vec_to_herm(v[:k], dim))
+        B = matrix_exp_herm(vec_to_herm(v[k:], dim))
         excess, _ = _loewner_excess(power_mean(A, B, p), power_mean(A, B, q))
         return -excess
 
@@ -658,8 +651,8 @@ def _nm_dominance_search(p, q, dim, rng, maxiter=2000):
         options={"maxiter": maxiter, "xatol": 1e-12, "fatol": 1e-16},
     )
     v = res.x
-    A = as_posdef(matrix_exp_herm(_vec_to_herm(v[:k], dim)))
-    B = as_posdef(matrix_exp_herm(_vec_to_herm(v[k:], dim)))
+    A = matrix_exp_herm(vec_to_herm(v[:k], dim))
+    B = matrix_exp_herm(vec_to_herm(v[k:], dim))
     return A, B
 
 

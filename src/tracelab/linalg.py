@@ -8,6 +8,12 @@ Hermiticity is checked only where a matrix enters, by check_hermitian,
 spectral_decompose, matrix_exp_herm, PosDef.from_matrix and as_posdef.
 PosDef.from_hermitian and PosDef.from_spectrum do not check; the means and
 families use them on matrices they built from Hermitian ones.
+
+A Hermitian n x n matrix is parametrized by a real vector of length n*n: the
+n diagonal entries, then the real and imaginary parts of each entry above the
+diagonal, row by row (vec_to_herm).  herm_grad_to_vec maps the gradient of a
+real function with respect to the matrix to its gradient with respect to that
+vector.
 """
 
 from __future__ import annotations
@@ -163,6 +169,35 @@ def loewner_leq(A: np.ndarray, B: np.ndarray, tol: float = 0.0) -> tuple[bool, f
         raise DimensionMismatchError(f"shape mismatch {A.shape} vs {B.shape}")
     witness = float(np.linalg.eigvalsh(hermitize(B - A))[0])
     return witness >= -tol, witness
+
+
+def vec_to_herm(v: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian matrix of the real parameter vector v (length dim*dim)."""
+    M = np.zeros((dim, dim), dtype=complex)
+    idx = dim
+    M[np.diag_indices(dim)] = v[:dim]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            a, b = v[idx], v[idx + 1]
+            M[i, j] = a + 1j * b
+            M[j, i] = a - 1j * b
+            idx += 2
+    return M
+
+
+def herm_grad_to_vec(K: np.ndarray) -> np.ndarray:
+    """Gradient K with respect to a Hermitian matrix, as the gradient with
+    respect to its parameter vector (see vec_to_herm)."""
+    dim = K.shape[0]
+    v = np.empty(dim * dim)
+    v[:dim] = np.diagonal(K).real
+    idx = dim
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v[idx] = 2.0 * K[i, j].real
+            v[idx + 1] = 2.0 * K[i, j].imag
+            idx += 2
+    return v
 
 
 @dataclass(frozen=True)

@@ -359,3 +359,13 @@ def test_criterion_11_determinism():
     print(f"[criterion 11] {'FAIL' if mismatches else 'PASS'}: criteria 1-10 "
           f"rerun with identical seeds; mismatches: {mismatches or 'none'}")
     assert not mismatches, f"non-deterministic reports for criteria {mismatches}"
+
+
+if __name__ == "__main__":
+    # byte-identity check for refactors: compare these lines between two commits
+    import hashlib
+
+    for n, runner in _RUNNERS.items():
+        report = runner()[2]
+        print(f"criterion {n:02d} {hashlib.sha256(report.encode()).hexdigest()}",
+              flush=True)

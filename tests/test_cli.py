@@ -131,11 +131,13 @@ class TestVerify:
 
 _ON_REGION = ["verify", "--theorem", "T1.1-1", "--p", "0.7", "--q", "0.7", "--s", "0.6"]
 _EVAL = ["eval", "--family", "epstein", "--p", "1"]
+_SINGULAR_PHI = ["--phi", "conjugation:{singular}"]
 _PIECE = '{"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}'
 
 
 class TestBadInput:
-    """Malformed files and config exit 4, never 1."""
+    """Bad input exits 4: never 1, nor 2 (the code of a violated claim), nor a
+    verdict."""
 
     @pytest.mark.parametrize("content,argv", [
         pytest.param(None, ["--config", "{missing}"] + _ON_REGION, id="config-missing"),
@@ -163,6 +165,33 @@ class TestBadInput:
         argv = [a.format(file=path, missing=tmp_path / "missing.json") for a in argv]
         assert main(argv) == 4
         assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["verify", "--theorem", "T1.1-1", "--p", "x", "--q", "0.7",
+                      "--s", "0.6"], id="usage-bad-float"),
+        pytest.param(["hunt", "--p", "1"], id="usage-hunt-without-family"),
+        pytest.param(_ON_REGION + ["--family", "epstein"], id="verify-family-flag"),
+        pytest.param(_ON_REGION + ["--trials", "5", "--out", "{dir}"],
+                     id="out-is-a-directory"),
+        pytest.param(_EVAL + ["--s", "1", "--a", "{eye}"] + _SINGULAR_PHI,
+                     id="singular-phi-eval"),
+        pytest.param(["verify", "--theorem", "T3.1-1", "--p", "0.5", "--s", "1",
+                      "--trials", "50"] + _SINGULAR_PHI, id="singular-phi-verify"),
+        pytest.param(["hunt", "--family", "epstein", "--p", "1", "--s", "1",
+                      "--direction", "concave", "--budget", "5"] + _SINGULAR_PHI,
+                     id="singular-phi-hunt"),
+        pytest.param(["sweep", "--family", "epstein", "--p-grid", "0.5", "--s-grid",
+                      "1", "--trials", "5"] + _SINGULAR_PHI, id="singular-phi-sweep"),
+    ])
+    def test_bad_flag_or_map_exits_4(self, argv, tmp_path, capsys):
+        singular = tmp_path / "singular.json"
+        singular.write_text(json.dumps(mat_to_json_rect(np.diag([1.0, 0.0]) + 0j)))
+        eye = tmp_path / "eye.json"
+        eye.write_text(json.dumps(mat_to_json(np.eye(2, dtype=complex))))
+        argv = [a.format(singular=singular, eye=eye, dir=tmp_path) for a in argv]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err
 
 
 class TestConfig:

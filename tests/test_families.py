@@ -281,6 +281,22 @@ class TestValidation:
             FamilySpec(family="epstein", phi=identity_map(2), norm=TRACE,
                        params=ParameterPoint(0.0, 0.0, 1.0))
 
+    def test_maps_must_be_strictly_positive(self):
+        singular = conjugation(np.diag([1.0, 0.0]).astype(complex))
+        with pytest.raises(ValueError, match="strictly positive phi"):
+            FamilySpec(family="epstein", phi=singular, norm=TRACE,
+                       params=ParameterPoint(1.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="strictly positive psi"):
+            lieb_family(1.0, 1.0, 1.0, psi=singular)
+        with pytest.raises(ValueError, match="strictly positive phi"):
+            FamilySpec(family="mean", phi=singular, psi=identity_map(2), norm=TRACE,
+                       mean=MeanSpec(kind="geometric", t=0.5),
+                       params=ParameterPoint(1.0, 1.0, 1.0))
+        # logexp's premise is Phi(I) + Psi(I) = I, which a singular piece can meet
+        other = conjugation(np.diag([0.0, 1.0]).astype(complex))
+        FamilySpec(family="logexp", phi=singular, psi=other, norm=TRACE,
+                   params=ParameterPoint(1.0, 1.0, 1.0))
+
     def test_serialization_roundtrip(self):
         fam = lieb_family(0.5, 0.7, 0.9, phi=sample_kraus(2, 2, rank=2, seed=91))
         back = FamilySpec.from_dict(fam.to_dict())

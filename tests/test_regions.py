@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracelab.cli import _verify_family, build_parser
 from tracelab.families import ParameterPoint, eval_family
@@ -126,3 +128,22 @@ def test_functional_reads_q_where_the_region_does(tid):
             if region(p, q1, s) != region(p, q2, s):
                 assert _verify_value(tid, p, q1, s) != _verify_value(tid, p, q2, s), \
                     f"{tid}: the region reads q but the functional does not"
+
+
+#: exponents bounded away from 0 and from each other, boundaries of the regions included
+_EXPONENTS = st.sampled_from((-2.5, -2.0, -1.5, -1.0, -0.7, -0.5, -0.3,
+                              0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 2.5))
+
+
+@pytest.mark.parametrize("moving", ["p", "s"])
+@pytest.mark.parametrize("tid", [t for t in THEOREM_IDS if THEOREMS[t].family])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point=st.tuples(_EXPONENTS, _EXPONENTS, _EXPONENTS), other=_EXPONENTS)
+def test_functional_reads_p_and_s_where_the_region_does(tid, moving, point, other):
+    """Where region membership changes when only p (or only s) moves, the
+    functional verify builds changes value too."""
+    region = THEOREMS[tid].region
+    moved = dict(zip("pqs", point), **{moving: other})
+    if region(*point) != region(**moved):
+        assert _verify_value(tid, *point) != _verify_value(tid, **moved), \
+            f"{tid}: the region reads {moving} but the functional does not"

@@ -62,8 +62,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as CliError: argparse's own exit code 2 is the
-    code of a violated claim."""
+    """Reports usage errors as CliError (argparse's own exit code 2 is the
+    code of a violated claim) and refuses abbreviated flags."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise CliError(message)
@@ -130,18 +133,16 @@ def _parse_grid(text: str | None) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _parse_dims(text: str) -> tuple[int, int, int]:
+def _parse_dims(text: str) -> tuple[int, int]:
     parts = [int(x) for x in text.split(",")]
-    if len(parts) == 1:
-        return parts[0], parts[0], parts[0]
-    if len(parts) == 3:
-        return tuple(parts)
-    raise CliError(f"--dims expects n or n,m,l, got {text!r}")
+    if len(parts) > 2:
+        raise CliError(f"--dims expects n or n,m, got {text!r}")
+    return parts[0], parts[-1]
 
 
-def _build_family(args, dims: tuple[int, int, int]) -> FamilySpec:
-    n, m, _ = dims
-    params = ParameterPoint(p=args.p, q=args.q or 0.0, s=args.s or 1.0)
+def _build_family(args, dims, params: ParameterPoint | None = None) -> FamilySpec:
+    n, m = dims[:2]
+    params = params or ParameterPoint(p=args.p, q=args.q or 0.0, s=args.s or 1.0)
     phi = _parse_map(args.phi, n)
     norm = NormSpec.parse(args.antinorm or args.norm or "trace")
     if args.family in ("lieb", "mean", "logexp"):
@@ -197,14 +198,13 @@ def _report_payload(args, keys, report: TestReport) -> dict:
 
 
 def cmd_eval(args) -> int:
-    dims = _parse_dims(args.dims)
     A = PosDef.from_matrix(mat_from_json(_load_json(args.a)))
-    family = _build_family(args, (A.dim, dims[1], dims[2]))
     B = None
-    if family.two_variable:
-        if args.b is None:
-            raise CliError(f"family {args.family!r} needs --b")
+    if args.b is not None:
         B = PosDef.from_matrix(mat_from_json(_load_json(args.b)))
+    family = _build_family(args, (A.dim, B.dim if B is not None else A.dim))
+    if family.two_variable and B is None:
+        raise CliError(f"family {args.family!r} needs --b")
     value = eval_family(family, A, B)
     print(f"{value:.14e}")
     return EXIT_PASS
@@ -263,10 +263,6 @@ def _verify_family(args, theorem: Theorem, dims) -> FamilySpec:
     return family
 
 
-_SWEEP_KEYS = ("family", "p_grid", "q_grid", "s_grid", "trials", "dims",
-               "seed", "norm", "antinorm", "mean", "phi", "psi")
-
-
 def cmd_sweep(args) -> int:
     dims = _parse_dims(args.dims)
     p_grid = _parse_grid(args.p_grid)
@@ -274,8 +270,8 @@ def cmd_sweep(args) -> int:
     s_grid = _parse_grid(args.s_grid)
     if p_grid and s_grid and not q_grid:
         q_grid = [0.0]  # one-variable families ignore q
-    args.p, args.q, args.s = p_grid[0] if p_grid else 1.0, None, None
-    family = _build_family(args, dims)
+    # sweep() sets each cell's own point; (1, 1, 1) is valid for every family
+    family = _build_family(args, dims, ParameterPoint(1.0, 1.0, 1.0))
     sampler = SamplerConfig(dim=dims[0], seed=args.seed)
     result = sweep(family, p_grid, q_grid, s_grid,
                    trials_per_cell=args.trials, sampler=sampler)
@@ -347,19 +343,26 @@ def cmd_regions(args) -> int:
 _FAMILY_CHOICES = sorted(FAMILIES)
 
 
-def _add_functional_flags(sub):
+def _add_point_flags(sub):
     sub.add_argument("--p", type=float)
     sub.add_argument("--q", type=float)
     sub.add_argument("--s", type=float)
-    sub.add_argument("--norm", help="norm spec, e.g. trace, kyfan:2, operator")
-    sub.add_argument("--antinorm",
-                     help="anti-norm spec, e.g. kyfan-anti:1, schatten-quasi:0.5")
+
+
+def _add_functional_flags(sub):
+    norm = sub.add_mutually_exclusive_group()
+    norm.add_argument("--norm", help="norm spec, e.g. trace, kyfan:2, operator")
+    norm.add_argument("--antinorm",
+                      help="anti-norm spec, e.g. kyfan-anti:1, schatten-quasi:0.5")
     sub.add_argument("--mean", help="mean spec, e.g. geometric, power:0.5")
     sub.add_argument("--phi", default="identity",
                      help="map spec: identity | scale:c | conjugation:FILE | "
                           "kraus:FILE | pinching:FILE | transpose-kraus:FILE")
     sub.add_argument("--psi", default="identity")
-    sub.add_argument("--dims", default="2", help="n or n,m,l")
+
+
+def _add_run_flags(sub):
+    sub.add_argument("--dims", default="2", help="n or n,m")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write output to this path")
 
@@ -377,13 +380,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_eval = subs.add_parser("eval", help="evaluate a functional on matrices")
     p_eval.add_argument("--family", required=True, choices=_FAMILY_CHOICES)
+    _add_point_flags(p_eval)
     _add_functional_flags(p_eval)
     p_eval.add_argument("--a", required=True, help="JSON file for A")
     p_eval.add_argument("--b", help="JSON file for B")
     p_eval.set_defaults(handler=cmd_eval)
 
     p_verify = subs.add_parser("verify", help="randomized test of a theorem region")
+    _add_point_flags(p_verify)
     _add_functional_flags(p_verify)
+    _add_run_flags(p_verify)
     p_verify.add_argument("--theorem", required=True)
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--force", action="store_true",
@@ -393,6 +399,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_sweep = subs.add_parser("sweep", help="verdict grid over a parameter box")
     p_sweep.add_argument("--family", required=True, choices=_FAMILY_CHOICES)
     _add_functional_flags(p_sweep)
+    _add_run_flags(p_sweep)
     p_sweep.add_argument("--p-grid", dest="p_grid", help="lo:hi:count or list")
     p_sweep.add_argument("--q-grid", dest="q_grid")
     p_sweep.add_argument("--s-grid", dest="s_grid")
@@ -401,7 +408,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_hunt = subs.add_parser("hunt", help="search for a violation certificate")
     p_hunt.add_argument("--family", choices=_FAMILY_CHOICES)
+    _add_point_flags(p_hunt)
     _add_functional_flags(p_hunt)
+    _add_run_flags(p_hunt)
     p_hunt.add_argument("--direction", choices=("concave", "convex"))
     p_hunt.add_argument("--budget", type=int, default=10000)
     p_hunt.add_argument("--replay", help="re-validate a certificate file")
@@ -409,9 +418,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_regions = subs.add_parser("regions", help="list regions / test membership")
     p_regions.add_argument("--theorem")
-    p_regions.add_argument("--p", type=float)
-    p_regions.add_argument("--q", type=float)
-    p_regions.add_argument("--s", type=float)
+    _add_point_flags(p_regions)
     p_regions.set_defaults(handler=cmd_regions)
     return parser, subs.choices
 

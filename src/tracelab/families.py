@@ -18,7 +18,6 @@ import numpy as np
 
 from .linalg import (
     PosDef,
-    as_posdef,
     herm_grad_to_vec,
     hermitize,
     matrix_exp_herm,
@@ -78,6 +77,8 @@ class FamilySpec:
                 raise ValueError("epstein family requires p != 0 and s != 0")
         if self.psi is not None and self.psi.out_dim != self.phi.out_dim:
             raise ValueError("phi and psi output dimensions must agree")
+        if self.norm.k is not None and self.norm.k > self.phi.out_dim:
+            raise ValueError(f"{self.norm.label()} needs k <= {self.phi.out_dim}")
         # logexp needs Phi(I) + Psi(I) = I instead, checked when it is evaluated
         if self.family != "logexp":
             for name, m in (("phi", self.phi), ("psi", self.psi)):
@@ -174,13 +175,10 @@ def eval_family(spec: FamilySpec, A: PosDef, B: PosDef | None = None) -> float:
 # variational functional
 
 
-def variational_value(phi: MapSpec, p: float, r: float, A: "PosDef | np.ndarray",
-                      B: "PosDef | np.ndarray") -> float:
+def variational_value(phi: MapSpec, p: float, r: float, A: PosDef, B: PosDef) -> float:
     """(1/r) Tr{Phi(A^p) B^{1-r} + (r-1) B}."""
     if not (1 <= r <= 2):
         raise ValueError(f"r must lie in [1, 2], got {r}")
-    A = as_posdef(A)
-    B = as_posdef(B)
     C = _map_power(phi, A, p)
     val = np.trace(C.mat @ matrix_power(B, 1.0 - r).mat).real + (r - 1) * B.eigs.sum()
     return float(val / r)
@@ -210,7 +208,7 @@ class VariationalResult:
     converged: bool
 
 
-def variational_min(phi: MapSpec, p: float, r: float, A: "PosDef | np.ndarray",
+def variational_min(phi: MapSpec, p: float, r: float, A: PosDef,
                     descent_budget: int = 500, rtol: float = 1e-6) -> VariationalResult:
     """Minimize the variational functional over PD B, descending from B = I.
 
@@ -223,7 +221,6 @@ def variational_min(phi: MapSpec, p: float, r: float, A: "PosDef | np.ndarray",
 
     if not (1 <= r <= 2):
         raise ValueError(f"r must lie in [1, 2], got {r}")
-    A = as_posdef(A)
     C = _map_power(phi, A, p)
     target = float(np.sum(C.eigs ** (1.0 / r)))
     dim = C.dim

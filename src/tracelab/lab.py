@@ -3,6 +3,11 @@
 Tolerance policy: numerical slack is 1e-8 x max(1, |lhs|, |rhs|); a violation
 is claimed only above 1e-4 x the same scale.  Values in between are
 inconclusive for that trial, keeping three decades between noise and claims.
+
+Streams (rng_for(seed, stream)): trial t of midpoint_test, loewner_midpoint_test
+and the hunt's random phase: stream_index + t; hunt structured candidates:
+stream_index; curvature base point k: 0xC0DE + k; hill climb from stream s:
+s ^ 0x5EED; Nelder-Mead restart k: (stream_index + k) ^ 0x0D0A.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from .linalg import (
     MatrixError,
     PosDef,
     SamplerConfig,
-    as_posdef,
     hermitize,
     loewner_leq,
     matrix_exp_herm,
@@ -398,6 +402,8 @@ def _curvature_direction(family, direction, rng, cfg):
     fpp, fmm, fpm, fmp = f[2 * nparams + 1:].reshape(-1, 4).T
     hess = np.diag((fp - 2.0 * f[0] + fm) / h**2)
     hess[upper] = hess[upper[::-1]] = (fpp - fpm - fmp + fmm) / (4.0 * h**2)
+    if not np.all(np.isfinite(hess)):
+        return None  # overflowed values: this base point fails, the hunt goes on
 
     eigs, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
     scale_h = max(1.0, float(np.max(np.abs(eigs))))
@@ -490,7 +496,7 @@ def hunt_counterexample(
     for A1, B1, A2, B2 in _structured_candidates(family):
         trials_used += 1
         for lam in (0.5, 0.25, 0.75):
-            cert = consider(A1, B1, A2, B2, lam, stream=0)
+            cert = consider(A1, B1, A2, B2, lam, sampler.stream_index)
             if cert is not None:
                 return HuntResult(cert, trials_used, best_rel)
 
@@ -604,7 +610,8 @@ def _loewner_gap(expr: str, params: dict, rng, cfg: SamplerConfig):
         B1 = sample_posdef_rng(rng, cfg.dim, cfg.eig_low, cfg.eig_high)
         B2 = sample_posdef_rng(rng, cfg.dim, cfg.eig_low, cfg.eig_high)
         mid = eval_mean(mean, _mix(A1, A2, 0.5), _mix(B1, B2, 0.5))
-        avg = as_posdef(0.5 * (eval_mean(mean, A1, B1).mat + eval_mean(mean, A2, B2).mat))
+        avg = PosDef.from_matrix(0.5 * (eval_mean(mean, A1, B1).mat
+                                        + eval_mean(mean, A2, B2).mat))
         excess, w = _loewner_excess(avg, mid)
         payload = {"a1": mat_to_json(A1.mat), "a2": mat_to_json(A2.mat),
                    "b1": mat_to_json(B1.mat), "b2": mat_to_json(B2.mat)}
@@ -620,7 +627,8 @@ def _dominance_gap(p: float, q: float, A: PosDef, B: PosDef):
 
 def _hat_power_gap(phi: MapSpec, p: float, A: PosDef, B: PosDef):
     mid = hat_map(phi, _mix(A, B, 0.5).power(p))
-    avg = as_posdef(0.5 * (hat_map(phi, A.power(p)).mat + hat_map(phi, B.power(p)).mat))
+    avg = PosDef.from_matrix(0.5 * (hat_map(phi, A.power(p)).mat
+                                    + hat_map(phi, B.power(p)).mat))
     excess, w = _loewner_excess(avg, mid)
     payload = {"a": mat_to_json(A.mat), "b": mat_to_json(B.mat)}
     return excess, w, payload

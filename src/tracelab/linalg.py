@@ -5,7 +5,7 @@ Every matrix produced by arithmetic is passed through :func:`hermitize`
 before decomposition to suppress floating-point drift.
 
 Hermiticity is checked only where a matrix enters, by check_hermitian,
-spectral_decompose, matrix_exp_herm, PosDef.from_matrix and as_posdef.
+spectral_decompose, matrix_exp_herm and PosDef.from_matrix.
 PosDef.from_hermitian and PosDef.from_spectrum do not check; the means and
 families use them on matrices they built from Hermitian ones.
 
@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 HERM_ATOL = 1e-12
-RECON_RTOL = 1e-10
 
 
 class MatrixError(ValueError):
@@ -124,12 +123,6 @@ class PosDef:
 
     def inv(self) -> "PosDef":
         return matrix_power(self, -1.0)
-
-
-def as_posdef(A: "PosDef | np.ndarray") -> PosDef:
-    if isinstance(A, PosDef):
-        return A
-    return PosDef.from_matrix(A)
 
 
 def matrix_power(P: PosDef, t: float) -> PosDef:

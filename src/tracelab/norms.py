@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PosDef, hermitize
+from .linalg import PosDef
 
 #: eigenvalues below this fraction of the largest count as zero for rank decisions
 RANK_FLOOR = 1e-14
@@ -125,18 +125,15 @@ def eval_norm_from_eigs(spec: NormSpec, eigs: np.ndarray) -> float:
     raise AssertionError(spec.kind)
 
 
-def eval_norm(spec: NormSpec, A: "PosDef | np.ndarray") -> float:
-    if isinstance(A, PosDef):
-        return eval_norm_from_eigs(spec, A.eigs)
-    return eval_norm_from_eigs(spec, np.linalg.eigvalsh(hermitize(A)))
+def eval_norm(spec: NormSpec, A: PosDef) -> float:
+    return eval_norm_from_eigs(spec, A.eigs)
 
 
-def derived_antinorm(spec: NormSpec, A: "PosDef | np.ndarray") -> float:
+def derived_antinorm(spec: NormSpec, A: PosDef) -> float:
     """The anti-norm ||A^{-1}||^{-1} derived from a symmetric norm."""
     if not spec.is_norm:
         raise ValueError(f"derived_antinorm needs a NORM-tagged spec, got {spec.kind!r}")
-    eigs = A.eigs if isinstance(A, PosDef) else np.linalg.eigvalsh(hermitize(A))
-    lam = _check_psd_eigs(eigs)
+    lam = _check_psd_eigs(A.eigs)
     if lam[0] <= RANK_FLOOR * max(lam[-1], 1.0):
         return 0.0
     return 1.0 / eval_norm_from_eigs(spec, 1.0 / lam)

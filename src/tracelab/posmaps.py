@@ -18,7 +18,6 @@ from .linalg import (
     MatrixError,
     PosDef,
     _matrix_payload,
-    as_posdef,
     hermitize,
     mat_from_json,
     mat_to_json,
@@ -168,9 +167,8 @@ def is_strictly_positive(spec: MapSpec) -> bool:
     return spec.strictly_positive
 
 
-def hat_map(spec: MapSpec, A: "PosDef | np.ndarray") -> PosDef:
+def hat_map(spec: MapSpec, A: PosDef) -> PosDef:
     """The nonlinear transform Phi(A^{-1})^{-1} on positive definite inputs."""
-    A = as_posdef(A)
     img = hermitize(apply_map(spec, A.inv().mat))
     w, V = np.linalg.eigh(img)
     if w[0] <= HAT_FLOOR * max(w[-1], 1.0):

@@ -22,6 +22,7 @@ def matfiles(tmp_path):
         paths[name] = str(path)
 
     dump("I2", np.eye(2))
+    dump("I3", np.eye(3))
     dump("A", sample_posdef(SamplerConfig(dim=2, seed=121)).mat)
     dump("B", sample_posdef(SamplerConfig(dim=2, seed=121, stream_index=1)).mat)
     dump("D1", np.diag([1.0, 4.0]))
@@ -51,7 +52,7 @@ class TestEval:
         # Tr(A^p+B^p)^{1/p} two ways: block evaluation vs the plain-sum family
         rc = main(["eval", "--family", "epstein", "--p", "0.7", "--s",
                    str(1 / 0.7), "--phi", f"conjugation:{matfiles['embed']}",
-                   "--dims", "4", "--a", matfiles["block"]])
+                   "--a", matfiles["block"]])
         assert rc == 0
         via_block = float(capsys.readouterr().out.strip())
         rc = main(["eval", "--family", "mean", "--mean", "sum", "--p", "0.7",
@@ -73,6 +74,12 @@ class TestEval:
         oracle = np.exp(0.5 * (np.log(np.linalg.det(np.diag([1.0, 4.0])))
                                + np.log(np.linalg.det(np.diag([9.0, 1.0])))) / 2)
         assert np.isclose(val, oracle, rtol=1e-10)
+
+    def test_dimensions_come_from_the_inputs(self, matfiles, capsys):
+        rc = main(["eval", "--family", "lieb", "--p", "1", "--q", "1", "--s", "1",
+                   "--a", matfiles["I3"], "--b", matfiles["I3"]])
+        assert rc == 0
+        assert float(capsys.readouterr().out.strip()) == 3.0
 
     def test_malformed_matrix_fails(self, matfiles, tmp_path):
         bad = tmp_path / "bad.json"
@@ -107,6 +114,11 @@ class TestVerify:
         assert rc == 4
         assert "cp" in capsys.readouterr().err
 
+    def test_dims_takes_n_and_m(self, capsys):
+        rc = main(_ON_REGION + ["--dims", "3,3", "--trials", "5"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "PASS"
+
     def test_unknown_theorem(self, capsys):
         rc = main(["verify", "--theorem", "T7.7", "--p", "1"])
         assert rc == 4
@@ -132,6 +144,8 @@ class TestVerify:
 _ON_REGION = ["verify", "--theorem", "T1.1-1", "--p", "0.7", "--q", "0.7", "--s", "0.6"]
 _EVAL = ["eval", "--family", "epstein", "--p", "1"]
 _SINGULAR_PHI = ["--phi", "conjugation:{singular}"]
+_SWEEP = ["sweep", "--family", "epstein", "--p-grid", "0.5", "--s-grid", "1",
+          "--trials", "5"]
 _PIECE = '{"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}'
 
 
@@ -182,6 +196,20 @@ class TestBadInput:
                      id="singular-phi-hunt"),
         pytest.param(["sweep", "--family", "epstein", "--p-grid", "0.5", "--s-grid",
                       "1", "--trials", "5"] + _SINGULAR_PHI, id="singular-phi-sweep"),
+        pytest.param(_EVAL + ["--s", "1", "--a", "{eye}", "--out", "{dir}/v.txt"],
+                     id="eval-out-flag"),
+        pytest.param(_EVAL + ["--s", "1", "--a", "{eye}", "--seed", "9"],
+                     id="eval-seed-flag"),
+        pytest.param(_EVAL + ["--s", "1", "--a", "{eye}", "--dims", "7"],
+                     id="eval-dims-flag"),
+        pytest.param(_ON_REGION + ["--trials", "5", "--dims", "3,3,99"],
+                     id="dims-three-values"),
+        pytest.param(_SWEEP + ["--p", "5", "--q", "5", "--s", "5"], id="sweep-point-flags"),
+        pytest.param(_SWEEP + ["--norm", "kyfan:5", "--dims", "3"], id="k-above-dimension"),
+        pytest.param(_EVAL + ["--s", "1", "--a", "{eye}", "--norm", "operator",
+                              "--antinorm", "lambda-min"], id="norm-and-antinorm"),
+        pytest.param(["verify", "--th", "T1.1-1", "--p", "0.7", "--q", "0.7", "--s", "0.6",
+                      "--trials", "5"], id="abbreviated-flag"),
     ])
     def test_bad_flag_or_map_exits_4(self, argv, tmp_path, capsys):
         singular = tmp_path / "singular.json"
@@ -216,6 +244,17 @@ class TestSweep:
         assert text.splitlines() == [
             "p,q,s,verdict,worst_concave_violation,worst_convex_violation,"
             "trials,failures"]
+
+    def test_grid_may_hold_zero(self, capsys):
+        # the (0, 0) cell is not a lieb functional: its row is inconclusive
+        rc = main(["sweep", "--family", "lieb", "--p-grid", "0,0.5", "--q-grid", "0,0.5",
+                   "--s-grid", "1", "--trials", "5"])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(float(r[0]), float(r[1])) for r in rows] == [
+            (0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
+        assert rows[0][3:6] == ["inconclusive", "nan", "nan"]
+        assert all(r[3] != "inconclusive" for r in rows[1:])
 
     def test_grid_pattern_and_determinism(self, matfiles, capsys):
         args = ["sweep", "--family", "epstein", "--p-grid", "0.5,1.5",
@@ -319,3 +358,67 @@ class TestPinnedOutput:
                           "q": float(q), "s": float(s), "trials": 5, "dims": "2",
                           "seed": 0, "phi": "identity", "psi": "identity",
                           "force": False, **filled}
+
+
+#: an on-region point of every id verify accepts
+_VERIFY_POINTS = {
+    "T1.1-1": ("0.7", "0.7", "0.6"), "T1.1-2": ("0.5", "0.5", "-0.7"),
+    "T2.2": ("0.6", "0.9", "1.1"), "T3.1-1": ("0.5", "0", "1.5"),
+    "T3.1-2-convex": ("1.5", "0", "1.2"), "T3.2": ("1.5", "0", "0.8"),
+    "P4.1-1": ("0.5", "0", "1.5"), "P4.4-1": ("-0.5", "0", "1"),
+    "T5.1-1": ("0.8", "0.8", "0.6"), "T5.1-2": ("-0.5", "1.5", "1"),
+    "T5.2-1": ("0.8", "0.8", "0.6"), "T5.2-2": ("-0.5", "1.5", "1"),
+    "L5.4": ("0.5", "1", "1"),
+}
+
+
+def _pinned_runs():
+    """(name, argv) of the runs whose stdout ``python tests/test_cli.py``
+    digests: ``verify`` for every accepted id, the hunts of acceptance
+    criteria 4, 5 and 10 (criterion 4's map is read from X.json), an on-region
+    hunt at n = 3 and two sweeps."""
+    for theorem, (p, q, s) in _VERIFY_POINTS.items():
+        yield f"verify {theorem}", ["verify", "--theorem", theorem, "--p", p, "--q", q,
+                                    "--s", s, "--trials", "20"]
+    yield "hunt criterion 4", ["hunt", "--family", "epstein", "--p", "1", "--s", "1.2",
+                               "--phi", "conjugation:X.json", "--direction", "concave",
+                               "--budget", "10000", "--seed", "45"]
+    cube_sum = ["hunt", "--family", "mean", "--mean", "sum", "--p", "3", "--q", "3",
+                "--s", str(1 / 3), "--budget", "100000"]
+    yield "hunt criterion 5 concave", cube_sum + ["--direction", "concave", "--seed", "46"]
+    yield "hunt criterion 5 convex", cube_sum + ["--direction", "convex", "--seed", "47"]
+    yield "hunt criterion 10", ["hunt", "--family", "lieb", "--p", "1", "--q", "1",
+                                "--s", "0.75", "--antinorm", "lambda-min",
+                                "--direction", "concave", "--budget", "20000",
+                                "--seed", "53"]
+    yield "hunt lieb n=3", ["hunt", "--family", "lieb", "--p", "0.7", "--q", "0.7",
+                            "--s", "0.714", "--direction", "concave", "--budget", "100",
+                            "--dims", "3", "--seed", "1"]
+    yield "sweep lieb", ["sweep", "--family", "lieb", "--p-grid", "0.5,1",
+                         "--q-grid", "0.5", "--s-grid", "0.6,1.5", "--trials", "20"]
+    yield "sweep epstein", ["sweep", "--family", "epstein", "--p-grid", "0.25:3:4",
+                            "--s-grid", "0.5,1,2", "--trials", "20", "--seed", "5"]
+
+
+if __name__ == "__main__":
+    # byte-identity check of the CLI: compare these lines between two commits
+    import contextlib
+    import hashlib
+    import io
+    import os
+    import tempfile
+
+    from tracelab.linalg import rng_for
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # the map file's name, not its directory, reaches stdout
+        rng = rng_for(45, 0)
+        X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) + 2 * np.eye(2)
+        with open("X.json", "w", encoding="utf-8") as fh:
+            json.dump(mat_to_json_rect(X), fh)
+        for name, argv in _pinned_runs():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = main(argv)
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            print(f"{rc} {digest} {name}", flush=True)

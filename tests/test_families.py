@@ -281,6 +281,15 @@ class TestValidation:
             FamilySpec(family="epstein", phi=identity_map(2), norm=TRACE,
                        params=ParameterPoint(0.0, 0.0, 1.0))
 
+    def test_k_must_not_exceed_the_spectrum_dimension(self):
+        for kind in ("kyfan", "kyfan-anti", "minkowski"):
+            with pytest.raises(ValueError, match="needs k <= 2"):
+                lieb_family(1.0, 1.0, 1.0, norm=NormSpec(kind=kind, k=3))
+        with pytest.raises(ValueError, match="needs k <= 3"):
+            FamilySpec(family="epstein", phi=sample_kraus(2, 3, rank=2, seed=92),
+                       norm=NormSpec(kind="kyfan", k=4),
+                       params=ParameterPoint(1.0, 0.0, 1.0))
+
     def test_maps_must_be_strictly_positive(self):
         singular = conjugation(np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(ValueError, match="strictly positive phi"):

@@ -168,6 +168,27 @@ class TestHuntAndCertificates:
         if result.certificate is not None:
             assert certificate_is_valid(result.certificate)
 
+    def test_structured_certificate_names_the_hunt_stream(self):
+        # the cube-sum family certifies from a structured candidate, which
+        # draws nothing: its certificate names the hunt's own stream
+        fam = FamilySpec(family="mean", phi=identity_map(2), psi=identity_map(2),
+                         norm=TRACE, mean=MeanSpec(kind="sum"),
+                         params=ParameterPoint(3.0, 3.0, 1 / 3))
+        result = hunt_counterexample(fam, "concave", budget=200,
+                                     sampler=SamplerConfig(dim=2, seed=3,
+                                                           stream_index=500))
+        assert result.certificate is not None
+        assert result.certificate.stream == 500
+        assert certificate_is_valid(result.certificate)
+
+    def test_overflowing_curvature_base_point_does_not_abort(self):
+        # A^400 overflows, so the finite-difference Hessian is not finite;
+        # each curvature base point fails and the hunt goes on
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = hunt_counterexample(epstein(400.0, 0.001), "concave", budget=20,
+                                         sampler=SamplerConfig(dim=2, seed=0))
+        assert result.certificate is None
+
     def test_certificate_serialization_roundtrip(self):
         rng = rng_for(109, 0)
         X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

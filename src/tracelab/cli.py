@@ -88,15 +88,18 @@ def _load_list(path: str) -> list:
 
 def _config_defaults(args) -> dict:
     """``--config`` defaults for the chosen subcommand's flags (``trials``,
-    ``p_grid``, ...).  Values other than booleans and null reach argparse as
-    strings, so that it parses them as it parses the flag."""
+    ``p_grid``, ...).  A value reaches argparse as a string, so that it parses it
+    as it parses the flag, except a boolean for an on/off flag; null sets nothing."""
     config = _load_json(args.config)
     if not isinstance(config, dict):
         raise CliError(f"config file {args.config} must hold a JSON object")
     flags = set(vars(args)) - {"command", "config", "handler"}
     if foreign := sorted(set(config) - flags):
         raise CliError(f"config keys {foreign} are not flags of {args.command}")
-    return {k: v if v is None or isinstance(v, bool) else str(v) for k, v in config.items()}
+    if {"norm", "antinorm"} <= config.keys():
+        raise CliError(f"config file {args.config} holds both norm and antinorm")
+    return {k: v if isinstance(v, bool) and isinstance(getattr(args, k), bool) else str(v)
+            for k, v in config.items() if v is not None}
 
 
 def _parse_map(text: str, dim: int) -> MapSpec:
@@ -121,6 +124,13 @@ def _parse_map(text: str, dim: int) -> MapSpec:
     if kind == "pinching":
         return pinching([mat_from_json(d) for d in _load_list(arg)])
     raise CliError(f"unknown map kind {kind!r}")
+
+
+def count(text: str) -> int:
+    """argparse type of ``--trials`` and ``--budget``: an integer of at least 1."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_grid(text: str | None) -> list[float]:
@@ -391,7 +401,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_functional_flags(p_verify)
     _add_run_flags(p_verify)
     p_verify.add_argument("--theorem", required=True)
-    p_verify.add_argument("--trials", type=int, default=1000)
+    p_verify.add_argument("--trials", type=count, default=1000)
     p_verify.add_argument("--force", action="store_true",
                           help="test an off-region point anyway")
     p_verify.set_defaults(handler=cmd_verify)
@@ -403,7 +413,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_sweep.add_argument("--p-grid", dest="p_grid", help="lo:hi:count or list")
     p_sweep.add_argument("--q-grid", dest="q_grid")
     p_sweep.add_argument("--s-grid", dest="s_grid")
-    p_sweep.add_argument("--trials", type=int, default=200)
+    p_sweep.add_argument("--trials", type=count, default=200)
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_hunt = subs.add_parser("hunt", help="search for a violation certificate")
@@ -412,7 +422,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_functional_flags(p_hunt)
     _add_run_flags(p_hunt)
     p_hunt.add_argument("--direction", choices=("concave", "convex"))
-    p_hunt.add_argument("--budget", type=int, default=10000)
+    p_hunt.add_argument("--budget", type=count, default=10000)
     p_hunt.add_argument("--replay", help="re-validate a certificate file")
     p_hunt.set_defaults(handler=cmd_hunt)
 
@@ -429,7 +439,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             subcommands[args.command].set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
+            explicit, args = args, parser.parse_args(argv)
+            if getattr(explicit, "norm", None) or getattr(explicit, "antinorm", None):
+                args.norm, args.antinorm = explicit.norm, explicit.antinorm
         hunting = args.command == "hunt" and not args.replay
         if hunting and (args.family is None or args.direction is None):
             parser.error("hunt needs --family and --direction (or --replay)")

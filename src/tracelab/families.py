@@ -208,8 +208,7 @@ class VariationalResult:
     converged: bool
 
 
-def variational_min(phi: MapSpec, p: float, r: float, A: PosDef,
-                    descent_budget: int = 500, rtol: float = 1e-6) -> VariationalResult:
+def variational_min(phi: MapSpec, p: float, r: float, A: PosDef) -> VariationalResult:
     """Minimize the variational functional over PD B, descending from B = I.
 
     B is parametrized as exp(M) over Hermitian M so iterates stay positive
@@ -247,9 +246,9 @@ def variational_min(phi: MapSpec, p: float, r: float, A: PosDef,
     v0 = np.zeros(dim * dim)
     res = scipy.optimize.minimize(
         objective, v0, jac=True, method="L-BFGS-B",
-        options={"maxiter": descent_budget, "ftol": 1e-15, "gtol": 1e-12},
+        options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12},
     )
     value = float(res.fun)
     gap = abs(value - target) / max(1.0, abs(target))
     return VariationalResult(value=value, target=target, gap=gap,
-                             iterations=int(res.nit), converged=gap <= rtol)
+                             iterations=int(res.nit), converged=gap <= 1e-6)

@@ -107,7 +107,6 @@ class TestReport:
     trials: int
     worst_violation: float
     verdict: str
-    tolerance_used: float = SLACK_REL
     failures: int = 0
     worst_case: Certificate | None = None
     witness: dict | None = None
@@ -119,7 +118,7 @@ class TestReport:
             "trials": self.trials,
             "worst_violation": self.worst_violation,
             "verdict": self.verdict,
-            "tolerance_used": self.tolerance_used,
+            "tolerance_used": SLACK_REL,
             "failures": self.failures,
         }
         if self.worst_case is not None:
@@ -140,6 +139,7 @@ class HuntResult:
 
 
 def _mix(P1: PosDef, P2: PosDef, lam: float) -> PosDef:
+    # checked, unlike the other internal sums: perfbench's tracer test needs one here
     return PosDef.from_matrix(lam * P1.mat + (1 - lam) * P2.mat)
 
 
@@ -171,12 +171,12 @@ def midpoint_violation(
     return _signed_violation(direction, lhs, rhs), lhs, rhs, scale
 
 
-def _sample_inputs(family: FamilySpec, rng, cfg: SamplerConfig):
-    A1 = sample_posdef_rng(rng, family.phi.in_dim, cfg.eig_low, cfg.eig_high)
-    A2 = sample_posdef_rng(rng, family.phi.in_dim, cfg.eig_low, cfg.eig_high)
+def _sample_inputs(family: FamilySpec, rng):
+    A1 = sample_posdef_rng(rng, family.phi.in_dim)
+    A2 = sample_posdef_rng(rng, family.phi.in_dim)
     if family.two_variable:
-        B1 = sample_posdef_rng(rng, family.psi.in_dim, cfg.eig_low, cfg.eig_high)
-        B2 = sample_posdef_rng(rng, family.psi.in_dim, cfg.eig_low, cfg.eig_high)
+        B1 = sample_posdef_rng(rng, family.psi.in_dim)
+        B2 = sample_posdef_rng(rng, family.psi.in_dim)
     else:
         B1 = B2 = None
     return A1, B1, A2, B2
@@ -222,7 +222,7 @@ def midpoint_test(
         stream = sampler.stream_index + t
         rng = rng_for(sampler.seed, stream)
         try:
-            A1, B1, A2, B2 = _sample_inputs(family, rng, sampler)
+            A1, B1, A2, B2 = _sample_inputs(family, rng)
             f1 = eval_family(family, A1, B1)
             f2 = eval_family(family, A2, B2)
             lam_extra = float(rng.uniform())
@@ -258,14 +258,13 @@ def segment_test(
     H: np.ndarray,
     B: PosDef | None = None,
     K: np.ndarray | None = None,
-    steps: int = 21,
-    x_max: float = 1.0,
 ) -> TestReport:
-    """Second-difference scan of x -> F(A + xH, B + xK) along a line segment."""
+    """Second-difference scan of x -> F(A + xH, B + xK), 21 points in x <= 1."""
+    steps, x_max = 21, 1.0
 
     def pd_at(x: float) -> tuple[PosDef, PosDef | None]:
-        Ax = PosDef.from_matrix(A.mat + x * hermitize(H))
-        Bx = PosDef.from_matrix(B.mat + x * hermitize(K)) if B is not None else None
+        Ax = PosDef.from_hermitian(A.mat + x * hermitize(H))
+        Bx = PosDef.from_hermitian(B.mat + x * hermitize(K)) if B is not None else None
         return Ax, Bx
 
     for _ in range(60):
@@ -299,7 +298,7 @@ def segment_test(
 
 
 def _regularized(P: PosDef, eps: float) -> PosDef:
-    return PosDef.from_matrix(P.mat + eps * P.eigs[-1] * np.eye(P.dim))
+    return PosDef.from_hermitian(P.mat + eps * P.eigs[-1] * np.eye(P.dim))
 
 
 def _stable_violation(family, direction, A1, B1, A2, B2, lam, eps: float) -> float:
@@ -318,8 +317,8 @@ def _structured_candidates(family: FamilySpec):
         return
     half = n // 2
     for eps in (1e-1, 1e-2, 1e-3):
-        d1 = PosDef.from_matrix(np.diag([1.0] * half + [eps] * half).astype(complex))
-        d2 = PosDef.from_matrix(np.diag([eps] * half + [1.0] * half).astype(complex))
+        d1 = PosDef.from_hermitian(np.diag([1.0] * half + [eps] * half).astype(complex))
+        d2 = PosDef.from_hermitian(np.diag([eps] * half + [1.0] * half).astype(complex))
         if family.two_variable:
             m = family.psi.in_dim
             if m != n:
@@ -342,7 +341,7 @@ def _hill_climb(family, direction, A1, B1, A2, B2, lam, rng, iters=200):
         P = state[idx]
         G = sample_hermitian_rng(rng, P.dim, scale=step * float(P.eigs[-1]))
         try:
-            P2 = PosDef.from_matrix(P.mat + G)
+            P2 = PosDef.from_hermitian(P.mat + G)
         except MatrixError:
             step *= 0.9
             continue
@@ -364,7 +363,7 @@ def _hill_climb(family, direction, A1, B1, A2, B2, lam, rng, iters=200):
     return state[0], state[1], state[2], state[3], lam, best
 
 
-def _curvature_direction(family, direction, rng, cfg):
+def _curvature_direction(family, direction, rng):
     """Search one random base point for a curvature sign that breaks the claim.
 
     Builds the finite-difference Hessian of the functional over Hermitian
@@ -373,17 +372,17 @@ def _curvature_direction(family, direction, rng, cfg):
     yields a segment whose midpoint test violates the claim at second order.
     Returns (base inputs, perturbation matrices, evaluation count) or None.
     """
-    A0, B0, _, _ = _sample_inputs(family, rng, cfg)
+    A0, B0, _, _ = _sample_inputs(family, rng)
     n1 = A0.dim
     k1 = n1 * n1
     nparams = k1 + (B0.dim * B0.dim if B0 is not None else 0)
     h = 1e-4 * (1.0 + float(A0.eigs[-1]))
 
     def value(v):
-        A = PosDef.from_matrix(A0.mat + vec_to_herm(v[:k1], n1))
+        A = PosDef.from_hermitian(A0.mat + vec_to_herm(v[:k1], n1))
         B = None
         if B0 is not None:
-            B = PosDef.from_matrix(B0.mat + vec_to_herm(v[k1:], B0.dim))
+            B = PosDef.from_hermitian(B0.mat + vec_to_herm(v[k1:], B0.dim))
         return eval_family(family, A, B)
 
     # central differences: 0, then +-h e_i, then +-h(e_i + e_j), +-h(e_i - e_j)
@@ -426,11 +425,11 @@ def _segment_endpoints(A0, B0, G1, G2):
     for t in (0.05, 0.2, 0.8, 2.0, 5.0):
         step = t * (1.0 + float(A0.eigs[-1]))
         try:
-            A1 = PosDef.from_matrix(A0.mat + step * G1)
-            A2 = PosDef.from_matrix(A0.mat - step * G1)
+            A1 = PosDef.from_hermitian(A0.mat + step * G1)
+            A2 = PosDef.from_hermitian(A0.mat - step * G1)
             if B0 is not None:
-                B1 = PosDef.from_matrix(B0.mat + step * G2)
-                B2 = PosDef.from_matrix(B0.mat - step * G2)
+                B1 = PosDef.from_hermitian(B0.mat + step * G2)
+                B2 = PosDef.from_hermitian(B0.mat - step * G2)
             else:
                 B1 = B2 = None
         except MatrixError:
@@ -505,7 +504,7 @@ def hunt_counterexample(
     for k in range(n_base):
         stream = 0xC0DE + k
         rng = rng_for(sampler.seed, stream)
-        found = _curvature_direction(family, direction, rng, sampler)
+        found = _curvature_direction(family, direction, rng)
         if found is None:
             trials_used += 1
             continue
@@ -520,10 +519,7 @@ def hunt_counterexample(
         stream = sampler.stream_index + t
         rng = rng_for(sampler.seed, stream)
         trials_used += 1
-        try:
-            A1, B1, A2, B2 = _sample_inputs(family, rng, sampler)
-        except MatrixError:
-            continue
+        A1, B1, A2, B2 = _sample_inputs(family, rng)
         for lam in (0.5, float(rng.uniform(0.05, 0.95))):
             cert = consider(A1, B1, A2, B2, lam, stream)
             if cert is not None:
@@ -557,7 +553,8 @@ def replay_certificate(cert: Certificate) -> tuple[float, float]:
     return lhs, rhs
 
 
-def certificate_is_valid(cert: Certificate, rtol: float = 1e-10) -> bool:
+def certificate_is_valid(cert: Certificate) -> bool:
+    rtol = 1e-10
     lhs, rhs = replay_certificate(cert)
     scale = max(1.0, abs(lhs), abs(rhs))
     if abs(lhs - cert.lhs) > rtol * scale or abs(rhs - cert.rhs) > rtol * scale:
@@ -594,24 +591,21 @@ def _loewner_gap(expr: str, params: dict, rng, cfg: SamplerConfig):
     """
     if expr == "power-mean-dominance":
         p, q = params["p"], params["q"]
-        A = sample_posdef_rng(rng, cfg.dim, cfg.eig_low, cfg.eig_high)
-        B = sample_posdef_rng(rng, cfg.dim, cfg.eig_low, cfg.eig_high)
+        A = sample_posdef_rng(rng, cfg.dim)
+        B = sample_posdef_rng(rng, cfg.dim)
         return _dominance_gap(p, q, A, B)
     if expr == "hat-power":
         phi: MapSpec = params["phi"]
         p = params["p"]
-        A = sample_posdef_rng(rng, phi.in_dim, cfg.eig_low, cfg.eig_high)
-        B = sample_posdef_rng(rng, phi.in_dim, cfg.eig_low, cfg.eig_high)
+        A = sample_posdef_rng(rng, phi.in_dim)
+        B = sample_posdef_rng(rng, phi.in_dim)
         return _hat_power_gap(phi, p, A, B)
     if expr == "mean-concavity":
         mean: MeanSpec = params["mean"]
-        A1 = sample_posdef_rng(rng, cfg.dim, cfg.eig_low, cfg.eig_high)
-        A2 = sample_posdef_rng(rng, cfg.dim, cfg.eig_low, cfg.eig_high)
-        B1 = sample_posdef_rng(rng, cfg.dim, cfg.eig_low, cfg.eig_high)
-        B2 = sample_posdef_rng(rng, cfg.dim, cfg.eig_low, cfg.eig_high)
+        A1, A2, B1, B2 = (sample_posdef_rng(rng, cfg.dim) for _ in range(4))
         mid = eval_mean(mean, _mix(A1, A2, 0.5), _mix(B1, B2, 0.5))
-        avg = PosDef.from_matrix(0.5 * (eval_mean(mean, A1, B1).mat
-                                        + eval_mean(mean, A2, B2).mat))
+        avg = PosDef.from_hermitian(0.5 * (eval_mean(mean, A1, B1).mat
+                                           + eval_mean(mean, A2, B2).mat))
         excess, w = _loewner_excess(avg, mid)
         payload = {"a1": mat_to_json(A1.mat), "a2": mat_to_json(A2.mat),
                    "b1": mat_to_json(B1.mat), "b2": mat_to_json(B2.mat)}
@@ -627,14 +621,14 @@ def _dominance_gap(p: float, q: float, A: PosDef, B: PosDef):
 
 def _hat_power_gap(phi: MapSpec, p: float, A: PosDef, B: PosDef):
     mid = hat_map(phi, _mix(A, B, 0.5).power(p))
-    avg = PosDef.from_matrix(0.5 * (hat_map(phi, A.power(p)).mat
-                                    + hat_map(phi, B.power(p)).mat))
+    avg = PosDef.from_hermitian(0.5 * (hat_map(phi, A.power(p)).mat
+                                       + hat_map(phi, B.power(p)).mat))
     excess, w = _loewner_excess(avg, mid)
     payload = {"a": mat_to_json(A.mat), "b": mat_to_json(B.mat)}
     return excess, w, payload
 
 
-def _nm_dominance_search(p, q, dim, rng, maxiter=2000):
+def _nm_dominance_search(p, q, dim, rng):
     """Simplex search for a dominance violation over log-parametrized inputs.
 
     Violations for nearby exponent pairs need extreme anisotropy that random
@@ -656,7 +650,7 @@ def _nm_dominance_search(p, q, dim, rng, maxiter=2000):
 
     res = scipy.optimize.minimize(
         objective, rng.normal(0.0, 1.5, 2 * k), method="Nelder-Mead",
-        options={"maxiter": maxiter, "xatol": 1e-12, "fatol": 1e-16},
+        options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-16},
     )
     v = res.x
     A = matrix_exp_herm(vec_to_herm(v[:k], dim))

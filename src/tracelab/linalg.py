@@ -4,10 +4,10 @@ All matrices are dense complex numpy arrays at desk scale (dim <= ~64).
 Every matrix produced by arithmetic is passed through :func:`hermitize`
 before decomposition to suppress floating-point drift.
 
-Hermiticity is checked only where a matrix enters, by check_hermitian,
-spectral_decompose, matrix_exp_herm and PosDef.from_matrix.
-PosDef.from_hermitian and PosDef.from_spectrum do not check; the means and
-families use them on matrices they built from Hermitian ones.
+Hermiticity is checked only on matrices from outside the program, by
+check_hermitian, spectral_decompose and PosDef.from_matrix.  The means, families
+and lab build with PosDef.from_hermitian, PosDef.from_spectrum and
+matrix_exp_herm, which do not check, from matrices that are Hermitian.
 
 A Hermitian n x n matrix is parametrized by a real vector of length n*n: the
 n diagonal entries, then the real and imaginary parts of each entry above the
@@ -24,6 +24,8 @@ from typing import Callable
 import numpy as np
 
 HERM_ATOL = 1e-12
+#: range of the sampled eigenvalues, drawn log-uniformly
+EIG_LOW, EIG_HIGH = 0.1, 10.0
 
 
 class MatrixError(ValueError):
@@ -48,7 +50,7 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def check_hermitian(M: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
+def check_hermitian(M: np.ndarray) -> np.ndarray:
     """Validate hermiticity; returns the hermitized matrix.
 
     The tolerance scales with the largest entry, floored at 1.
@@ -58,10 +60,10 @@ def check_hermitian(M: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
         raise DimensionMismatchError(f"expected a square matrix, got shape {M.shape}")
     scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
     asym = float(np.max(np.abs(M - M.conj().T)))
-    if asym > atol * scale:
+    if asym > HERM_ATOL * scale:
         raise NotHermitianError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
-            f"{atol * scale:.3e}"
+            f"{HERM_ATOL * scale:.3e}"
         )
     return hermitize(M)
 
@@ -149,8 +151,8 @@ def matrix_log(P: PosDef) -> np.ndarray:
 
 
 def matrix_exp_herm(H: np.ndarray) -> PosDef:
-    """exp of a Hermitian matrix, always positive definite."""
-    w, V = spectral_decompose(H)
+    """exp of a Hermitian matrix (not checked), always positive definite."""
+    w, V = np.linalg.eigh(hermitize(H))
     return PosDef.from_spectrum(np.exp(w), V)
 
 
@@ -195,24 +197,18 @@ def herm_grad_to_vec(K: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Log-uniform eigenvalue sampling with a Haar-random eigenbasis.
+    """Log-uniform eigenvalues in [EIG_LOW, EIG_HIGH], Haar-random eigenbasis.
 
     Identical (seed, stream_index) reproduces identical output bit-exactly.
     """
 
     dim: int
-    eig_low: float = 0.1
-    eig_high: float = 10.0
     seed: int = 0
     stream_index: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        if not (0 < self.eig_low <= self.eig_high):
-            raise ValueError(
-                f"need 0 < eig_low <= eig_high, got [{self.eig_low}, {self.eig_high}]"
-            )
 
     def rng(self) -> np.random.Generator:
         return rng_for(self.seed, self.stream_index)
@@ -234,17 +230,15 @@ def sample_unitary(dim: int, seed: int, stream_index: int = 0) -> np.ndarray:
     return haar_unitary(dim, rng_for(seed, stream_index))
 
 
-def sample_posdef_rng(
-    rng: np.random.Generator, dim: int, eig_low: float, eig_high: float
-) -> PosDef:
-    logs = rng.uniform(np.log(eig_low), np.log(eig_high), size=dim)
+def sample_posdef_rng(rng: np.random.Generator, dim: int) -> PosDef:
+    logs = rng.uniform(np.log(EIG_LOW), np.log(EIG_HIGH), size=dim)
     eigs = np.exp(logs)
     U = haar_unitary(dim, rng)
     return PosDef.from_spectrum(eigs, U)
 
 
 def sample_posdef(cfg: SamplerConfig) -> PosDef:
-    return sample_posdef_rng(cfg.rng(), cfg.dim, cfg.eig_low, cfg.eig_high)
+    return sample_posdef_rng(cfg.rng(), cfg.dim)
 
 
 def sample_hermitian_rng(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

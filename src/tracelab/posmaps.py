@@ -42,23 +42,20 @@ class MapSpec:
     """The positive map A -> sum_k X_k* A X_k, applied to A^T when ``transpose``.
 
     ``kraus`` is the stack of pieces X_k, of shape (r, in_dim, out_dim).
-    ``kind`` only records how the map was spelled (identity, conjugation,
-    kraus, pinching, transpose-kraus) so that it serializes as it was built;
-    evaluation never reads it.  ``unit`` is Phi(I) and ``strictly_positive``
+    ``kind`` records how the map was spelled (identity, conjugation, kraus,
+    pinching, transpose-kraus) so that it serializes as it was built; only
+    ``transpose`` reads it.  ``unit`` is Phi(I) and ``strictly_positive``
     whether it is positive definite, both computed at construction.
     """
 
     kind: str
     kraus: np.ndarray
-    transpose: bool = False
     unit: np.ndarray = field(init=False, repr=False)
     strictly_positive: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.transpose != (self.kind == "transpose-kraus"):
-            raise ValueError(f"a {self.kind} map cannot have transpose={self.transpose}")
         kraus = np.array(self.kraus, dtype=complex)
         if kraus.ndim != 3 or 0 in kraus.shape:
             raise ValueError(f"{self.kind} map requires a non-empty stack of Kraus pieces")
@@ -78,6 +75,10 @@ class MapSpec:
     @property
     def out_dim(self) -> int:
         return self.kraus.shape[2]
+
+    @property
+    def transpose(self) -> bool:
+        return self.kind == "transpose-kraus"
 
     @property
     def cp(self) -> bool:
@@ -100,8 +101,7 @@ class MapSpec:
         elif kind == "pinching":
             spec = pinching([mat_from_json(x) for x in d["projections"]])
         else:
-            spec = cls(kind, [mat_from_json_rect(x) for x in d.get("kraus", ())],
-                       transpose=kind == "transpose-kraus")
+            spec = cls(kind, [mat_from_json_rect(x) for x in d.get("kraus", ())])
         if (spec.in_dim, spec.out_dim) != (d["in_dim"], d["out_dim"]):
             raise DimensionMismatchError("map payload dimensions do not match its pieces")
         return spec
@@ -147,7 +147,7 @@ def pinching(projections) -> MapSpec:
 
 
 def transpose_then_kraus(pieces) -> MapSpec:
-    return MapSpec("transpose-kraus", list(pieces), transpose=True)
+    return MapSpec("transpose-kraus", list(pieces))
 
 
 def apply_map(spec: MapSpec, A: np.ndarray) -> np.ndarray:

@@ -162,6 +162,14 @@ class TestBadInput:
                      id="config-foreign-key"),
         pytest.param('{"trials": [7]}', ["--config", "{file}"] + _ON_REGION,
                      id="config-list-value"),
+        pytest.param('{"trials": 0}', ["--config", "{file}"] + _ON_REGION,
+                     id="config-zero-trials"),
+        pytest.param('{"trials": false}', ["--config", "{file}"] + _ON_REGION,
+                     id="config-false-trials"),
+        pytest.param('{"budget": 0}', ["--config", "{file}", "hunt", "--family", "lieb",
+                                       "--p", "0.5", "--q", "0.5", "--s", "0.8",
+                                       "--direction", "concave"],
+                     id="config-zero-budget"),
         pytest.param('{"dim": 2}', _EVAL + ["--a", "{file}"], id="matrix-without-entries"),
         pytest.param("[[1, 2]]", _EVAL + ["--a", "{file}"], id="matrix-list"),
         pytest.param(_PIECE, _ON_REGION + ["--phi", "kraus:{file}"], id="kraus-object"),
@@ -210,6 +218,13 @@ class TestBadInput:
                               "--antinorm", "lambda-min"], id="norm-and-antinorm"),
         pytest.param(["verify", "--th", "T1.1-1", "--p", "0.7", "--q", "0.7", "--s", "0.6",
                       "--trials", "5"], id="abbreviated-flag"),
+        pytest.param(["verify", "--theorem", "T1.1-1", "--p", "0.5", "--q", "0.5",
+                      "--s", "0.8", "--trials", "0"], id="zero-trials"),
+        pytest.param(["verify", "--theorem", "T1.1-1", "--p", "0.5", "--q", "0.5",
+                      "--s", "0.8", "--trials", "-5"], id="negative-trials"),
+        pytest.param(_SWEEP + ["--trials", "0"], id="sweep-zero-trials"),
+        pytest.param(["hunt", "--family", "lieb", "--p", "0.5", "--q", "0.5", "--s", "0.8",
+                      "--direction", "concave", "--budget", "-3"], id="negative-budget"),
     ])
     def test_bad_flag_or_map_exits_4(self, argv, tmp_path, capsys):
         singular = tmp_path / "singular.json"
@@ -232,6 +247,26 @@ class TestConfig:
         assert payload["report"]["trials"] == 7 and payload["seed"] == 3
         assert main(["--config", str(config)] + _ON_REGION + ["--trials", "9"]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["trials"] == 9
+
+    def test_explicit_norm_flag_replaces_either_config_key(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(mat_to_json(np.diag([1.0, 4.0]).astype(complex))))
+        config = tmp_path / "config.json"
+        argv = ["--config", str(config)] + _EVAL + ["--s", "1", "--a", str(a)]
+
+        def value(*flags):
+            assert main(argv + list(flags)) == 0
+            return float(capsys.readouterr().out)
+
+        config.write_text('{"antinorm": "lambda-min"}')
+        assert value() == 1.0
+        assert value("--norm", "operator") == 4.0
+        config.write_text('{"norm": "operator"}')
+        assert value() == 4.0
+        assert value("--antinorm", "lambda-min") == 1.0
+        config.write_text('{"norm": "operator", "antinorm": "lambda-min"}')
+        assert main(argv) == 4
+        assert "both norm and antinorm" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tracelab import linalg
 from tracelab.families import FamilySpec, ParameterPoint, eval_family
 from tracelab.lab import (
     CLAIM_REL,
@@ -84,6 +85,20 @@ class TestSegmentTest:
         H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         report = segment_test(fam, "concave", A, H + H.conj().T)
         assert report.verdict == "PASS"
+
+    def test_points_run_no_hermiticity_check(self, monkeypatch):
+        fam = epstein(0.5, 2.0)
+        A = _sample(104)
+        rng = rng_for(104, 1)
+        H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        expected = segment_test(fam, "concave", A, H + H.conj().T)
+
+        def refuse(M):
+            raise AssertionError("check_hermitian called on an internal matrix")
+
+        monkeypatch.setattr(linalg, "check_hermitian", refuse)
+        report = segment_test(fam, "concave", A, H + H.conj().T)
+        assert report.to_json() == expected.to_json()
 
     def test_scalar_second_derivative_sign_classification(self):
         # for f(x) = (x^p + b)^s the sign of f'' matches (ps-1)x^p + (p-1)b;

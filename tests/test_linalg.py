@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from tracelab import linalg
+from tracelab.families import FamilySpec, ParameterPoint, eval_family
 from tracelab.linalg import (
     DimensionMismatchError,
     MatrixError,
@@ -12,6 +14,7 @@ from tracelab.linalg import (
     loewner_leq,
     mat_from_json,
     mat_to_json,
+    matrix_exp_herm,
     matrix_function,
     matrix_log,
     matrix_power,
@@ -21,6 +24,9 @@ from tracelab.linalg import (
     sample_unitary,
     spectral_decompose,
 )
+from tracelab.means import power_mean
+from tracelab.norms import NormSpec
+from tracelab.posmaps import conjugation
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -57,6 +63,28 @@ class TestSpectralDecompose:
         with pytest.raises(NotHermitianError, match="asymmetry"):
             PosDef.from_matrix(M)
         assert np.array_equal(PosDef.from_hermitian(M).mat, 0.5 * (M + M.conj().T))
+
+    @pytest.mark.parametrize("name", ["matrix_exp_herm", "power_mean_at_0", "logexp"])
+    def test_internal_constructions_run_no_hermiticity_check(self, name, monkeypatch):
+        H = random_hermitian(rng_for(12, 0), 3)
+        A = sample_posdef(SamplerConfig(dim=3, seed=12))
+        B = sample_posdef(SamplerConfig(dim=3, seed=12, stream_index=1))
+        half = conjugation(np.sqrt(0.5) * np.eye(3, dtype=complex))
+        logexp = FamilySpec(family="logexp", phi=half, psi=half,
+                            norm=NormSpec(kind="trace"),
+                            params=ParameterPoint(1.0, 1.0, 1.0))
+        call = {
+            "matrix_exp_herm": lambda: matrix_exp_herm(H).mat,
+            "power_mean_at_0": lambda: power_mean(A, B, 0.0).mat,
+            "logexp": lambda: eval_family(logexp, A, B),
+        }[name]
+        expected = call()
+
+        def refuse(M):
+            raise AssertionError("check_hermitian called on an internal matrix")
+
+        monkeypatch.setattr(linalg, "check_hermitian", refuse)
+        assert np.array_equal(call(), expected)
 
 
 class TestMatrixPower:

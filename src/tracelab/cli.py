@@ -42,7 +42,7 @@ from .posmaps import (
     pinching,
     transpose_then_kraus,
 )
-from .regions import THEOREM_IDS, THEOREMS, Theorem, region_violation
+from .regions import THEOREM_IDS, THEOREMS, Theorem, region_member, region_violation
 
 EXIT_PASS = 0
 EXIT_INTERNAL = 1
@@ -150,9 +150,15 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return parts[0], parts[-1]
 
 
+def _point(args) -> ParameterPoint:
+    """The (p, q, s) a run tests: ``--q`` defaults to 0 and ``--s`` to 1."""
+    return ParameterPoint(p=args.p, q=0.0 if args.q is None else args.q,
+                          s=1.0 if args.s is None else args.s)
+
+
 def _build_family(args, dims, params: ParameterPoint | None = None) -> FamilySpec:
     n, m = dims[:2]
-    params = params or ParameterPoint(p=args.p, q=args.q or 0.0, s=args.s or 1.0)
+    params = _point(args) if params is None else params
     phi = _parse_map(args.phi, n)
     norm = NormSpec.parse(args.antinorm or args.norm or "trace")
     if args.family in ("lieb", "mean", "logexp"):
@@ -237,7 +243,7 @@ def cmd_verify(args) -> int:
         raise CliError(f"{args.theorem} has no functional to verify: the catalog does "
                        "not record which functional its statement is about")
     dims = _parse_dims(args.dims)
-    point = ParameterPoint(p=args.p, q=args.q or 0.0, s=args.s or 1.0)
+    point = _point(args)
     problem = region_violation(args.theorem, point)
     if problem is not None and not args.force:
         print(f"off-region for {args.theorem}: {problem}", file=sys.stderr)
@@ -246,7 +252,7 @@ def cmd_verify(args) -> int:
     sampler = SamplerConfig(dim=dims[0], seed=args.seed)
     if theorem.direction == "dominance":
         report = loewner_midpoint_test(
-            "power-mean-dominance", {"p": args.p, "q": args.q},
+            "power-mean-dominance", {"p": point.p, "q": point.q},
             trials=args.trials, sampler=sampler, refine=True,
             stop_on_violation=True, label=args.theorem,
         )
@@ -340,9 +346,9 @@ def cmd_regions(args) -> int:
         theorem = _theorem(tid)
         line = f"{tid} [{theorem.direction}]: {theorem.description}"
         if args.p is not None:
-            member = theorem.region(args.p, args.q or 0.0, args.s or 1.0)
-            verdict = "member" if member else "outside"
-            line += f" -- ({args.p}, {args.q}, {args.s}): {verdict}"
+            point = _point(args)
+            verdict = "member" if region_member(tid, point) else "outside"
+            line += f" -- ({point.p}, {point.q}, {point.s}): {verdict}"
         print(line)
     return EXIT_PASS
 

@@ -58,7 +58,6 @@ class Certificate:
     direction: str
     seed: int
     stream: int
-    regularization_eps: float = 0.0
     b1: np.ndarray | None = None
     b2: np.ndarray | None = None
 
@@ -74,7 +73,7 @@ class Certificate:
             "direction": self.direction,
             "seed": self.seed,
             "stream": self.stream,
-            "regularization_eps": self.regularization_eps,
+            "regularization_eps": 0.0,  # certified inputs are never regularized
         }
         if self.b1 is not None:
             d["b1"] = mat_to_json(self.b1)
@@ -94,7 +93,6 @@ class Certificate:
             direction=d["direction"],
             seed=d["seed"],
             stream=d["stream"],
-            regularization_eps=d.get("regularization_eps", 0.0),
             b1=mat_from_json(d["b1"]) if "b1" in d else None,
             b2=mat_from_json(d["b2"]) if "b2" in d else None,
         )
@@ -297,19 +295,6 @@ def segment_test(
     )
 
 
-def _regularized(P: PosDef, eps: float) -> PosDef:
-    return PosDef.from_hermitian(P.mat + eps * P.eigs[-1] * np.eye(P.dim))
-
-
-def _stable_violation(family, direction, A1, B1, A2, B2, lam, eps: float) -> float:
-    """Violation recomputed on regularized inputs; guards conditioning artifacts."""
-    reg = lambda P: _regularized(P, eps) if P is not None else None
-    viol, _, _, scale = midpoint_violation(
-        family, direction, reg(A1), reg(A2), lam, reg(B1), reg(B2)
-    )
-    return viol / scale
-
-
 def _structured_candidates(family: FamilySpec):
     """Near-singular diagonal pairs that seed known counterexample shapes."""
     n = family.phi.in_dim
@@ -329,7 +314,7 @@ def _structured_candidates(family: FamilySpec):
             yield d1, None, d2, None
 
 
-def _hill_climb(family, direction, A1, B1, A2, B2, lam, rng, iters=200):
+def _hill_climb(family, direction, A1, B1, A2, B2, lam, rng, iters):
     """Local refinement: perturb inputs and weight to amplify the violation."""
     best = midpoint_violation(family, direction, A1, A2, lam, B1, B2)
     state = [A1, B1, A2, B2]
@@ -363,6 +348,16 @@ def _hill_climb(family, direction, A1, B1, A2, B2, lam, rng, iters=200):
     return state[0], state[1], state[2], state[3], lam, best
 
 
+def _curvature_steps(k: int, h: float) -> np.ndarray:
+    """Central-difference perturbations of k parameters, one per row: 0, then
+    +-h e_i, then +-h(e_i + e_j), +-h(e_i - e_j) for i < j."""
+    E = h * np.eye(k)
+    i, j = np.triu_indices(k, 1)
+    plus, minus = E[i] + E[j], E[i] - E[j]
+    return np.concatenate([np.zeros((1, k)), np.stack([E, -E], axis=1).reshape(-1, k),
+                           np.stack([plus, -plus, minus, -minus], axis=1).reshape(-1, k)])
+
+
 def _curvature_direction(family, direction, rng):
     """Search one random base point for a curvature sign that breaks the claim.
 
@@ -385,14 +380,8 @@ def _curvature_direction(family, direction, rng):
             B = PosDef.from_hermitian(B0.mat + vec_to_herm(v[k1:], B0.dim))
         return eval_family(family, A, B)
 
-    # central differences: 0, then +-h e_i, then +-h(e_i + e_j), +-h(e_i - e_j)
-    E = h * np.eye(nparams)
     upper = np.triu_indices(nparams, 1)
-    steps = [np.zeros(nparams)]
-    for i in range(nparams):
-        steps += [E[i], -E[i]]
-    for i, j in zip(*upper):
-        steps += [E[i] + E[j], -(E[i] + E[j]), E[i] - E[j], -(E[i] - E[j])]
+    steps = _curvature_steps(nparams, h)
     try:
         f = np.array([value(v) for v in steps])
     except (EvaluationError, MatrixError):
@@ -437,17 +426,42 @@ def _segment_endpoints(A0, B0, G1, G2):
         yield A1, B1, A2, B2
 
 
+def _candidates(family: FamilySpec, direction: str, budget: int, sampler: SamplerConfig):
+    """The hunt's candidates, phase by phase: structured, curvature, random.
+
+    Yields (trials charged, (A1, B1, A2, B2), mixing weights, stream).  A
+    curvature base point is charged on an item of its own, with no inputs and
+    no weights: 1 if it fails, else a third of its evaluations; its segment
+    endpoints follow, charged 0.
+    """
+    for inputs in _structured_candidates(family):
+        yield 1, inputs, (0.5, 0.25, 0.75), sampler.stream_index
+    # curvature-directed phase: Hessian eigendirections at random base points
+    for k in range(int(min(10, max(2, budget // 100)))):
+        stream = 0xC0DE + k
+        found = _curvature_direction(family, direction, rng_for(sampler.seed, stream))
+        yield 1 if found is None else max(1, found[-1] // 3), None, (), stream
+        if found is not None:
+            for inputs in _segment_endpoints(*found[:4]):
+                yield 0, inputs, (0.5,), stream
+    for t in range(budget):
+        stream = sampler.stream_index + t
+        rng = rng_for(sampler.seed, stream)
+        yield 1, _sample_inputs(family, rng), (0.5, float(rng.uniform(0.05, 0.95))), stream
+
+
 def hunt_counterexample(
     family: FamilySpec,
     direction: str,
     budget: int,
     sampler: SamplerConfig,
 ) -> HuntResult:
-    """Random + structured search for a certified violation.
+    """Structured, curvature-directed and random search for a certified violation.
 
     Raw violations above the claim threshold are hill-climbed and
     must survive a stability re-check under input regularization at eps and
-    eps/10 before a certificate is emitted.
+    eps/10 before a certificate is emitted.  Once the candidates run out, the
+    best near-miss gets one longer climb.
     """
     best_rel = -np.inf
     trials_used = 0
@@ -456,21 +470,33 @@ def hunt_counterexample(
     def certify(A1, B1, A2, B2, lam, found, stream) -> Certificate | None:
         """Certificate for found = (violation, lhs, rhs, scale) at these inputs.
 
-        The violation must clear the claim threshold and survive the
-        stability re-check; a numerical failure in the re-check counts as
-        not stable.
+        The violation must clear the claim threshold and survive a re-check on
+        the inputs regularized by eps * lambda_max, at eps = CERT_EPS and
+        CERT_EPS / 10, which guards against conditioning artifacts; a numerical
+        failure in the re-check counts as not stable.
         """
         viol, lhs, rhs, scale = found
         if viol <= CLAIM_REL * scale:
             return None
-        try:
-            if any(_stable_violation(family, direction, A1, B1, A2, B2, lam, eps)
-                   <= 0.5 * CLAIM_REL for eps in (CERT_EPS, CERT_EPS / 10)):
+        for eps in (CERT_EPS, CERT_EPS / 10):
+            reg = lambda P: (PosDef.from_hermitian(P.mat + eps * P.eigs[-1] * np.eye(P.dim))
+                             if P is not None else None)
+            try:
+                again = midpoint_violation(family, direction, reg(A1), reg(A2), lam,
+                                           reg(B1), reg(B2))
+            except (EvaluationError, MatrixError):
                 return None
-        except (EvaluationError, MatrixError):
-            return None
+            if again[0] / again[3] <= 0.5 * CLAIM_REL:
+                return None
         return _make_certificate(family, direction, A1, B1, A2, B2, lam, lhs, rhs,
                                  viol, sampler.seed, stream)
+
+    def climb_and_certify(A1, B1, A2, B2, lam, stream, iters):
+        """Hill-climbs from a candidate on stream ^ 0x5EED and certifies where
+        the climb ends.  Returns (certificate or None, relative violation there)."""
+        rng = rng_for(sampler.seed, stream ^ 0x5EED)
+        *climbed, found = _hill_climb(family, direction, A1, B1, A2, B2, lam, rng, iters)
+        return certify(*climbed, found, stream), found[0] / found[3]
 
     def consider(A1, B1, A2, B2, lam, stream) -> Certificate | None:
         nonlocal best_rel, near_miss
@@ -483,61 +509,24 @@ def hunt_counterexample(
             best_rel = rel
             near_miss = (A1, B1, A2, B2, lam, stream)
         if found[0] > CLAIM_REL * found[3]:
-            rng = rng_for(sampler.seed, stream ^ 0x5EED)
-            A1, B1, A2, B2, lam, found = _hill_climb(
-                family, direction, A1, B1, A2, B2, lam, rng
-            )
-        cert = certify(A1, B1, A2, B2, lam, found, stream)
+            cert, rel = climb_and_certify(A1, B1, A2, B2, lam, stream, iters=200)
+        else:  # refused, unless the violation is NaN: then it is re-checked unclimbed
+            cert = certify(A1, B1, A2, B2, lam, found, stream)
         if cert is not None:
-            best_rel = max(best_rel, found[0] / found[3])
+            best_rel = max(best_rel, rel)
         return cert
 
-    for A1, B1, A2, B2 in _structured_candidates(family):
-        trials_used += 1
-        for lam in (0.5, 0.25, 0.75):
-            cert = consider(A1, B1, A2, B2, lam, sampler.stream_index)
-            if cert is not None:
+    for charge, inputs, lams, stream in _candidates(family, direction, budget, sampler):
+        trials_used += charge
+        for lam in lams:
+            if (cert := consider(*inputs, lam, stream)) is not None:
                 return HuntResult(cert, trials_used, best_rel)
 
-    # curvature-directed phase: Hessian eigendirections at random base points
-    n_base = int(min(10, max(2, budget // 100)))
-    for k in range(n_base):
-        stream = 0xC0DE + k
-        rng = rng_for(sampler.seed, stream)
-        found = _curvature_direction(family, direction, rng)
-        if found is None:
-            trials_used += 1
-            continue
-        A0, B0, G1, G2, evals = found
-        trials_used += max(1, evals // 3)
-        for A1, B1, A2, B2 in _segment_endpoints(A0, B0, G1, G2):
-            cert = consider(A1, B1, A2, B2, 0.5, stream)
-            if cert is not None:
-                return HuntResult(cert, trials_used, best_rel)
-
-    for t in range(budget):
-        stream = sampler.stream_index + t
-        rng = rng_for(sampler.seed, stream)
-        trials_used += 1
-        A1, B1, A2, B2 = _sample_inputs(family, rng)
-        for lam in (0.5, float(rng.uniform(0.05, 0.95))):
-            cert = consider(A1, B1, A2, B2, lam, stream)
-            if cert is not None:
-                return HuntResult(cert, trials_used, best_rel)
-
-    # budget exhausted: one last refinement from the best near-miss
     if near_miss is not None:
-        A1, B1, A2, B2, lam, stream = near_miss
-        rng = rng_for(sampler.seed, stream ^ 0x5EED)
-        A1, B1, A2, B2, lam, found = _hill_climb(
-            family, direction, A1, B1, A2, B2, lam, rng, iters=400
-        )
-        rel = found[0] / found[3]
-        cert = certify(A1, B1, A2, B2, lam, found, stream)
-        if cert is not None:
-            return HuntResult(cert, trials_used, rel)
+        cert, rel = climb_and_certify(*near_miss, iters=400)
         best_rel = max(best_rel, rel)
-
+        if cert is not None:
+            return HuntResult(cert, trials_used, best_rel)
     return HuntResult(None, trials_used, best_rel)
 
 
@@ -560,7 +549,7 @@ def certificate_is_valid(cert: Certificate) -> bool:
     if abs(lhs - cert.lhs) > rtol * scale or abs(rhs - cert.rhs) > rtol * scale:
         return False
     # direction duality: the violation is the mirrored one for -F
-    expected = cert.rhs - cert.lhs if cert.direction == "concave" else cert.lhs - cert.rhs
+    expected = _signed_violation(cert.direction, cert.lhs, cert.rhs)
     return abs(expected - cert.violation) <= rtol * scale
 
 
@@ -670,20 +659,29 @@ def loewner_midpoint_test(
     worst_rel = -np.inf
     witness = None
     failures = 0
-    for t in range(trials):
-        rng = rng_for(sampler.seed, sampler.stream_index + t)
-        try:
-            excess, w, payload = _loewner_gap(expr, params, rng, sampler)
-        except (EvaluationError, MatrixError):
-            failures += 1
-            continue
+
+    def record(gap, stream) -> bool:
+        """Keeps the worst excess, and its witness when it clears the claim
+        threshold; True when it does."""
+        nonlocal worst_rel, witness
+        excess, w, payload = gap
         if excess > worst_rel:
             worst_rel = excess
             if excess > CLAIM_REL:
                 witness = {"witness_eigenvalue": w, "relative_excess": excess,
-                           "stream": sampler.stream_index + t, **payload}
-                if stop_on_violation:
-                    break
+                           "stream": stream, **payload}
+                return True
+        return False
+
+    for t in range(trials):
+        stream = sampler.stream_index + t
+        try:
+            gap = _loewner_gap(expr, params, rng_for(sampler.seed, stream), sampler)
+        except (EvaluationError, MatrixError):
+            failures += 1
+            continue
+        if record(gap, stream) and stop_on_violation:
+            break
 
     if witness is None and refine and expr == "power-mean-dominance":
         # simplex restarts: dominance failures for close exponent pairs sit in
@@ -691,13 +689,8 @@ def loewner_midpoint_test(
         p, q = params["p"], params["q"]
         for k in range(24):
             stream = (sampler.stream_index + k) ^ 0x0D0A
-            rng = rng_for(sampler.seed, stream)
-            A, B = _nm_dominance_search(p, q, sampler.dim, rng)
-            excess, w, payload = _dominance_gap(p, q, A, B)
-            worst_rel = max(worst_rel, excess)
-            if excess > CLAIM_REL:
-                witness = {"witness_eigenvalue": w, "relative_excess": excess,
-                           "stream": stream, **payload}
+            A, B = _nm_dominance_search(p, q, sampler.dim, rng_for(sampler.seed, stream))
+            if record(_dominance_gap(p, q, A, B), stream):
                 break
 
     return TestReport(

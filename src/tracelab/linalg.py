@@ -19,6 +19,7 @@ vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -166,17 +167,21 @@ def loewner_leq(A: np.ndarray, B: np.ndarray, tol: float = 0.0) -> tuple[bool, f
     return witness >= -tol, witness
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(dim, 1), kept per dim: building them costs more than a
+    whole vec_to_herm, which the Nelder-Mead objective calls twice."""
+    return np.triu_indices(dim, 1)
+
+
 def vec_to_herm(v: np.ndarray, dim: int) -> np.ndarray:
     """The Hermitian matrix of the real parameter vector v (length dim*dim)."""
     M = np.zeros((dim, dim), dtype=complex)
-    idx = dim
     M[np.diag_indices(dim)] = v[:dim]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            a, b = v[idx], v[idx + 1]
-            M[i, j] = a + 1j * b
-            M[j, i] = a - 1j * b
-            idx += 2
+    i, j = _upper_indices(dim)
+    re, im = v[dim::2], v[dim + 1::2]
+    M[i, j] = re + 1j * im
+    M[j, i] = re - 1j * im
     return M
 
 
@@ -186,12 +191,9 @@ def herm_grad_to_vec(K: np.ndarray) -> np.ndarray:
     dim = K.shape[0]
     v = np.empty(dim * dim)
     v[:dim] = np.diagonal(K).real
-    idx = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v[idx] = 2.0 * K[i, j].real
-            v[idx + 1] = 2.0 * K[i, j].imag
-            idx += 2
+    upper = K[_upper_indices(dim)]
+    v[dim::2] = 2.0 * upper.real
+    v[dim + 1::2] = 2.0 * upper.imag
     return v
 
 

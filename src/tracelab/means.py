@@ -49,10 +49,6 @@ class MeanSpec:
                 raise ValueError(f"power mean requires r in [-1, 1], r != 0, got {self.r}")
         if self.modifier is not None and self.modifier not in MODIFIERS:
             raise ValueError(f"unknown modifier {self.modifier!r}")
-        if self.kind != "sum":
-            f = self.rep_function()
-            if abs(float(f(np.asarray([1.0]))[0]) - 1.0) > 1e-12:
-                raise ValueError("representing function is not normalized: f(1) != 1")
 
     def rep_function(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.kind == "arithmetic":

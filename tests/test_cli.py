@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tracelab.cli import _verify_family, build_parser, main
+from tracelab.cli import _parse_grid, _verify_family, build_parser, main
 from tracelab.linalg import SamplerConfig, mat_to_json, sample_posdef
 from tracelab.posmaps import mat_to_json_rect
 from tracelab.regions import THEOREMS
@@ -225,6 +225,9 @@ class TestBadInput:
         pytest.param(_SWEEP + ["--trials", "0"], id="sweep-zero-trials"),
         pytest.param(["hunt", "--family", "lieb", "--p", "0.5", "--q", "0.5", "--s", "0.8",
                       "--direction", "concave", "--budget", "-3"], id="negative-budget"),
+        pytest.param(_EVAL + ["--s", "0", "--a", "{eye}"], id="eval-explicit-zero-s"),
+        pytest.param(["hunt", "--family", "epstein", "--p", "1", "--s", "0",
+                      "--direction", "concave", "--budget", "5"], id="hunt-explicit-zero-s"),
     ])
     def test_bad_flag_or_map_exits_4(self, argv, tmp_path, capsys):
         singular = tmp_path / "singular.json"
@@ -235,6 +238,32 @@ class TestBadInput:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "internal error" not in err
+
+
+class TestDefaultPoint:
+    """--q defaults to 0 and --s to 1 only where the flag is absent: every run
+    tests the point it reports."""
+
+    def test_verify_tests_an_explicit_zero_s(self, capsys):
+        rc = main(["verify", "--theorem", "T3.1-1", "--p", "0.5", "--s", "0",
+                   "--trials", "3"])
+        assert rc == 4
+        assert "(0.5, 0, 0) is outside" in capsys.readouterr().err
+
+    def test_regions_tests_an_explicit_zero_s(self, capsys):
+        assert main(["regions", "--theorem", "T3.1-1", "--p", "0.5", "--s", "0"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("-- (0.5, 0.0, 0.0): outside")
+
+    def test_dominance_without_q_tests_q_zero(self, capsys):
+        # the region check and the Loewner test both read q = 0
+        rc = main(["verify", "--theorem", "L5.4", "--p", "0.5", "--force",
+                   "--trials", "2"])
+        captured = capsys.readouterr()
+        assert "internal error" not in captured.err
+        assert rc == 2
+        payload = json.loads(captured.out)
+        assert payload["report"]["verdict"] == "VIOLATED"
+        assert "q" not in payload["config"] and "s" not in payload["config"]
 
 
 class TestConfig:
@@ -291,6 +320,9 @@ class TestSweep:
         assert rows[0][3:6] == ["inconclusive", "nan", "nan"]
         assert all(r[3] != "inconclusive" for r in rows[1:])
 
+    def test_range_grid(self):
+        assert _parse_grid("0:1.5:4") == [0.0, 0.5, 1.0, 1.5]
+
     def test_grid_pattern_and_determinism(self, matfiles, capsys):
         args = ["sweep", "--family", "epstein", "--p-grid", "0.5,1.5",
                 "--s-grid", "1.0", "--trials", "60", "--seed", "5"]
@@ -317,6 +349,22 @@ class TestHunt:
         assert payload["found"] and payload["certificate"] is not None
         capsys.readouterr()
         assert main(["hunt", "--replay", cert_path]) == 0
+
+    def test_violated_verify_certificate_replays_and_a_tampered_one_fails(self, tmp_path,
+                                                                          capsys):
+        out = tmp_path / "verify.json"
+        rc = main(["verify", "--theorem", "T1.1-1", "--p", "0.5", "--q", "0.5",
+                   "--s", "1.5", "--force", "--trials", "30", "--out", str(out)])
+        assert rc == 2
+        cert = json.loads(out.read_text())["report"]["worst_case"]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        capsys.readouterr()
+        assert main(["hunt", "--replay", str(path)]) == 0
+        cert["lhs"] += 1.0
+        path.write_text(json.dumps(cert))
+        assert main(["hunt", "--replay", str(path)]) == 2
+        assert "certificate failed replay" in capsys.readouterr().err
 
     def test_replay_of_a_hunt_without_certificate(self, matfiles, capsys):
         out = f"{matfiles['dir']}/none.json"

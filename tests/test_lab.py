@@ -9,6 +9,7 @@ from tracelab import linalg
 from tracelab.families import FamilySpec, ParameterPoint, eval_family
 from tracelab.lab import (
     CLAIM_REL,
+    _curvature_steps,
     Certificate,
     HuntResult,
     certificate_is_valid,
@@ -62,6 +63,14 @@ class TestMidpointTest:
                                sampler=SamplerConfig(dim=2, seed=102))
         assert report.verdict == "PASS"
         assert report.worst_violation <= 1e-8
+
+    def test_numerical_failure_counts_as_a_failed_trial(self):
+        # logexp needs Phi(I) + Psi(I) = I: with two identity maps every trial fails
+        fam = FamilySpec(family="logexp", phi=identity_map(2), psi=identity_map(2),
+                         norm=TRACE, params=ParameterPoint(1.0, 1.0, 1.0))
+        report = midpoint_test(fam, "concave", trials=5,
+                               sampler=SamplerConfig(dim=2, seed=0))
+        assert (report.failures, report.verdict) == (5, "INCONCLUSIVE")
 
     def test_invalid_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -214,6 +223,27 @@ class TestHuntAndCertificates:
         assert cert is not None
         back = Certificate.from_dict(json.loads(json.dumps(cert.to_dict())))
         assert certificate_is_valid(back)
+
+
+def _curvature_steps_list(k, h):
+    """The list the curvature phase built step by step, kept as the reference
+    of _curvature_steps."""
+    E = h * np.eye(k)
+    steps = [np.zeros(k)]
+    for i in range(k):
+        steps += [E[i], -E[i]]
+    for i, j in zip(*np.triu_indices(k, 1)):
+        steps += [E[i] + E[j], -(E[i] + E[j]), E[i] - E[j], -(E[i] - E[j])]
+    return np.array(steps)
+
+
+@pytest.mark.parametrize("k", [1, 4, 8, 18])
+def test_curvature_steps_equal_the_list(k):
+    h = 1e-4 * (1.0 + 7.3)
+    steps, reference = _curvature_steps(k, h), _curvature_steps_list(k, h)
+    assert steps.shape == (2 * k + 2 * k * (k - 1) + 1, k)
+    assert np.array_equal(steps, reference)
+    assert np.array_equal(np.signbit(steps), np.signbit(reference))
 
 
 class TestLoewnerTests:

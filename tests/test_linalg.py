@@ -232,6 +232,68 @@ class TestSampling:
         assert np.allclose(np.sort(eigs), [1.0, 2.0, 3.0], atol=1e-10)
 
 
+def _vec_to_herm_loops(v, dim):
+    """The entry-by-entry vec_to_herm, kept as its reference."""
+    M = np.zeros((dim, dim), dtype=complex)
+    M[np.diag_indices(dim)] = v[:dim]
+    idx = dim
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            a, b = v[idx], v[idx + 1]
+            M[i, j] = a + 1j * b
+            M[j, i] = a - 1j * b
+            idx += 2
+    return M
+
+
+def _herm_grad_to_vec_loops(K):
+    """The entry-by-entry herm_grad_to_vec, kept as its reference."""
+    dim = K.shape[0]
+    v = np.empty(dim * dim)
+    v[:dim] = np.diagonal(K).real
+    idx = dim
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v[idx] = 2.0 * K[i, j].real
+            v[idx + 1] = 2.0 * K[i, j].imag
+            idx += 2
+    return v
+
+
+def _with_signed_zeros(rng, shape):
+    """Gaussian entries, about a quarter of them +0.0 and a quarter -0.0."""
+    x = rng.normal(size=shape)
+    pick = rng.integers(0, 4, size=shape)
+    x[pick == 0] = 0.0
+    x[pick == 1] = -0.0
+    return x
+
+
+def _bitwise_equal(x, y):
+    parts = lambda z: (z.real, z.imag) if np.iscomplexobj(z) else (z,)
+    return x.dtype == y.dtype and all(
+        np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        for a, b in zip(parts(x), parts(y)))
+
+
+class TestHermitianParametrization:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_vec_to_herm_equals_the_loops(self, dim):
+        rng = rng_for(131, dim)
+        for _ in range(50):
+            v = _with_signed_zeros(rng, dim * dim)
+            assert _bitwise_equal(linalg.vec_to_herm(v, dim), _vec_to_herm_loops(v, dim))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_herm_grad_to_vec_equals_the_loops(self, dim):
+        rng = rng_for(132, dim)
+        for _ in range(50):
+            K = np.empty((dim, dim), dtype=complex)
+            K.real = _with_signed_zeros(rng, (dim, dim))
+            K.imag = _with_signed_zeros(rng, (dim, dim))
+            assert _bitwise_equal(linalg.herm_grad_to_vec(K), _herm_grad_to_vec_loops(K))
+
+
 class TestSerialization:
     def test_json_roundtrip(self):
         P = sample_posdef(SamplerConfig(dim=3, seed=5))

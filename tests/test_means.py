@@ -169,6 +169,19 @@ class TestSpecPlumbing:
         with pytest.raises(ValueError, match="unknown mean kind"):
             MeanSpec(kind="custom")
 
+    @pytest.mark.parametrize("text,spec", [
+        ("geometric", MeanSpec(kind="geometric", t=0.5)),
+        ("geometric:0.25", MeanSpec(kind="geometric", t=0.25)),
+        ("power:-0.5", MeanSpec(kind="power", r=-0.5)),
+        ("harmonic", MeanSpec(kind="harmonic")),
+    ])
+    def test_parse(self, text, spec):
+        assert MeanSpec.parse(text) == spec
+
+    def test_parse_refuses_a_parameter_of_a_kind_without_one(self):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            MeanSpec.parse("arithmetic:1")
+
     def test_power_mean_identities(self):
         A, B = _sample(43, dim=2), _sample(43, 1, dim=2)
         assert np.allclose(eval_mean(MeanSpec(kind="power", r=1.0), A, B).mat,

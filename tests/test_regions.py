@@ -69,6 +69,24 @@ class TestMembership:
         assert region_member("P4.4-1", P(1.5, 0.0, 1.0))
         assert not region_member("P4.4-1", P(0.5, 0.0, 1.0))
 
+    def test_two_variable_necessity_regions(self):
+        assert region_member("P4.1-2", P(0.5, 0.5, 1.0))      # s = 1/(p+q)
+        assert not region_member("P4.1-2", P(0.5, 0.5, 1.1))
+        assert not region_member("P4.1-2", P(0.0, 0.5, 1.0))  # p = 0 excluded
+        assert region_member("P4.1-2", P(-0.5, -0.5, -1.0))
+        assert not region_member("P4.1-2", P(-0.5, -0.5, -1.1))
+        assert not region_member("P4.1-2", P(0.5, -0.5, 1.0))  # mixed signs
+        assert region_member("P4.4-2", P(-0.5, -0.5, 1.0))
+        assert region_member("P4.4-2", P(-0.5, 1.5, 1.0))     # s = 1/(p+q)
+        assert not region_member("P4.4-2", P(-0.5, 1.5, 0.9))
+        assert region_member("P4.4-2", P(1.5, -0.5, 1.0))
+        assert not region_member("P4.4-2", P(0.5, 0.5, 1.0))
+        # (-p, -q, -s) counterparts
+        assert region_member("P4.4-2", P(0.5, 0.5, -1.0))
+        assert region_member("P4.4-2", P(0.5, -1.5, -1.0))
+        assert not region_member("P4.4-2", P(0.5, -1.5, -0.9))
+        assert region_member("P4.4-2", P(-1.5, 0.5, -1.0))
+
     def test_antinorm_norm_family_regions(self):
         assert region_member("T5.1-1", P(0.8, 0.8, 1 / 1.6))
         assert not region_member("T5.1-1", P(1.0, 1.0, 0.75))

@@ -1,0 +1,68 @@
+"""Byte-identity gate: compare the report digests of a revision and the working tree.
+
+Usage, from anywhere inside a checkout:
+
+    python3 tools/digests.py REV
+
+extracts ``src/`` of the git revision REV into a temporary directory and runs
+this checkout's digest printers, ``tests/test_acceptance.py`` (criteria 1-10)
+and ``tests/test_cli.py`` (the pinned CLI runs), once on REV's ``src/`` and
+once on the working tree's; the two sides of each printer run at the same
+time.  It prints the lines of the two sides that differ as a unified diff and
+exits 1 on any difference or failed printer, 0 otherwise.  Nothing is written
+inside the checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PRINTERS = ("tests/test_acceptance.py", "tests/test_cli.py")
+
+
+def extract_src(rev: str, dest: str) -> str:
+    """``src/`` of revision rev, unpacked under dest; returns its path."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return os.path.join(dest, "src")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        srcs = {args.rev: extract_src(args.rev, os.path.join(tmp, "rev")),
+                "working tree": os.path.join(ROOT, "src")}
+        lines = {name: [] for name in srcs}
+        for printer in PRINTERS:
+            procs = {name: subprocess.Popen(
+                [sys.executable, os.path.join(ROOT, printer)], cwd=tmp, text=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+                stdout=subprocess.PIPE) for name, src in srcs.items()}
+            outs = {name: proc.communicate()[0] for name, proc in procs.items()}
+            for name, proc in procs.items():
+                if proc.returncode != 0:
+                    print(f"digests: {printer} failed on {name}", file=sys.stderr)
+                    return 1
+                lines[name] += outs[name].splitlines(keepends=True)
+    diff = list(difflib.unified_diff(*lines.values(), *lines.keys()))
+    if diff:
+        sys.stdout.writelines(diff)
+        return 1
+    print(f"no difference: {len(lines[args.rev])} digest lines agree with {args.rev}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,8 +22,6 @@ from . import __version__
 from .families import FAMILIES, EvaluationError, FamilySpec, ParameterPoint, eval_family
 from .lab import (
     Certificate,
-    HuntResult,
-    TestReport,
     certificate_is_valid,
     hunt_counterexample,
     loewner_midpoint_test,
@@ -194,19 +192,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _resolved_config(args, keys: tuple[str, ...]) -> dict:
-    cfg = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-    cfg["command"] = args.command
-    return cfg
-
-
-def _report_payload(args, keys, report: TestReport) -> dict:
-    return {
-        "config": _resolved_config(args, keys),
-        "version": __version__,
-        "seed": args.seed,
-        "report": json.loads(report.to_json()),
-    }
+def _envelope(args, keys: tuple[str, ...], **body) -> dict:
+    """A run's JSON output: the flags of keys that are set, the subcommand,
+    the version and the seed, then body."""
+    config = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    return {"config": {**config, "command": args.command}, "version": __version__,
+            "seed": args.seed, **body}
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +251,7 @@ def cmd_verify(args) -> int:
         family = _verify_family(args, theorem, dims)
         report = midpoint_test(family, theorem.direction, trials=args.trials,
                                sampler=sampler, label=args.theorem)
-    _emit(_report_payload(args, _VERIFY_KEYS, report), args.out)
+    _emit(_envelope(args, _VERIFY_KEYS, report=json.loads(report.to_json())), args.out)
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -325,18 +316,13 @@ def cmd_hunt(args) -> int:
     dims = _parse_dims(args.dims)
     family = _build_family(args, dims)
     sampler = SamplerConfig(dim=dims[0], seed=args.seed)
-    result: HuntResult = hunt_counterexample(family, args.direction,
-                                             budget=args.budget, sampler=sampler)
-    payload = {
-        "config": _resolved_config(args, _HUNT_KEYS),
-        "version": __version__,
-        "seed": args.seed,
-        "found": result.certificate is not None,
-        "trials_used": result.trials_used,
-        "best_relative_violation": result.best_violation,
-        "certificate": result.certificate.to_dict() if result.certificate else None,
-    }
-    _emit(payload, args.out)
+    result = hunt_counterexample(family, args.direction, budget=args.budget,
+                                 sampler=sampler)
+    _emit(_envelope(args, _HUNT_KEYS, found=result.certificate is not None,
+                    trials_used=result.trials_used,
+                    best_relative_violation=result.best_violation,
+                    certificate=result.certificate.to_dict() if result.certificate else None),
+          args.out)
     return EXIT_VIOLATED if result.certificate is not None else EXIT_PASS
 
 

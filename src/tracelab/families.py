@@ -12,6 +12,7 @@ whose infimum over positive definite B realizes Tr Phi(A^p)^{1/r}.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,14 @@ class EvaluationError(RuntimeError):
     pass
 
 
+def real_field(d: dict, key: str):
+    """d[key] of a JSON payload, refused with TypeError unless it is a number."""
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{key!r} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ParameterPoint:
     p: float
@@ -50,7 +59,7 @@ class ParameterPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParameterPoint":
-        return cls(p=d["p"], q=d["q"], s=d["s"])
+        return cls(p=real_field(d, "p"), q=real_field(d, "q"), s=real_field(d, "s"))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import EvaluationError, FamilySpec, eval_family
+from .families import EvaluationError, FamilySpec, eval_family, real_field
 from .linalg import (
     MatrixError,
     PosDef,
@@ -86,13 +86,13 @@ class Certificate:
             family=FamilySpec.from_dict(d["family"]),
             a1=mat_from_json(d["a1"]),
             a2=mat_from_json(d["a2"]),
-            lam=d["lambda"],
-            lhs=d["lhs"],
-            rhs=d["rhs"],
-            violation=d["violation"],
-            direction=d["direction"],
-            seed=d["seed"],
-            stream=d["stream"],
+            lam=real_field(d, "lambda"),
+            lhs=real_field(d, "lhs"),
+            rhs=real_field(d, "rhs"),
+            violation=real_field(d, "violation"),
+            direction=_checked_direction(d["direction"]),
+            seed=real_field(d, "seed"),
+            stream=real_field(d, "stream"),
             b1=mat_from_json(d["b1"]) if "b1" in d else None,
             b2=mat_from_json(d["b2"]) if "b2" in d else None,
         )
@@ -139,6 +139,12 @@ class HuntResult:
 def _mix(P1: PosDef, P2: PosDef, lam: float) -> PosDef:
     # checked, unlike the other internal sums: perfbench's tracer test needs one here
     return PosDef.from_matrix(lam * P1.mat + (1 - lam) * P2.mat)
+
+
+def _checked_direction(direction: str) -> str:
+    if direction not in ("concave", "convex"):
+        raise ValueError(f"direction must be concave or convex, got {direction!r}")
+    return direction
 
 
 def _signed_violation(direction: str, lhs: float, rhs: float) -> float:
@@ -210,8 +216,7 @@ def midpoint_test(
     label: str | None = None,
 ) -> TestReport:
     """Randomized joint midpoint concavity/convexity test."""
-    if direction not in ("concave", "convex"):
-        raise ValueError(f"direction must be concave or convex, got {direction!r}")
+    _checked_direction(direction)
     worst_rel = -np.inf
     worst_cert: Certificate | None = None
     worst_cert_rel = 0.0
@@ -258,6 +263,7 @@ def segment_test(
     K: np.ndarray | None = None,
 ) -> TestReport:
     """Second-difference scan of x -> F(A + xH, B + xK), 21 points in x <= 1."""
+    _checked_direction(direction)
     steps, x_max = 21, 1.0
 
     def pd_at(x: float) -> tuple[PosDef, PosDef | None]:
@@ -463,6 +469,7 @@ def hunt_counterexample(
     eps/10 before a certificate is emitted.  Once the candidates run out, the
     best near-miss gets one longer climb.
     """
+    _checked_direction(direction)
     best_rel = -np.inf
     trials_used = 0
     near_miss = None  # best sub-threshold candidate for final refinement
@@ -473,10 +480,10 @@ def hunt_counterexample(
         The violation must clear the claim threshold and survive a re-check on
         the inputs regularized by eps * lambda_max, at eps = CERT_EPS and
         CERT_EPS / 10, which guards against conditioning artifacts; a numerical
-        failure in the re-check counts as not stable.
+        failure in the re-check counts as not stable, and so does a NaN.
         """
         viol, lhs, rhs, scale = found
-        if viol <= CLAIM_REL * scale:
+        if not viol > CLAIM_REL * scale:
             return None
         for eps in (CERT_EPS, CERT_EPS / 10):
             reg = lambda P: (PosDef.from_hermitian(P.mat + eps * P.eigs[-1] * np.eye(P.dim))
@@ -486,7 +493,7 @@ def hunt_counterexample(
                                            reg(B1), reg(B2))
             except (EvaluationError, MatrixError):
                 return None
-            if again[0] / again[3] <= 0.5 * CLAIM_REL:
+            if not again[0] / again[3] > 0.5 * CLAIM_REL:
                 return None
         return _make_certificate(family, direction, A1, B1, A2, B2, lam, lhs, rhs,
                                  viol, sampler.seed, stream)
@@ -508,10 +515,9 @@ def hunt_counterexample(
         if rel > best_rel:
             best_rel = rel
             near_miss = (A1, B1, A2, B2, lam, stream)
-        if found[0] > CLAIM_REL * found[3]:
-            cert, rel = climb_and_certify(A1, B1, A2, B2, lam, stream, iters=200)
-        else:  # refused, unless the violation is NaN: then it is re-checked unclimbed
-            cert = certify(A1, B1, A2, B2, lam, found, stream)
+        if not found[0] > CLAIM_REL * found[3]:
+            return None
+        cert, rel = climb_and_certify(A1, B1, A2, B2, lam, stream, iters=200)
         if cert is not None:
             best_rel = max(best_rel, rel)
         return cert
@@ -556,65 +562,55 @@ def certificate_is_valid(cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 # Loewner-order midpoint/dominance tests
 
-def _loewner_excess(small, big) -> tuple[float, float]:
+def _loewner_excess(small: PosDef, big: PosDef) -> float:
     """Relative excess of the claim small <= big in the Loewner order.
 
     Conjugating by big^{-1/2} makes the comparison scale-free and keeps
     violations visible even when they live in the small-eigenvalue subspace:
-    the claim holds iff lambda_max(big^{-1/2} small big^{-1/2}) <= 1.
-    Returns (excess, witness) where excess = lambda_max - 1 (positive means
-    violated) and witness = lambda_min(big - small).
+    the claim holds iff lambda_max(big^{-1/2} small big^{-1/2}) <= 1, so the
+    excess lambda_max - 1 is positive exactly on a violation.
     """
     Rih = big.power(-0.5).mat
     C = hermitize(Rih @ small.mat @ Rih)
-    excess = float(np.linalg.eigvalsh(C)[-1] - 1.0)
-    if excess <= 0.0:
-        return excess, excess  # witness only needed for violations
-    return excess, loewner_leq(small.mat, big.mat)[1]
+    return float(np.linalg.eigvalsh(C)[-1] - 1.0)
+
+
+def _gap(small: PosDef, big: PosDef, inputs: dict[str, PosDef]):
+    """(relative excess, witness, payload) of the claim small <= big.
+
+    The witness is lambda_min(big - small) on a violation (the excess
+    otherwise); the payload holds the named inputs as JSON matrices.
+    """
+    excess = _loewner_excess(small, big)
+    w = excess if excess <= 0.0 else loewner_leq(small.mat, big.mat)[1]
+    return excess, w, {name: mat_to_json(P.mat) for name, P in inputs.items()}
+
+
+def _dominance_gap(p: float, q: float, A: PosDef, B: PosDef):
+    return _gap(power_mean(A, B, p), power_mean(A, B, q), {"a": A, "b": B})
 
 
 def _loewner_gap(expr: str, params: dict, rng, cfg: SamplerConfig):
-    """Returns (relative excess, witness eigenvalue, payload) for one trial.
-
-    The claimed inequality holds iff the excess is non-positive.
-    """
+    """_gap of one trial's claim, on inputs drawn from rng."""
     if expr == "power-mean-dominance":
-        p, q = params["p"], params["q"]
-        A = sample_posdef_rng(rng, cfg.dim)
-        B = sample_posdef_rng(rng, cfg.dim)
-        return _dominance_gap(p, q, A, B)
+        A, B = (sample_posdef_rng(rng, cfg.dim) for _ in range(2))
+        return _dominance_gap(params["p"], params["q"], A, B)
     if expr == "hat-power":
         phi: MapSpec = params["phi"]
         p = params["p"]
-        A = sample_posdef_rng(rng, phi.in_dim)
-        B = sample_posdef_rng(rng, phi.in_dim)
-        return _hat_power_gap(phi, p, A, B)
+        A, B = (sample_posdef_rng(rng, phi.in_dim) for _ in range(2))
+        mid = hat_map(phi, _mix(A, B, 0.5).power(p))
+        avg = PosDef.from_hermitian(0.5 * (hat_map(phi, A.power(p)).mat
+                                           + hat_map(phi, B.power(p)).mat))
+        return _gap(avg, mid, {"a": A, "b": B})
     if expr == "mean-concavity":
         mean: MeanSpec = params["mean"]
         A1, A2, B1, B2 = (sample_posdef_rng(rng, cfg.dim) for _ in range(4))
         mid = eval_mean(mean, _mix(A1, A2, 0.5), _mix(B1, B2, 0.5))
         avg = PosDef.from_hermitian(0.5 * (eval_mean(mean, A1, B1).mat
                                            + eval_mean(mean, A2, B2).mat))
-        excess, w = _loewner_excess(avg, mid)
-        payload = {"a1": mat_to_json(A1.mat), "a2": mat_to_json(A2.mat),
-                   "b1": mat_to_json(B1.mat), "b2": mat_to_json(B2.mat)}
-        return excess, w, payload
+        return _gap(avg, mid, {"a1": A1, "a2": A2, "b1": B1, "b2": B2})
     raise ValueError(f"unknown Loewner expression {expr!r}")
-
-
-def _dominance_gap(p: float, q: float, A: PosDef, B: PosDef):
-    excess, w = _loewner_excess(power_mean(A, B, p), power_mean(A, B, q))
-    payload = {"a": mat_to_json(A.mat), "b": mat_to_json(B.mat)}
-    return excess, w, payload
-
-
-def _hat_power_gap(phi: MapSpec, p: float, A: PosDef, B: PosDef):
-    mid = hat_map(phi, _mix(A, B, 0.5).power(p))
-    avg = PosDef.from_hermitian(0.5 * (hat_map(phi, A.power(p)).mat
-                                       + hat_map(phi, B.power(p)).mat))
-    excess, w = _loewner_excess(avg, mid)
-    payload = {"a": mat_to_json(A.mat), "b": mat_to_json(B.mat)}
-    return excess, w, payload
 
 
 def _nm_dominance_search(p, q, dim, rng):
@@ -623,7 +619,8 @@ def _nm_dominance_search(p, q, dim, rng):
     Violations for nearby exponent pairs need extreme anisotropy that random
     sampling essentially never reaches, so minimize the negated excess over
     A = exp(H1), B = exp(H2) directly.  The bound on the parameter vector
-    guards against overflow in the exponential.
+    guards against overflow in the exponential; a point whose power means
+    are not numerically positive definite scores as one beyond that bound.
     """
     import scipy.optimize
 
@@ -634,8 +631,10 @@ def _nm_dominance_search(p, q, dim, rng):
             return 1.0
         A = matrix_exp_herm(vec_to_herm(v[:k], dim))
         B = matrix_exp_herm(vec_to_herm(v[k:], dim))
-        excess, _ = _loewner_excess(power_mean(A, B, p), power_mean(A, B, q))
-        return -excess
+        try:
+            return -_loewner_excess(power_mean(A, B, p), power_mean(A, B, q))
+        except MatrixError:
+            return 1.0
 
     res = scipy.optimize.minimize(
         objective, rng.normal(0.0, 1.5, 2 * k), method="Nelder-Mead",
@@ -690,7 +689,11 @@ def loewner_midpoint_test(
         for k in range(24):
             stream = (sampler.stream_index + k) ^ 0x0D0A
             A, B = _nm_dominance_search(p, q, sampler.dim, rng_for(sampler.seed, stream))
-            if record(_dominance_gap(p, q, A, B), stream):
+            try:
+                gap = _dominance_gap(p, q, A, B)
+            except MatrixError:
+                continue  # the search ended on a failed point: nothing to record
+            if record(gap, stream):
                 break
 
     return TestReport(
@@ -785,6 +788,7 @@ def sweep(
                                                     verdicts["convex"])
                 row["worst_concave_violation"] = worst["concave"]
                 row["worst_convex_violation"] = worst["convex"]
-                row["failures"] = rc.failures + rv.failures
+                # both tests draw the same streams, so they fail on the same trials
+                row["failures"] = rc.failures
                 result.rows.append(row)
     return result

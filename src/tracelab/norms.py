@@ -91,19 +91,21 @@ def _check_psd_eigs(eigs: np.ndarray) -> np.ndarray:
     return np.clip(eigs, 0.0, None)
 
 
+def _rank_deficient(lam: np.ndarray) -> bool:
+    """Whether the smallest of a sorted spectrum counts as zero."""
+    return lam[0] <= RANK_FLOOR * max(lam[-1], 1.0)
+
+
 def eval_norm_from_eigs(spec: NormSpec, eigs: np.ndarray) -> float:
     """Evaluate the functional from a PSD spectrum (any order)."""
     lam = _check_psd_eigs(eigs)
     n = lam.size
     if spec.k is not None and spec.k > n:
         raise ValueError(f"k = {spec.k} out of range for dimension {n}")
-    lmax = lam[-1]
-    singular = lam[0] <= RANK_FLOOR * max(lmax, 1.0)
-
     if spec.kind == "trace":
         return float(lam.sum())
     if spec.kind == "operator":
-        return float(lmax)
+        return float(lam[-1])
     if spec.kind == "lambda-min":
         return float(lam[0])
     if spec.kind == "kyfan":
@@ -112,16 +114,13 @@ def eval_norm_from_eigs(spec: NormSpec, eigs: np.ndarray) -> float:
         return float(lam[: spec.k].sum())
     if spec.kind == "schatten-quasi":
         return float(np.sum(lam ** spec.p) ** (1.0 / spec.p))
+    if spec.kind in ("neg-schatten", "minkowski") and _rank_deficient(lam):
+        return 0.0
     if spec.kind == "neg-schatten":
-        if singular:
-            return 0.0
         return float(np.sum(lam ** (-spec.p)) ** (-1.0 / spec.p))
     if spec.kind == "minkowski":
-        small = lam[: spec.k]
-        if small[0] <= RANK_FLOOR * max(lmax, 1.0):
-            return 0.0
         # log-sum to avoid product underflow
-        return float(np.exp(np.mean(np.log(small))))
+        return float(np.exp(np.mean(np.log(lam[: spec.k]))))
     raise AssertionError(spec.kind)
 
 
@@ -134,7 +133,7 @@ def derived_antinorm(spec: NormSpec, A: PosDef) -> float:
     if not spec.is_norm:
         raise ValueError(f"derived_antinorm needs a NORM-tagged spec, got {spec.kind!r}")
     lam = _check_psd_eigs(A.eigs)
-    if lam[0] <= RANK_FLOOR * max(lam[-1], 1.0):
+    if _rank_deficient(lam):
         return 0.0
     return 1.0 / eval_norm_from_eigs(spec, 1.0 / lam)
 

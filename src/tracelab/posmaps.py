@@ -182,20 +182,24 @@ def sample_kraus(in_dim: int, out_dim: int, rank: int, seed: int,
                  stream_index: int = 0) -> MapSpec:
     """Random Kraus map, scaled so Phi(I) has unit spectral norm.
 
-    Strictly positive with probability 1; resampled otherwise.
+    Phi(I) = sum_k X_k^* X_k has rank at most rank * in_dim, so a map with
+    out_dim above that is never strictly positive and is refused; any other
+    shape is strictly positive with probability 1.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
+    if out_dim > rank * in_dim:
+        raise ValueError(f"a rank-{rank} map from dimension {in_dim} cannot be strictly "
+                         f"positive on dimension {out_dim}")
     rng = rng_for(seed, stream_index)
     eye = np.eye(in_dim, dtype=complex)
-    for _ in range(100):
-        pieces = np.stack([
-            (rng.standard_normal((in_dim, out_dim))
-             + 1j * rng.standard_normal((in_dim, out_dim))) / np.sqrt(2)
-            for _ in range(rank)
-        ])
-        norm = float(np.linalg.eigvalsh(hermitize(_kraus_sum(pieces, eye)))[-1])
-        spec = kraus_map(pieces / np.sqrt(norm))
-        if spec.strictly_positive:
-            return spec
-    raise RuntimeError("failed to sample a strictly positive Kraus map")
+    pieces = np.stack([
+        (rng.standard_normal((in_dim, out_dim))
+         + 1j * rng.standard_normal((in_dim, out_dim))) / np.sqrt(2)
+        for _ in range(rank)
+    ])
+    norm = float(np.linalg.eigvalsh(hermitize(_kraus_sum(pieces, eye)))[-1])
+    spec = kraus_map(pieces / np.sqrt(norm))
+    if not spec.strictly_positive:
+        raise RuntimeError("sampled Kraus map is not strictly positive")
+    return spec

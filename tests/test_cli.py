@@ -7,7 +7,7 @@ import pytest
 
 from tracelab.cli import _parse_grid, _verify_family, build_parser, main
 from tracelab.linalg import SamplerConfig, mat_to_json, sample_posdef
-from tracelab.posmaps import mat_to_json_rect
+from tracelab.posmaps import identity_map, mat_to_json_rect
 from tracelab.regions import THEOREMS
 
 
@@ -149,6 +149,17 @@ _SWEEP = ["sweep", "--family", "epstein", "--p-grid", "0.5", "--s-grid", "1",
 _PIECE = '{"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}'
 
 
+def _certificate(params=None, **fields) -> str:
+    """A certificate file of epstein(p=1, s=1), that is Tr A, which replays
+    within tolerance, with family.params and other fields changed."""
+    family = {"family": "epstein", "phi": identity_map(2).to_dict(), "norm": {"kind": "trace"},
+              "params": {"p": 1.0, "q": 0.0, "s": 1.0, **(params or {})}}
+    cert = {"family": family, "a1": mat_to_json(np.eye(2, dtype=complex)),
+            "a2": mat_to_json(3 * np.eye(2, dtype=complex)), "lambda": 0.5, "lhs": 4.0,
+            "rhs": 4.0, "violation": 0.0, "direction": "convex", "seed": 0, "stream": 0}
+    return json.dumps({**cert, **fields})
+
+
 class TestBadInput:
     """Bad input exits 4: never 1, nor 2 (the code of a violated claim), nor a
     verdict."""
@@ -179,6 +190,14 @@ class TestBadInput:
                      id="conjugation-list"),
         pytest.param('{"dim": 2}', _ON_REGION + ["--phi", "pinching:{file}"],
                      id="pinching-object"),
+        pytest.param(_certificate(direction="sideways"), ["hunt", "--replay", "{file}"],
+                     id="certificate-unknown-direction"),
+        pytest.param(_certificate(**{"lambda": "0.5"}), ["hunt", "--replay", "{file}"],
+                     id="certificate-string-lambda"),
+        pytest.param(_certificate(lhs="4"), ["hunt", "--replay", "{file}"],
+                     id="certificate-string-lhs"),
+        pytest.param(_certificate(params={"p": "1"}), ["hunt", "--replay", "{file}"],
+                     id="certificate-string-p"),
     ])
     def test_exits_4(self, content, argv, tmp_path, capsys):
         path = tmp_path / "input.json"
@@ -320,6 +339,14 @@ class TestSweep:
         assert rows[0][3:6] == ["inconclusive", "nan", "nan"]
         assert all(r[3] != "inconclusive" for r in rows[1:])
 
+    def test_failed_trials_counted_once(self, capsys):
+        # logexp with two identity maps breaks Phi(I) + Psi(I) = I: every trial fails
+        rc = main(["sweep", "--family", "logexp", "--p-grid", "1", "--q-grid", "1",
+                   "--s-grid", "1", "--trials", "5"])
+        assert rc == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[3:] == ["inconclusive", "-inf", "-inf", "5", "5"]
+
     def test_range_grid(self):
         assert _parse_grid("0:1.5:4") == [0.0, 0.5, 1.0, 1.5]
 
@@ -365,6 +392,12 @@ class TestHunt:
         path.write_text(json.dumps(cert))
         assert main(["hunt", "--replay", str(path)]) == 2
         assert "certificate failed replay" in capsys.readouterr().err
+
+    def test_sound_certificate_file_replays(self, tmp_path, capsys):
+        # the file TestBadInput breaks field by field
+        path = tmp_path / "cert.json"
+        path.write_text(_certificate())
+        assert main(["hunt", "--replay", str(path)]) == 0
 
     def test_replay_of_a_hunt_without_certificate(self, matfiles, capsys):
         out = f"{matfiles['dir']}/none.json"

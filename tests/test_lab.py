@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tracelab import linalg
+from tracelab import lab, linalg
 from tracelab.families import FamilySpec, ParameterPoint, eval_family
 from tracelab.lab import (
     CLAIM_REL,
@@ -76,6 +76,13 @@ class TestMidpointTest:
         with pytest.raises(ValueError):
             midpoint_test(carlen_lieb(1.5), "sideways", trials=1,
                           sampler=SamplerConfig(dim=2, seed=0))
+
+    def test_every_search_rejects_an_invalid_direction(self):
+        with pytest.raises(ValueError):
+            hunt_counterexample(carlen_lieb(1.5), "concav", budget=1,
+                                sampler=SamplerConfig(dim=2, seed=0))
+        with pytest.raises(ValueError):
+            segment_test(epstein(1.0, 1.0), "concav", _sample(0), np.eye(2))
 
 
 class TestSegmentTest:
@@ -213,6 +220,13 @@ class TestHuntAndCertificates:
                                          sampler=SamplerConfig(dim=2, seed=0))
         assert result.certificate is None
 
+    def test_nan_violation_is_not_certified(self):
+        # A^500 overflows, so midpoint violations are inf - inf = NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = hunt_counterexample(epstein(500.0, 0.001), "convex", budget=20,
+                                         sampler=SamplerConfig(dim=2, seed=0))
+        assert result.certificate is None
+
     def test_certificate_serialization_roundtrip(self):
         rng = rng_for(109, 0)
         X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -266,6 +280,12 @@ class TestLoewnerTests:
                                        trials=1000,
                                        sampler=SamplerConfig(dim=2, seed=112))
         assert report.verdict == "PASS"
+
+    def test_simplex_point_without_positive_definite_means_is_a_failed_point(self):
+        # restart k = 9 of verify L5.4 at (1, 2), seed 112, steps onto points
+        # whose power mean is not numerically positive definite
+        A, B = lab._nm_dominance_search(1.0, 2.0, 2, rng_for(112, 9 ^ 0x0D0A))
+        assert A.dim == B.dim == 2
 
     def test_dominance_violated_off_region(self):
         report = loewner_midpoint_test("power-mean-dominance", {"p": 0.3, "q": 1.0},

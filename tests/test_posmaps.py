@@ -127,6 +127,11 @@ class TestHatMap:
 
 
 class TestSampleKraus:
+    def test_shape_that_cannot_be_strictly_positive_is_refused(self):
+        # Phi(I) has rank at most rank * in_dim = 2 < out_dim = 3
+        with pytest.raises(ValueError):
+            sample_kraus(1, 3, rank=2, seed=0)
+
     def test_unit_spectral_norm_on_identity(self):
         spec = sample_kraus(3, 2, rank=2, seed=60)
         out = map_on_identity(spec)

@@ -24,6 +24,7 @@ from .lab import (
     Certificate,
     certificate_is_valid,
     hunt_counterexample,
+    json_number,
     loewner_midpoint_test,
     midpoint_test,
     sweep,
@@ -320,7 +321,7 @@ def cmd_hunt(args) -> int:
                                  sampler=sampler)
     _emit(_envelope(args, _HUNT_KEYS, found=result.certificate is not None,
                     trials_used=result.trials_used,
-                    best_relative_violation=result.best_violation,
+                    best_relative_violation=json_number(result.best_violation),
                     certificate=result.certificate.to_dict() if result.certificate else None),
           args.out)
     return EXIT_VIOLATED if result.certificate is not None else EXIT_PASS
@@ -440,10 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         if (hunting or args.command in ("eval", "verify")) and args.p is None:
             parser.error(f"{args.command} needs --p")
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (MatrixError, EvaluationError, FileNotFoundError,
+    except (CliError, MatrixError, EvaluationError, FileNotFoundError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

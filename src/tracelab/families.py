@@ -140,12 +140,12 @@ def _floored_eigs(M: np.ndarray) -> np.ndarray:
     A genuinely indefinite matrix signals an input bug and aborts.
     """
     w = np.linalg.eigvalsh(hermitize(M))
-    lmax = max(float(w[-1]), 0.0)
-    floor = INNER_FLOOR * max(lmax, 1e-300)
-    if w[0] < -floor:
-        raise EvaluationError(
-            f"inner matrix is indefinite: eigenvalue {w[0]:.3e} below floor {-floor:.3e}"
-        )
+    floor = INNER_FLOOR * np.maximum(w[..., -1:], 1e-300)
+    low = w[..., :1] < -floor
+    if low.any():
+        i = low.argmax()  # the first failing matrix of a stack
+        raise EvaluationError(f"inner matrix is indefinite: eigenvalue "
+                              f"{w[..., 0].flat[i]:.3e} below floor {-floor.flat[i]:.3e}")
     return np.maximum(w, floor)
 
 
@@ -153,8 +153,9 @@ def _map_power(phi: MapSpec, A: PosDef, p: float) -> PosDef:
     return PosDef.from_hermitian(apply_map(phi, matrix_power(A, p).mat))
 
 
-def eval_family(spec: FamilySpec, A: PosDef, B: PosDef | None = None) -> float:
-    """The family's value at (A, B); ``epstein`` reads A only.
+def eval_family(spec: FamilySpec, A: PosDef, B: PosDef | None = None):
+    """The family's value at (A, B); ``epstein`` reads A only.  For stacks A
+    and B of N pairs (see linalg) it is the array of the N values.
 
     Every family but ``logexp`` is the norm of the s-th power of an inner
     spectrum built from S = Phi(A^p) and T = Psi(B^q): S's own (``epstein``),
@@ -196,14 +197,11 @@ def variational_value(phi: MapSpec, p: float, r: float, A: PosDef, B: PosDef) ->
 def _dalecki_krein(w: np.ndarray, V: np.ndarray, C: np.ndarray, g, gprime) -> np.ndarray:
     """Adjoint Frechet derivative: Dg(B)*[C] = V (g^[1] o V*CV) V*."""
     diff = np.subtract.outer(w, w)
-    gw = g(w)
-    num = np.subtract.outer(gw, gw)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = np.where(np.abs(diff) > 1e-10 * max(1.0, np.abs(w).max()),
-                         num / diff, 0.0)
-    deriv = gprime(w)
+    gw, deriv = g(w), gprime(w)
     same = np.abs(diff) <= 1e-10 * max(1.0, np.abs(w).max())
-    gamma = np.where(same, 0.5 * (deriv[:, None] + deriv[None, :]), gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = np.where(same, 0.5 * (deriv[:, None] + deriv[None, :]),
+                         np.subtract.outer(gw, gw) / diff)
     inner = V.conj().T @ C @ V
     return hermitize(V @ (gamma * inner) @ V.conj().T)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import EvaluationError, FamilySpec, eval_family, real_field
+from .families import EvaluationError, FamilySpec, ParameterPoint, eval_family, real_field
 from .linalg import (
     MatrixError,
     PosDef,
@@ -42,6 +42,8 @@ CLAIM_REL = 1e-4
 DEFAULT_LAMBDAS = (0.5, 0.25, 0.9)
 #: input regularization used for certificate stability re-checks
 CERT_EPS = 1e-8
+#: curvature rows per eval_family call: the 2 * 32**2 + 1 rows of n = 4 with B
+CURVATURE_BLOCK = 2049
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ class TestReport:
             "label": self.label,
             "direction": self.direction,
             "trials": self.trials,
-            "worst_violation": self.worst_violation,
+            "worst_violation": json_number(self.worst_violation),
             "verdict": self.verdict,
             "tolerance_used": SLACK_REL,
             "failures": self.failures,
@@ -134,6 +136,11 @@ class HuntResult:
     certificate: Certificate | None
     trials_used: int
     best_violation: float
+
+
+def json_number(x: float) -> float | None:
+    """x as JSON can write it: null when x is not finite (no trial evaluated)."""
+    return x if np.isfinite(x) else None
 
 
 def _mix(P1: PosDef, P2: PosDef, lam: float) -> PosDef:
@@ -266,7 +273,8 @@ def segment_test(
     _checked_direction(direction)
     steps, x_max = 21, 1.0
 
-    def pd_at(x: float) -> tuple[PosDef, PosDef | None]:
+    def pd_at(x: float | np.ndarray) -> tuple[PosDef, PosDef | None]:
+        x = np.asarray(x)[..., None, None]
         Ax = PosDef.from_hermitian(A.mat + x * hermitize(H))
         Bx = PosDef.from_hermitian(B.mat + x * hermitize(K)) if B is not None else None
         return Ax, Bx
@@ -280,12 +288,7 @@ def segment_test(
     else:
         raise EvaluationError("no positive definite range along the segment")
 
-    xs = np.linspace(0.0, x_max, steps)
-    vals = []
-    for x in xs:
-        Ax, Bx = pd_at(float(x))
-        vals.append(eval_family(family, Ax, Bx))
-    vals = np.asarray(vals)
+    vals = eval_family(family, *pd_at(np.linspace(0.0, x_max, steps)))
     d2 = vals[:-2] - 2 * vals[1:-1] + vals[2:]
     scale = max(1.0, float(np.abs(vals).max()))
     # concave claim: second differences <= 0
@@ -311,8 +314,7 @@ def _structured_candidates(family: FamilySpec):
         d1 = PosDef.from_hermitian(np.diag([1.0] * half + [eps] * half).astype(complex))
         d2 = PosDef.from_hermitian(np.diag([eps] * half + [1.0] * half).astype(complex))
         if family.two_variable:
-            m = family.psi.in_dim
-            if m != n:
+            if family.psi.in_dim != n:
                 continue
             yield d1, d1, d2, d2
             yield d1, d2, d2, d1
@@ -320,10 +322,10 @@ def _structured_candidates(family: FamilySpec):
             yield d1, None, d2, None
 
 
-def _hill_climb(family, direction, A1, B1, A2, B2, lam, rng, iters):
-    """Local refinement: perturb inputs and weight to amplify the violation."""
-    best = midpoint_violation(family, direction, A1, A2, lam, B1, B2)
-    state = [A1, B1, A2, B2]
+def _hill_climb(family, direction, state, f, lam, best, rng, iters):
+    """Local refinement: perturb inputs and weight to amplify the violation.
+    f and best are the values at state = (A1, B1, A2, B2) and lam (f of each pair,
+    then midpoint_violation); a step re-evaluates the pair whose input it moved."""
     step = 0.3
     for _ in range(iters):
         idx = int(rng.integers(0, 4))
@@ -336,22 +338,24 @@ def _hill_climb(family, direction, A1, B1, A2, B2, lam, rng, iters):
         except MatrixError:
             step *= 0.9
             continue
-        trial_state = list(state)
+        trial_state, trial_f = list(state), list(f)
         trial_state[idx] = P2
         lam2 = float(np.clip(lam + step * rng.normal(0, 0.1), 0.02, 0.98))
+        pair = idx // 2
         try:
+            trial_f[pair] = eval_family(family, *trial_state[2 * pair:2 * pair + 2])
             cand = midpoint_violation(
                 family, direction, trial_state[0], trial_state[2], lam2,
-                trial_state[1], trial_state[3],
+                trial_state[1], trial_state[3], *trial_f,
             )
         except (EvaluationError, MatrixError):
             step *= 0.9
             continue
         if cand[0] / cand[3] > best[0] / best[3]:
-            state, lam, best = trial_state, lam2, cand
+            state, f, lam, best = trial_state, trial_f, lam2, cand
         else:
             step *= 0.97
-    return state[0], state[1], state[2], state[3], lam, best
+    return state, lam, best
 
 
 def _curvature_steps(k: int, h: float) -> np.ndarray:
@@ -379,17 +383,18 @@ def _curvature_direction(family, direction, rng):
     nparams = k1 + (B0.dim * B0.dim if B0 is not None else 0)
     h = 1e-4 * (1.0 + float(A0.eigs[-1]))
 
-    def value(v):
-        A = PosDef.from_hermitian(A0.mat + vec_to_herm(v[:k1], n1))
+    def value(rows):
+        A = PosDef.from_hermitian(A0.mat + vec_to_herm(rows[:, :k1], n1))
         B = None
         if B0 is not None:
-            B = PosDef.from_hermitian(B0.mat + vec_to_herm(v[k1:], B0.dim))
+            B = PosDef.from_hermitian(B0.mat + vec_to_herm(rows[:, k1:], B0.dim))
         return eval_family(family, A, B)
 
     upper = np.triu_indices(nparams, 1)
     steps = _curvature_steps(nparams, h)
     try:
-        f = np.array([value(v) for v in steps])
+        f = np.concatenate([value(steps[i:i + CURVATURE_BLOCK])
+                            for i in range(0, len(steps), CURVATURE_BLOCK)])
     except (EvaluationError, MatrixError):
         return None
     fp, fm = f[1:2 * nparams + 1:2], f[2:2 * nparams + 1:2]
@@ -474,17 +479,21 @@ def hunt_counterexample(
     trials_used = 0
     near_miss = None  # best sub-threshold candidate for final refinement
 
-    def certify(A1, B1, A2, B2, lam, found, stream) -> Certificate | None:
-        """Certificate for found = (violation, lhs, rhs, scale) at these inputs.
+    def climb_and_certify(inputs, f, lam, found, stream, iters):
+        """Hill-climbs from a candidate on stream ^ 0x5EED and certifies where the
+        climb ends.  Returns (certificate or None, relative violation there).
 
         The violation must clear the claim threshold and survive a re-check on
         the inputs regularized by eps * lambda_max, at eps = CERT_EPS and
         CERT_EPS / 10, which guards against conditioning artifacts; a numerical
         failure in the re-check counts as not stable, and so does a NaN.
         """
-        viol, lhs, rhs, scale = found
+        rng = rng_for(sampler.seed, stream ^ 0x5EED)
+        (A1, B1, A2, B2), lam, (viol, lhs, rhs, scale) = _hill_climb(
+            family, direction, inputs, f, lam, found, rng, iters)
+        rel = viol / scale
         if not viol > CLAIM_REL * scale:
-            return None
+            return None, rel
         for eps in (CERT_EPS, CERT_EPS / 10):
             reg = lambda P: (PosDef.from_hermitian(P.mat + eps * P.eigs[-1] * np.eye(P.dim))
                              if P is not None else None)
@@ -492,47 +501,37 @@ def hunt_counterexample(
                 again = midpoint_violation(family, direction, reg(A1), reg(A2), lam,
                                            reg(B1), reg(B2))
             except (EvaluationError, MatrixError):
-                return None
+                return None, rel
             if not again[0] / again[3] > 0.5 * CLAIM_REL:
-                return None
+                return None, rel
         return _make_certificate(family, direction, A1, B1, A2, B2, lam, lhs, rhs,
-                                 viol, sampler.seed, stream)
-
-    def climb_and_certify(A1, B1, A2, B2, lam, stream, iters):
-        """Hill-climbs from a candidate on stream ^ 0x5EED and certifies where
-        the climb ends.  Returns (certificate or None, relative violation there)."""
-        rng = rng_for(sampler.seed, stream ^ 0x5EED)
-        *climbed, found = _hill_climb(family, direction, A1, B1, A2, B2, lam, rng, iters)
-        return certify(*climbed, found, stream), found[0] / found[3]
-
-    def consider(A1, B1, A2, B2, lam, stream) -> Certificate | None:
-        nonlocal best_rel, near_miss
-        try:
-            found = midpoint_violation(family, direction, A1, A2, lam, B1, B2)
-        except (EvaluationError, MatrixError):
-            return None
-        rel = found[0] / found[3]
-        if rel > best_rel:
-            best_rel = rel
-            near_miss = (A1, B1, A2, B2, lam, stream)
-        if not found[0] > CLAIM_REL * found[3]:
-            return None
-        cert, rel = climb_and_certify(A1, B1, A2, B2, lam, stream, iters=200)
-        if cert is not None:
-            best_rel = max(best_rel, rel)
-        return cert
+                                 viol, sampler.seed, stream), rel
 
     for charge, inputs, lams, stream in _candidates(family, direction, budget, sampler):
         trials_used += charge
+        if inputs is None:
+            continue  # the charge of a curvature base point
+        A1, B1, A2, B2 = inputs
+        try:  # the endpoint values, once for all the candidate's weights
+            f = eval_family(family, A1, B1), eval_family(family, A2, B2)
+        except (EvaluationError, MatrixError):
+            continue
         for lam in lams:
-            if (cert := consider(*inputs, lam, stream)) is not None:
-                return HuntResult(cert, trials_used, best_rel)
+            try:
+                found = midpoint_violation(family, direction, A1, A2, lam, B1, B2, *f)
+            except (EvaluationError, MatrixError):
+                continue
+            rel = found[0] / found[3]
+            if rel > best_rel:
+                best_rel, near_miss = rel, (inputs, f, lam, found, stream)
+            if found[0] > CLAIM_REL * found[3]:
+                cert, rel = climb_and_certify(inputs, f, lam, found, stream, iters=200)
+                if cert is not None:
+                    return HuntResult(cert, trials_used, max(best_rel, rel))
 
     if near_miss is not None:
         cert, rel = climb_and_certify(*near_miss, iters=400)
-        best_rel = max(best_rel, rel)
-        if cert is not None:
-            return HuntResult(cert, trials_used, best_rel)
+        return HuntResult(cert, trials_used, max(best_rel, rel))
     return HuntResult(None, trials_used, best_rel)
 
 
@@ -752,8 +751,6 @@ def sweep(
     trials_per_cell: int,
     sampler: SamplerConfig,
 ) -> SweepResult:
-    from .families import ParameterPoint
-
     result = SweepResult()
     for p in p_grid:
         for q in q_grid:

@@ -4,10 +4,13 @@ All matrices are dense complex numpy arrays at desk scale (dim <= ~64).
 Every matrix produced by arithmetic is passed through :func:`hermitize`
 before decomposition to suppress floating-point drift.
 
-Hermiticity is checked only on matrices from outside the program, by
-check_hermitian, spectral_decompose and PosDef.from_matrix.  The means, families
-and lab build with PosDef.from_hermitian, PosDef.from_spectrum and
-matrix_exp_herm, which do not check, from matrices that are Hermitian.
+Shape rule: a matrix is (n, n), or (..., n, n) for a stack evaluated in one
+call; the spectral calculus here, the maps, means, norms and families take
+either, and a stack fails as its failing matrix would alone.  Hermiticity is
+checked only on one (n, n) matrix from outside the program, by check_hermitian,
+spectral_decompose and PosDef.from_matrix.  The means, families and lab build
+with PosDef.from_hermitian, PosDef.from_spectrum and matrix_exp_herm, which do
+not check, from matrices that are Hermitian.
 
 A Hermitian n x n matrix is parametrized by a real vector of length n*n: the
 n diagonal entries, then the real and imaginary parts of each entry above the
@@ -48,7 +51,7 @@ class DimensionMismatchError(MatrixError):
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian part (M + M*) / 2."""
     M = np.asarray(M, dtype=complex)
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def check_hermitian(M: np.ndarray) -> np.ndarray:
@@ -90,7 +93,11 @@ class PosDef:
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
+
+    @property
+    def shape(self) -> tuple:
+        return self.mat.shape
 
     @classmethod
     def from_matrix(cls, M: np.ndarray) -> "PosDef":
@@ -102,23 +109,26 @@ class PosDef:
         """The Hermitian part of M, decomposed; M's asymmetry is not checked."""
         H = hermitize(M)
         w, V = np.linalg.eigh(H)
-        if w[0] <= 0:
+        low = np.fmin.reduce(w[..., 0], axis=None)  # over a stack, NaN rows ignored
+        if low <= 0:
             raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e}"
+                f"matrix is not positive definite: smallest eigenvalue {low:.3e}"
             )
         return cls(mat=H, eigs=w, vecs=V)
 
     @classmethod
     def from_spectrum(cls, eigs: np.ndarray, vecs: np.ndarray) -> "PosDef":
         eigs = np.asarray(eigs, dtype=float)
-        if np.any(eigs <= 0):
+        if (eigs <= 0).any():
             raise NotPositiveDefiniteError(
                 f"spectrum contains a non-positive value: {eigs.min():.3e}"
             )
-        order = np.argsort(eigs)
-        eigs = eigs[order]
-        vecs = np.asarray(vecs, dtype=complex)[:, order]
-        mat = hermitize((vecs * eigs) @ vecs.conj().T)
+        vecs = np.asarray(vecs, dtype=complex)
+        # a strictly ascending spectrum is its own argsort: nothing to reorder
+        if not (eigs[..., 1:] > eigs[..., :-1]).all():
+            vecs = np.take_along_axis(vecs, eigs.argsort(axis=-1)[..., None, :], axis=-1)
+            eigs = np.sort(eigs, axis=-1)
+        mat = hermitize((vecs * eigs[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
         return cls(mat=mat, eigs=eigs, vecs=vecs)
 
     def power(self, t: float) -> "PosDef":
@@ -131,8 +141,8 @@ class PosDef:
 def matrix_power(P: PosDef, t: float) -> PosDef:
     """Spectral real power; t = 0 yields the identity (A^0 := I on PD)."""
     if t == 0:
-        eye = np.eye(P.dim)
-        return PosDef(mat=eye.astype(complex), eigs=np.ones(P.dim), vecs=eye.astype(complex))
+        eye = np.broadcast_to(np.eye(P.dim, dtype=complex), P.shape)
+        return PosDef(mat=eye, eigs=np.ones(P.eigs.shape), vecs=eye)
     if t == 1:
         return P
     return PosDef.from_spectrum(P.eigs**t, P.vecs)
@@ -140,11 +150,11 @@ def matrix_power(P: PosDef, t: float) -> PosDef:
 
 def matrix_function(P: PosDef, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to P through its spectrum; returns Hermitian."""
-    w = np.asarray(f(P.eigs), dtype=float)
+    w = np.broadcast_to(np.asarray(f(P.eigs), dtype=float), P.eigs.shape)
     if not np.all(np.isfinite(w)):
         bad = P.eigs[~np.isfinite(w)][0]
         raise MatrixError(f"scalar function is not finite at eigenvalue {bad!r}")
-    return hermitize((P.vecs * w) @ P.vecs.conj().T)
+    return hermitize((P.vecs * w[..., None, :]) @ P.vecs.conj().swapaxes(-1, -2))
 
 
 def matrix_log(P: PosDef) -> np.ndarray:
@@ -176,12 +186,12 @@ def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def vec_to_herm(v: np.ndarray, dim: int) -> np.ndarray:
     """The Hermitian matrix of the real parameter vector v (length dim*dim)."""
-    M = np.zeros((dim, dim), dtype=complex)
-    M[np.diag_indices(dim)] = v[:dim]
+    M = np.zeros((*v.shape[:-1], dim, dim), dtype=complex)
+    M[(..., *np.diag_indices(dim))] = v[..., :dim]
     i, j = _upper_indices(dim)
-    re, im = v[dim::2], v[dim + 1::2]
-    M[i, j] = re + 1j * im
-    M[j, i] = re - 1j * im
+    re, im = v[..., dim::2], v[..., dim + 1::2]
+    M[..., i, j] = re + 1j * im
+    M[..., j, i] = re - 1j * im
     return M
 
 
@@ -212,9 +222,6 @@ class SamplerConfig:
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
 
-    def rng(self) -> np.random.Generator:
-        return rng_for(self.seed, self.stream_index)
-
 
 def rng_for(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_index,)))
@@ -240,7 +247,7 @@ def sample_posdef_rng(rng: np.random.Generator, dim: int) -> PosDef:
 
 
 def sample_posdef(cfg: SamplerConfig) -> PosDef:
-    return sample_posdef_rng(cfg.rng(), cfg.dim)
+    return sample_posdef_rng(rng_for(cfg.seed, cfg.stream_index), cfg.dim)
 
 
 def sample_hermitian_rng(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

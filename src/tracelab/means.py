@@ -13,7 +13,6 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
-    DimensionMismatchError,
     PosDef,
     matrix_log,
     matrix_exp_herm,
@@ -103,8 +102,6 @@ class MeanSpec:
 
 
 def eval_mean(spec: MeanSpec, A: PosDef, B: PosDef) -> PosDef:
-    if A.dim != B.dim:
-        raise DimensionMismatchError(f"dimension mismatch {A.dim} vs {B.dim}")
     if spec.modifier == "transposed":
         A, B = B, A
     adjoint = spec.modifier == "adjoint"
@@ -117,15 +114,13 @@ def eval_mean(spec: MeanSpec, A: PosDef, B: PosDef) -> PosDef:
         Ah = matrix_power(A, 0.5)
         Aih = matrix_power(A, -0.5)
         W = PosDef.from_hermitian(Aih.mat @ B.mat @ Aih.mat)
-        fW = (W.vecs * np.asarray(f(W.eigs), dtype=float)) @ W.vecs.conj().T
+        fW = (W.vecs * f(W.eigs)[..., None, :]) @ W.vecs.conj().swapaxes(-1, -2)
         M = PosDef.from_hermitian(Ah.mat @ fW @ Ah.mat)
     return M.inv() if adjoint else M
 
 
 def power_mean(A: PosDef, B: PosDef, p: float) -> PosDef:
     """The matrix power mean ((A^p + B^p)/2)^{1/p}; p = 0 is the log-exp limit."""
-    if A.dim != B.dim:
-        raise DimensionMismatchError(f"dimension mismatch {A.dim} vs {B.dim}")
     if p == 0:
         return matrix_exp_herm(0.5 * (matrix_log(A) + matrix_log(B)))
     M = PosDef.from_hermitian(0.5 * (matrix_power(A, p).mat + matrix_power(B, p).mat))

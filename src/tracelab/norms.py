@@ -48,10 +48,6 @@ class NormSpec:
             if self.p is None or self.p <= 0:
                 raise ValueError(f"neg-schatten requires p > 0, got {self.p}")
 
-    @property
-    def is_norm(self) -> bool:
-        return self.kind in NORM_KINDS
-
     def label(self) -> str:
         if self.k is not None:
             return f"{self.kind}:{self.k}"
@@ -84,44 +80,53 @@ class NormSpec:
 
 def _check_psd_eigs(eigs: np.ndarray) -> np.ndarray:
     """Clip tiny negatives (numerical PSD) to zero; reject genuine negatives."""
-    eigs = np.sort(np.asarray(eigs, dtype=float))
-    scale = max(1.0, float(np.abs(eigs).max()) if eigs.size else 1.0)
-    if eigs[0] < -1e-10 * scale:
-        raise ValueError(f"input is not PSD: smallest eigenvalue {eigs[0]:.3e}")
+    eigs = np.sort(np.asarray(eigs, dtype=float), axis=-1)
+    scale = np.fmax(1.0, np.abs(eigs).max(axis=-1, keepdims=True))
+    if (eigs[..., :1] < -1e-10 * scale).any():
+        raise ValueError(f"input is not PSD: smallest eigenvalue {eigs[..., 0].min():.3e}")
     return np.clip(eigs, 0.0, None)
 
 
-def _rank_deficient(lam: np.ndarray) -> bool:
+def _rank_deficient(lam: np.ndarray) -> np.ndarray:
     """Whether the smallest of a sorted spectrum counts as zero."""
-    return lam[0] <= RANK_FLOOR * max(lam[-1], 1.0)
+    return lam[..., 0] <= RANK_FLOOR * np.maximum(lam[..., -1], 1.0)
 
 
-def eval_norm_from_eigs(spec: NormSpec, eigs: np.ndarray) -> float:
-    """Evaluate the functional from a PSD spectrum (any order)."""
+#: x ** e entry by entry with the C library's pow, as on numpy scalars; the
+#: vectorized power ufunc differs from it in the last bit
+_pow = np.vectorize(pow, otypes=[float])
+
+
+def eval_norm_from_eigs(spec: NormSpec, eigs: np.ndarray):
+    """Evaluate the functional from a PSD spectrum (any order): a float for a
+    spectrum (n,), an array of shape (...) for a stack (..., n)."""
     lam = _check_psd_eigs(eigs)
-    n = lam.size
+    n = lam.shape[-1]
     if spec.k is not None and spec.k > n:
         raise ValueError(f"k = {spec.k} out of range for dimension {n}")
     if spec.kind == "trace":
-        return float(lam.sum())
-    if spec.kind == "operator":
-        return float(lam[-1])
-    if spec.kind == "lambda-min":
-        return float(lam[0])
-    if spec.kind == "kyfan":
-        return float(lam[n - spec.k :].sum())
-    if spec.kind == "kyfan-anti":
-        return float(lam[: spec.k].sum())
-    if spec.kind == "schatten-quasi":
-        return float(np.sum(lam ** spec.p) ** (1.0 / spec.p))
-    if spec.kind in ("neg-schatten", "minkowski") and _rank_deficient(lam):
-        return 0.0
-    if spec.kind == "neg-schatten":
-        return float(np.sum(lam ** (-spec.p)) ** (-1.0 / spec.p))
-    if spec.kind == "minkowski":
-        # log-sum to avoid product underflow
-        return float(np.exp(np.mean(np.log(lam[: spec.k]))))
-    raise AssertionError(spec.kind)
+        value = lam.sum(axis=-1)
+    elif spec.kind == "operator":
+        value = lam[..., -1]
+    elif spec.kind == "lambda-min":
+        value = lam[..., 0]
+    elif spec.kind == "kyfan":
+        value = lam[..., n - spec.k :].sum(axis=-1)
+    elif spec.kind == "kyfan-anti":
+        value = lam[..., : spec.k].sum(axis=-1)
+    elif spec.kind == "schatten-quasi":
+        value = _pow(np.sum(lam ** spec.p, axis=-1), 1.0 / spec.p)
+    else:
+        # neg-schatten and minkowski are 0 on a rank-deficient spectrum, whose
+        # eigenvalues are set to 1 so that no 0^-p or log 0 is taken
+        full = ~_rank_deficient(lam)
+        lam = np.where(full[..., None], lam, 1.0)
+        if spec.kind == "neg-schatten":
+            value = _pow(np.sum(lam ** (-spec.p), axis=-1), -1.0 / spec.p)
+        else:  # minkowski, as a log-sum to avoid product underflow
+            value = np.exp(np.mean(np.log(lam[..., : spec.k]), axis=-1))
+        value = np.where(full, value, 0.0)
+    return float(value) if value.ndim == 0 else value
 
 
 def eval_norm(spec: NormSpec, A: PosDef) -> float:
@@ -130,7 +135,7 @@ def eval_norm(spec: NormSpec, A: PosDef) -> float:
 
 def derived_antinorm(spec: NormSpec, A: PosDef) -> float:
     """The anti-norm ||A^{-1}||^{-1} derived from a symmetric norm."""
-    if not spec.is_norm:
+    if spec.kind not in NORM_KINDS:
         raise ValueError(f"derived_antinorm needs a NORM-tagged spec, got {spec.kind!r}")
     lam = _check_psd_eigs(A.eigs)
     if _rank_deficient(lam):

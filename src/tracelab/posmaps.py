@@ -34,7 +34,7 @@ HAT_FLOOR = 1e-13
 
 def _kraus_sum(kraus: np.ndarray, src: np.ndarray) -> np.ndarray:
     """sum_k X_k* src X_k over a stack of Kraus pieces of shape (r, n, m)."""
-    return (kraus.conj().transpose(0, 2, 1) @ src @ kraus).sum(axis=0)
+    return (kraus.conj().transpose(0, 2, 1) @ src[..., None, :, :] @ kraus).sum(axis=-3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,11 +152,11 @@ def transpose_then_kraus(pieces) -> MapSpec:
 
 def apply_map(spec: MapSpec, A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
-    if A.shape != (spec.in_dim, spec.in_dim):
+    if A.shape[-2:] != (spec.in_dim, spec.in_dim):
         raise DimensionMismatchError(
             f"input shape {A.shape} does not match map in_dim {spec.in_dim}"
         )
-    return _kraus_sum(spec.kraus, A.T if spec.transpose else A)
+    return _kraus_sum(spec.kraus, A.swapaxes(-1, -2) if spec.transpose else A)
 
 
 def map_on_identity(spec: MapSpec) -> np.ndarray:
@@ -171,9 +171,9 @@ def hat_map(spec: MapSpec, A: PosDef) -> PosDef:
     """The nonlinear transform Phi(A^{-1})^{-1} on positive definite inputs."""
     img = hermitize(apply_map(spec, A.inv().mat))
     w, V = np.linalg.eigh(img)
-    if w[0] <= HAT_FLOOR * max(w[-1], 1.0):
+    if (w[..., :1] <= HAT_FLOOR * np.maximum(w[..., -1:], 1.0)).any():
         raise MatrixError(
-            f"hat-map image is numerically singular: eigenvalue {w[0]:.3e}"
+            f"hat-map image is numerically singular: eigenvalue {w[..., 0].min():.3e}"
         )
     return PosDef.from_spectrum(1.0 / w, V)
 

@@ -419,6 +419,23 @@ class TestHunt:
         assert not payload["found"]
         assert payload["best_relative_violation"] <= 1e-8
 
+    def test_nothing_evaluated_writes_valid_json(self, capsys):
+        # A^500 overflows, so no hunt candidate and no verify trial evaluates;
+        # the missing value is null, not -Infinity, which JSON does not have
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["hunt", "--family", "epstein", "--p", "500", "--s", "0.001",
+                         "--direction", "convex", "--budget", "20", "--seed", "0"]) == 0
+            hunt = json.loads(capsys.readouterr().out, parse_constant=refuse)
+            assert main(["verify", "--theorem", "T3.1-1", "--p", "500", "--s", "0.001",
+                         "--force", "--trials", "3"]) == 3
+            verify = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert hunt["best_relative_violation"] is None and not hunt["found"]
+        assert verify["report"]["worst_violation"] is None
+        assert verify["report"]["failures"] == 3
+
 
 class TestRegions:
     def test_listing_and_membership(self, capsys):

@@ -10,10 +10,23 @@ from tracelab.families import (
     variational_min,
     variational_value,
 )
-from tracelab.linalg import PosDef, SamplerConfig, rng_for, sample_posdef
+from tracelab.linalg import (
+    NotPositiveDefiniteError,
+    PosDef,
+    SamplerConfig,
+    rng_for,
+    sample_posdef,
+)
 from tracelab.means import MeanSpec
 from tracelab.norms import NormSpec
-from tracelab.posmaps import apply_map, conjugation, identity_map, sample_kraus
+from tracelab.posmaps import (
+    apply_map,
+    conjugation,
+    identity_map,
+    pinching,
+    sample_kraus,
+    transpose_then_kraus,
+)
 
 
 def _sample(seed, stream=0, dim=2):
@@ -219,6 +232,78 @@ class TestEigenvalueDomination:
             lhs = np.linalg.eigvalsh(lhs_core)[::-1] ** s
             rhs = np.linalg.eigvalsh(rhs_core)[::-1] ** s
             assert np.all(lhs >= rhs * (1 - 1e-9)), stream
+
+
+def _stack_case(name, n):
+    """The family of one stacked-evaluation case at dimension n."""
+    kraus = sample_kraus(n, n, rank=2, seed=91)
+    proj = np.diag([1.0] + [0.0] * (n - 1))
+    rng = rng_for(91, n)
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2 * np.eye(n)
+    maps = {"kraus": kraus, "transpose-kraus": transpose_then_kraus(kraus.kraus),
+            "pinching": pinching([proj, np.eye(n) - proj]), "conjugation": conjugation(X)}
+    means = {"sum": MeanSpec("sum"), "arithmetic": MeanSpec("arithmetic"),
+             "harmonic": MeanSpec("harmonic"), "geometric": MeanSpec("geometric", t=0.3),
+             "power": MeanSpec("power", r=-0.4),
+             "transposed": MeanSpec("power", r=0.6, modifier="transposed"),
+             "adjoint": MeanSpec("geometric", t=0.7, modifier="adjoint")}
+    norms = {"trace": NormSpec("trace"), "operator": NormSpec("operator"),
+             "kyfan": NormSpec("kyfan", k=2), "kyfan-anti": NormSpec("kyfan-anti", k=2),
+             "lambda-min": NormSpec("lambda-min"),
+             "schatten-quasi": NormSpec("schatten-quasi", p=0.3),
+             "neg-schatten": NormSpec("neg-schatten", p=0.7),
+             "minkowski": NormSpec("minkowski", k=2)}
+    kind, what = name.split(":")
+    point = ParameterPoint(0.7, 1.3, 0.8)
+    if kind == "map":
+        return FamilySpec("lieb", maps[what], TRACE, point, psi=kraus)
+    if kind == "zero-power":  # A^0 = I, a constant stack
+        return FamilySpec("lieb", maps[what], TRACE, ParameterPoint(0.0, 1.3, 0.8), psi=kraus)
+    if kind == "epstein":
+        return FamilySpec("epstein", maps[what], TRACE, ParameterPoint(-0.6, 0.0, 1.7))
+    if kind == "mean":
+        return FamilySpec("mean", maps["pinching"], TRACE, point, psi=identity_map(n),
+                          mean=means[what])
+    if kind == "norm":
+        return FamilySpec("lieb", identity_map(n), norms[what], point, psi=maps["conjugation"])
+    half = conjugation(np.sqrt(0.5) * np.eye(n, dtype=complex))
+    return FamilySpec("logexp", half, norms[what], ParameterPoint(1.0, 1.0, 1.0), psi=half)
+
+
+_STACK_CASES = (["map:kraus", "map:transpose-kraus", "map:pinching", "map:conjugation",
+                 "zero-power:kraus", "epstein:conjugation", "epstein:transpose-kraus",
+                 "logexp:trace", "logexp:operator"]
+                + [f"mean:{m}" for m in ("sum", "arithmetic", "harmonic", "geometric",
+                                         "power", "transposed", "adjoint")]
+                + [f"norm:{k}" for k in ("trace", "operator", "kyfan", "kyfan-anti",
+                                         "lambda-min", "schatten-quasi", "neg-schatten",
+                                         "minkowski")])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", _STACK_CASES)
+def test_a_stack_evaluates_as_its_pairs_one_by_one(case, n):
+    fam = _stack_case(case, n)
+    pairs = [(_sample(92, 2 * k, dim=n).mat, _sample(92, 2 * k + 1, dim=n).mat)
+             for k in range(40)]
+    one_by_one = np.array([eval_family(fam, PosDef.from_hermitian(a),
+                                       PosDef.from_hermitian(b)) for a, b in pairs])
+    stacked = eval_family(fam, *(PosDef.from_hermitian(np.stack(m)) for m in zip(*pairs)))
+    assert stacked.shape == (40,)
+    assert np.array_equal(stacked, one_by_one)
+
+
+def test_a_stack_fails_with_the_error_of_its_failing_matrix():
+    mats = np.stack([_sample(93, k).mat for k in range(5)])
+    mats[3] -= 20.0 * np.eye(2)  # sampled eigenvalues are at most 10
+    for bad in (mats[3], mats):
+        with pytest.raises(NotPositiveDefiniteError):
+            PosDef.from_hermitian(bad)
+    eigs = np.exp(rng_for(93, 9).normal(size=(5, 2)))
+    eigs[2, 1] = 0.0
+    for bad in (eigs[2], eigs):
+        with pytest.raises(NotPositiveDefiniteError):
+            PosDef.from_spectrum(bad, np.broadcast_to(np.eye(2), bad.shape + (2,)))
 
 
 class TestVariational:

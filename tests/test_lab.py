@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tracelab import lab, linalg
-from tracelab.families import FamilySpec, ParameterPoint, eval_family
+from tracelab.families import EvaluationError, FamilySpec, ParameterPoint, eval_family
 from tracelab.lab import (
     CLAIM_REL,
     _curvature_steps,
@@ -21,10 +21,20 @@ from tracelab.lab import (
     segment_test,
     sweep,
 )
-from tracelab.linalg import PosDef, SamplerConfig, rng_for, sample_posdef
+from tracelab.linalg import (
+    MatrixError,
+    PosDef,
+    SamplerConfig,
+    hermitize,
+    rng_for,
+    sample_hermitian_rng,
+    sample_posdef,
+    sample_posdef_rng,
+    vec_to_herm,
+)
 from tracelab.means import MeanSpec
 from tracelab.norms import NormSpec
-from tracelab.posmaps import conjugation, identity_map, sample_kraus
+from tracelab.posmaps import conjugation, identity_map, sample_kraus, transpose_then_kraus
 
 TRACE = NormSpec(kind="trace")
 
@@ -258,6 +268,181 @@ def test_curvature_steps_equal_the_list(k):
     assert steps.shape == (2 * k + 2 * k * (k - 1) + 1, k)
     assert np.array_equal(steps, reference)
     assert np.array_equal(np.signbit(steps), np.signbit(reference))
+
+
+def _curvature_direction_loop(family, direction, rng):
+    """The curvature search as it was with one eval_family call per row, kept
+    as the reference of _curvature_direction."""
+    A0, B0, _, _ = lab._sample_inputs(family, rng)
+    n1 = A0.dim
+    k1 = n1 * n1
+    nparams = k1 + (B0.dim * B0.dim if B0 is not None else 0)
+    h = 1e-4 * (1.0 + float(A0.eigs[-1]))
+
+    def value(v):
+        A = PosDef.from_hermitian(A0.mat + vec_to_herm(v[:k1], n1))
+        B = None
+        if B0 is not None:
+            B = PosDef.from_hermitian(B0.mat + vec_to_herm(v[k1:], B0.dim))
+        return eval_family(family, A, B)
+
+    upper = np.triu_indices(nparams, 1)
+    steps = _curvature_steps(nparams, h)
+    try:
+        f = np.array([value(v) for v in steps])
+    except (EvaluationError, MatrixError):
+        return None
+    fp, fm = f[1:2 * nparams + 1:2], f[2:2 * nparams + 1:2]
+    fpp, fmm, fpm, fmp = f[2 * nparams + 1:].reshape(-1, 4).T
+    hess = np.diag((fp - 2.0 * f[0] + fm) / h**2)
+    hess[upper] = hess[upper[::-1]] = (fpp - fpm - fmp + fmm) / (4.0 * h**2)
+    if not np.all(np.isfinite(hess)):
+        return None
+    eigs, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
+    scale_h = max(1.0, float(np.max(np.abs(eigs))))
+    if direction == "convex":
+        idx, curv = 0, eigs[0]
+        if curv > -1e-8 * scale_h:
+            return None
+    else:
+        idx, curv = -1, eigs[-1]
+        if curv < 1e-8 * scale_h:
+            return None
+    u = vecs[:, idx]
+    G1 = vec_to_herm(u[:k1], n1)
+    G2 = vec_to_herm(u[k1:], B0.dim) if B0 is not None else None
+    return A0, B0, G1, G2, len(steps) - 1
+
+
+def _segment_test_loop(family, direction, A, H, B=None, K=None):
+    """segment_test as it was with one eval_family call per point, kept as its
+    reference."""
+    steps, x_max = 21, 1.0
+
+    def pd_at(x):
+        Ax = PosDef.from_hermitian(A.mat + x * hermitize(H))
+        Bx = PosDef.from_hermitian(B.mat + x * hermitize(K)) if B is not None else None
+        return Ax, Bx
+
+    for _ in range(60):
+        try:
+            pd_at(x_max)
+            break
+        except MatrixError:
+            x_max /= 2
+    else:
+        raise EvaluationError("no positive definite range along the segment")
+    xs = np.linspace(0.0, x_max, steps)
+    vals = []
+    for x in xs:
+        Ax, Bx = pd_at(float(x))
+        vals.append(eval_family(family, Ax, Bx))
+    vals = np.asarray(vals)
+    d2 = vals[:-2] - 2 * vals[1:-1] + vals[2:]
+    scale = max(1.0, float(np.abs(vals).max()))
+    signed = d2 if direction == "concave" else -d2
+    worst_rel = float(signed.max() / scale)
+    return lab.TestReport(
+        label=f"segment:{family.label()}", direction=direction, trials=steps - 2,
+        worst_violation=worst_rel,
+        verdict=lab._verdict(0, steps - 2, worst_rel > CLAIM_REL, worst_rel),
+        witness={"x_max": x_max, "values": vals.tolist()},
+    )
+
+
+def _stacked_case(name):
+    """Families whose curvature and segment scans are compared with the loops."""
+    kraus = sample_kraus(3, 3, rank=2, seed=141)
+    X = rng_for(141, 1).normal(size=(2, 2)) + 2 * np.eye(2)
+    return {
+        "lieb-n2": lambda: FamilySpec("lieb", identity_map(2), TRACE,
+                                      ParameterPoint(0.7, 0.7, 1 / 1.4), psi=identity_map(2)),
+        "lieb-kraus-n3": lambda: FamilySpec("lieb", kraus, NormSpec("neg-schatten", p=0.5),
+                                            ParameterPoint(1.2, 0.6, 0.9),
+                                            psi=transpose_then_kraus(kraus.kraus)),
+        "mean-n2": lambda: FamilySpec("mean", identity_map(2), NormSpec("minkowski", k=2),
+                                      ParameterPoint(0.5, 1.5, 1.0), psi=conjugation(X),
+                                      mean=MeanSpec("power", r=-0.5, modifier="adjoint")),
+        "epstein-n3": lambda: epstein(1.5, 0.8, phi=kraus,
+                                      norm=NormSpec("schatten-quasi", p=0.5)),
+        "sum-n2": lambda: carlen_lieb(3.0),
+        "overflow-n2": lambda: epstein(400.0, 0.001),
+    }[name]()
+
+
+_STACKED_CASES = ["lieb-n2", "lieb-kraus-n3", "mean-n2", "epstein-n3", "sum-n2",
+                  "overflow-n2"]
+
+
+def _same(x, y):
+    if x is None or y is None:
+        return x is y
+    return x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("block", [lab.CURVATURE_BLOCK, 50])
+@pytest.mark.parametrize("name", _STACKED_CASES)
+def test_curvature_direction_equals_the_per_point_loop(name, block, monkeypatch):
+    fam = _stacked_case(name)
+    monkeypatch.setattr(lab, "CURVATURE_BLOCK", block)
+    found = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for direction in ("concave", "convex"):
+            for seed in range(3):
+                got = lab._curvature_direction(fam, direction, rng_for(seed, 0xC0DE))
+                ref = _curvature_direction_loop(fam, direction, rng_for(seed, 0xC0DE))
+                assert (got is None) == (ref is None)
+                if got is not None:
+                    found += 1
+                    assert all(_same(*pair) for pair in zip(
+                        (got[0].mat, getattr(got[1], "mat", None), got[2], got[3]),
+                        (ref[0].mat, getattr(ref[1], "mat", None), ref[2], ref[3])))
+                    assert got[4] == ref[4]
+    assert (found == 0) == (name == "overflow-n2")
+
+
+def _report_or_error(test, *args):
+    try:
+        return test(*args).to_json()
+    except (EvaluationError, MatrixError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", _STACKED_CASES)
+def test_segment_test_equals_the_per_point_loop(name):
+    fam = _stacked_case(name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in range(3):
+            rng = rng_for(142, seed)
+            A = sample_posdef_rng(rng, fam.phi.in_dim)
+            H = sample_hermitian_rng(rng, fam.phi.in_dim, scale=3.0)
+            B = K = None
+            if fam.two_variable:
+                B = sample_posdef_rng(rng, fam.psi.in_dim)
+                K = sample_hermitian_rng(rng, fam.psi.in_dim, scale=3.0)
+            for direction in ("concave", "convex"):
+                got, ref = (_report_or_error(test, fam, direction, A, H, B, K)
+                            for test in (segment_test, _segment_test_loop))
+                assert got == ref
+
+
+def test_stacked_scans_make_one_call_per_block(monkeypatch):
+    calls = []
+
+    def counted(family, A, B=None):
+        calls.append(A.shape)
+        return eval_family(family, A, B)
+
+    monkeypatch.setattr(lab, "eval_family", counted)
+    fam = _stacked_case("lieb-kraus-n3")  # 2 * 18**2 + 1 = 649 rows
+    assert lab._curvature_direction(fam, "concave", rng_for(0, 0xC0DE)) is not None
+    assert calls == [(649, 3, 3)]
+    segment_test(epstein(1.5, 0.8), "convex", _sample(143), np.eye(2), None, None)
+    assert calls[1:] == [(21, 2, 2)]
+    monkeypatch.setattr(lab, "CURVATURE_BLOCK", 200)
+    del calls[:]
+    lab._curvature_direction(fam, "concave", rng_for(0, 0xC0DE))
+    assert calls == [(200, 3, 3)] * 3 + [(49, 3, 3)]
 
 
 class TestLoewnerTests:

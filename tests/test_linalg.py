@@ -285,6 +285,14 @@ class TestHermitianParametrization:
             assert _bitwise_equal(linalg.vec_to_herm(v, dim), _vec_to_herm_loops(v, dim))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_vec_to_herm_of_a_stack_is_that_of_its_rows(self, dim):
+        V = _with_signed_zeros(rng_for(133, dim), (6, 5, dim * dim))
+        M = linalg.vec_to_herm(V, dim)
+        assert M.shape == (6, 5, dim, dim)
+        assert all(_bitwise_equal(M[i, j], _vec_to_herm_loops(V[i, j], dim))
+                   for i in range(6) for j in range(5))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_herm_grad_to_vec_equals_the_loops(self, dim):
         rng = rng_for(132, dim)
         for _ in range(50):

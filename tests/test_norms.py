@@ -163,3 +163,18 @@ class TestSpecPlumbing:
     def test_k_out_of_range_at_eval(self):
         with pytest.raises(ValueError):
             eval_norm(NormSpec(kind="kyfan", k=5), _diag(1.0, 2.0))
+
+
+@pytest.mark.parametrize("spec", catalog_norms(3) + catalog_antinorms(3)
+                         + [NormSpec("schatten-quasi", p=0.3), NormSpec("neg-schatten", p=0.7)],
+                         ids=NormSpec.label)
+def test_a_stack_of_spectra_evaluates_row_by_row(spec):
+    # unsorted rows, one of them rank deficient and one singular
+    eigs = rng_for(94, 0).uniform(0.05, 6.0, size=(200, 3))
+    eigs[4, 1] = 1e-20
+    eigs[7, 2] = 0.0
+    rows = [eval_norm_from_eigs(spec, row) for row in eigs]
+    assert all(isinstance(v, float) for v in rows)
+    assert np.array_equal(eval_norm_from_eigs(spec, eigs), rows)
+    assert np.array_equal(eval_norm_from_eigs(spec, eigs.reshape(20, 10, 3)),
+                          np.reshape(rows, (20, 10)))

@@ -252,7 +252,7 @@ def cmd_verify(args) -> int:
         family = _verify_family(args, theorem, dims)
         report = midpoint_test(family, theorem.direction, trials=args.trials,
                                sampler=sampler, label=args.theorem)
-    _emit(_envelope(args, _VERIFY_KEYS, report=json.loads(report.to_json())), args.out)
+    _emit(_envelope(args, _VERIFY_KEYS, report=report.to_dict()), args.out)
     return _VERDICT_EXIT[report.verdict]
 
 

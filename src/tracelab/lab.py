@@ -4,10 +4,10 @@ Tolerance policy: numerical slack is 1e-8 x max(1, |lhs|, |rhs|); a violation
 is claimed only above 1e-4 x the same scale.  Values in between are
 inconclusive for that trial, keeping three decades between noise and claims.
 
-Streams (rng_for(seed, stream)): trial t of midpoint_test, loewner_midpoint_test
-and the hunt's random phase: stream_index + t; hunt structured candidates:
-stream_index; curvature base point k: 0xC0DE + k; hill climb from stream s:
-s ^ 0x5EED; Nelder-Mead restart k: (stream_index + k) ^ 0x0D0A.
+Streams (rng_for(seed, stream)): trial t of midpoint_test (both directions of a
+sweep cell judge the same draw), loewner_midpoint_test and the hunt's random phase:
+stream_index + t; hunt structured candidates: stream_index; curvature base point k:
+0xC0DE + k; hill climb from s: s ^ 0x5EED; Nelder-Mead restart k: (stream_index + k) ^ 0x0D0A.
 """
 
 from __future__ import annotations
@@ -215,6 +215,50 @@ def _make_certificate(family, direction, A1, B1, A2, B2, lam, lhs, rhs, violatio
     )
 
 
+def _trials(sampler: SamplerConfig, trials: int, draw):
+    """Lazily yields (stream, draw(rng)) for trial t, drawn on stream stream_index + t,
+    with None in place of a draw that raised EvaluationError or MatrixError."""
+    for t in range(trials):
+        stream = sampler.stream_index + t
+        try:
+            yield stream, draw(rng_for(sampler.seed, stream))
+        except (EvaluationError, MatrixError):
+            yield stream, None
+
+
+def _midpoint_reports(family: FamilySpec, directions, trials: int, sampler: SamplerConfig,
+                      label: str | None = None) -> dict[str, TestReport]:
+    """Randomized joint midpoint tests of each direction on one pass of trials.  A trial
+    evaluates every weight before any is judged, so it counts as whole or failed."""
+    def draw(rng):  # (lam, lhs, rhs, scale) at each weight, signed per direction below
+        A1, B1, A2, B2 = inputs = _sample_inputs(family, rng)
+        f = eval_family(family, A1, B1), eval_family(family, A2, B2)
+        return inputs, [(lam, *midpoint_violation(family, "concave", A1, A2, lam, B1, B2, *f)[1:])
+                        for lam in (*DEFAULT_LAMBDAS, float(rng.uniform()))]
+
+    worst = dict.fromkeys(directions, -np.inf)
+    best = dict.fromkeys(directions, (0.0, None))  # (relative violation, certificate)
+    failures = 0
+    for stream, trial in _trials(sampler, trials, draw):
+        if trial is None:
+            failures += 1
+            continue
+        inputs, sides = trial
+        for direction in directions:
+            for lam, lhs, rhs, scale in sides:
+                viol = _signed_violation(direction, lhs, rhs)
+                rel = viol / scale
+                worst[direction] = max(worst[direction], rel)
+                if viol > CLAIM_REL * scale and rel > best[direction][0]:
+                    best[direction] = rel, _make_certificate(
+                        family, direction, *inputs, lam, lhs, rhs, viol, sampler.seed, stream)
+    return {d: TestReport(label=label or family.label(), direction=d, trials=trials,
+                          worst_violation=float(worst[d]), failures=failures,
+                          verdict=_verdict(failures, trials, best[d][1] is not None, worst[d]),
+                          worst_case=best[d][1])
+            for d in directions}
+
+
 def midpoint_test(
     family: FamilySpec,
     direction: str,
@@ -224,41 +268,7 @@ def midpoint_test(
 ) -> TestReport:
     """Randomized joint midpoint concavity/convexity test."""
     _checked_direction(direction)
-    worst_rel = -np.inf
-    worst_cert: Certificate | None = None
-    worst_cert_rel = 0.0
-    failures = 0
-    for t in range(trials):
-        stream = sampler.stream_index + t
-        rng = rng_for(sampler.seed, stream)
-        try:
-            A1, B1, A2, B2 = _sample_inputs(family, rng)
-            f1 = eval_family(family, A1, B1)
-            f2 = eval_family(family, A2, B2)
-            lam_extra = float(rng.uniform())
-            for lam in (*DEFAULT_LAMBDAS, lam_extra):
-                viol, lhs, rhs, scale = midpoint_violation(
-                    family, direction, A1, A2, lam, B1, B2, f1, f2
-                )
-                rel = viol / scale
-                worst_rel = max(worst_rel, rel)
-                if viol > CLAIM_REL * scale and rel > worst_cert_rel:
-                    worst_cert_rel = rel
-                    worst_cert = _make_certificate(
-                        family, direction, A1, B1, A2, B2, lam, lhs, rhs, viol,
-                        sampler.seed, stream,
-                    )
-        except (EvaluationError, MatrixError) as _:
-            failures += 1
-    return TestReport(
-        label=label or family.label(),
-        direction=direction,
-        trials=trials,
-        worst_violation=float(worst_rel),
-        verdict=_verdict(failures, trials, worst_cert is not None, worst_rel),
-        failures=failures,
-        worst_case=worst_cert,
-    )
+    return _midpoint_reports(family, (direction,), trials, sampler, label)[direction]
 
 
 def segment_test(
@@ -443,7 +453,7 @@ def _candidates(family: FamilySpec, direction: str, budget: int, sampler: Sample
     Yields (trials charged, (A1, B1, A2, B2), mixing weights, stream).  A
     curvature base point is charged on an item of its own, with no inputs and
     no weights: 1 if it fails, else a third of its evaluations; its segment
-    endpoints follow, charged 0.
+    endpoints follow, charged 0.  A random draw that fails is charged 1 the same way.
     """
     for inputs in _structured_candidates(family):
         yield 1, inputs, (0.5, 0.25, 0.75), sampler.stream_index
@@ -455,10 +465,9 @@ def _candidates(family: FamilySpec, direction: str, budget: int, sampler: Sample
         if found is not None:
             for inputs in _segment_endpoints(*found[:4]):
                 yield 0, inputs, (0.5,), stream
-    for t in range(budget):
-        stream = sampler.stream_index + t
-        rng = rng_for(sampler.seed, stream)
-        yield 1, _sample_inputs(family, rng), (0.5, float(rng.uniform(0.05, 0.95))), stream
+    draw = lambda rng: (_sample_inputs(family, rng), (0.5, float(rng.uniform(0.05, 0.95))))
+    for stream, drawn in _trials(sampler, budget, draw):
+        yield 1, *(drawn or (None, ())), stream  # a failed draw: no inputs, no weights
 
 
 def hunt_counterexample(
@@ -510,7 +519,7 @@ def hunt_counterexample(
     for charge, inputs, lams, stream in _candidates(family, direction, budget, sampler):
         trials_used += charge
         if inputs is None:
-            continue  # the charge of a curvature base point
+            continue  # the charge of a curvature base point or a failed draw
         A1, B1, A2, B2 = inputs
         try:  # the endpoint values, once for all the candidate's weights
             f = eval_family(family, A1, B1), eval_family(family, A2, B2)
@@ -671,14 +680,11 @@ def loewner_midpoint_test(
                 return True
         return False
 
-    for t in range(trials):
-        stream = sampler.stream_index + t
-        try:
-            gap = _loewner_gap(expr, params, rng_for(sampler.seed, stream), sampler)
-        except (EvaluationError, MatrixError):
+    for stream, gap in _trials(sampler, trials,
+                               lambda rng: _loewner_gap(expr, params, rng, sampler)):
+        if gap is None:
             failures += 1
-            continue
-        if record(gap, stream) and stop_on_violation:
+        elif record(gap, stream) and stop_on_violation:
             break
 
     if witness is None and refine and expr == "power-mean-dominance":
@@ -756,36 +762,30 @@ def sweep(
         for q in q_grid:
             for s in s_grid:
                 row = {"p": float(p), "q": float(q), "s": float(s),
-                       "trials": trials_per_cell, "failures": 0,
+                       "trials": trials_per_cell, "failures": 0, "verdict": "inconclusive",
                        "worst_concave_violation": float("nan"),
                        "worst_convex_violation": float("nan")}
                 try:
                     cell = family.with_params(ParameterPoint(float(p), float(q), float(s)))
-                    rc = midpoint_test(cell, "concave", trials_per_cell, sampler)
-                    rv = midpoint_test(cell, "convex", trials_per_cell, sampler)
-                except (ValueError, EvaluationError, MatrixError):
-                    row["verdict"] = "inconclusive"
+                except ValueError:  # not a valid functional: the row stays inconclusive
                     result.rows.append(row)
                     continue
-                worst = {"concave": rc.worst_violation,
-                         "convex": rv.worst_violation}
-                verdicts = {"concave": rc.verdict, "convex": rv.verdict}
+                reports = _midpoint_reports(cell, ("concave", "convex"), trials_per_cell,
+                                            sampler)
+                verdicts = {}
                 # random midpoints miss violations that need structured inputs;
                 # escalate non-violated directions to a short directed hunt
-                for direction in ("concave", "convex"):
-                    if verdicts[direction] == "VIOLATED":
-                        continue
-                    found = hunt_counterexample(cell, direction,
-                                                budget=max(40, trials_per_cell // 4),
-                                                sampler=sampler)
-                    worst[direction] = max(worst[direction], found.best_violation)
-                    if found.certificate is not None:
-                        verdicts[direction] = "VIOLATED"
-                row["verdict"] = _cell_verdict_from(verdicts["concave"],
-                                                    verdicts["convex"])
-                row["worst_concave_violation"] = worst["concave"]
-                row["worst_convex_violation"] = worst["convex"]
-                # both tests draw the same streams, so they fail on the same trials
-                row["failures"] = rc.failures
+                for direction, report in reports.items():
+                    worst, verdicts[direction] = report.worst_violation, report.verdict
+                    if report.verdict != "VIOLATED":
+                        found = hunt_counterexample(cell, direction,
+                                                    budget=max(40, trials_per_cell // 4),
+                                                    sampler=sampler)
+                        worst = max(worst, found.best_violation)
+                        if found.certificate is not None:
+                            verdicts[direction] = "VIOLATED"
+                    row[f"worst_{direction}_violation"] = worst
+                row["verdict"] = _cell_verdict_from(**verdicts)
+                row["failures"] = reports["concave"].failures  # both judge the same trials
                 result.rows.append(row)
     return result

@@ -100,6 +100,14 @@ class TestVerify:
         assert payload["report"]["verdict"] == "PASS"
         assert payload["version"] and "config" in payload
 
+    def test_failed_trials_name_no_worst_case(self, capsys):
+        # every trial fails, some after an earlier weight evaluated
+        rc = main(["verify", "--theorem", "T3.1-1", "--p", "315", "--s", "0.01",
+                   "--force", "--trials", "20"])
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert (rc, report["verdict"], report["failures"]) == (3, "INCONCLUSIVE", 20)
+        assert "worst_case" not in report and report["worst_violation"] is None
+
     def test_off_region_refused(self, capsys):
         rc = main(["verify", "--theorem", "T1.1-1", "--p", "0.7", "--q", "0.7",
                    "--s", "0.9"])

@@ -82,6 +82,15 @@ class TestMidpointTest:
                                sampler=SamplerConfig(dim=2, seed=0))
         assert (report.failures, report.verdict) == (5, "INCONCLUSIVE")
 
+    def test_a_trial_that_fails_at_a_later_weight_leaves_no_witness(self):
+        # at p = 315 some trials evaluate the weight 1/2 before a later weight's
+        # A^p is not numerically positive definite: each fails, none names a witness
+        report = midpoint_test(epstein(315.0, 0.01), "concave", trials=20,
+                               sampler=SamplerConfig(dim=2, seed=0))
+        assert (report.failures, report.verdict) == (20, "INCONCLUSIVE")
+        assert report.worst_case is None
+        assert report.worst_violation == -np.inf
+
     def test_invalid_direction_rejected(self):
         with pytest.raises(ValueError):
             midpoint_test(carlen_lieb(1.5), "sideways", trials=1,
@@ -350,6 +359,39 @@ def _segment_test_loop(family, direction, A, H, B=None, K=None):
     )
 
 
+def _midpoint_test_loop(family, direction, trials, sampler, label=None):
+    """midpoint_test as it was, one pass per direction, kept as its reference."""
+    worst_rel = -np.inf
+    worst_cert = None
+    worst_cert_rel = 0.0
+    failures = 0
+    for t in range(trials):
+        stream = sampler.stream_index + t
+        rng = rng_for(sampler.seed, stream)
+        try:
+            A1, B1, A2, B2 = lab._sample_inputs(family, rng)
+            f1 = eval_family(family, A1, B1)
+            f2 = eval_family(family, A2, B2)
+            lam_extra = float(rng.uniform())
+            for lam in (*lab.DEFAULT_LAMBDAS, lam_extra):
+                viol, lhs, rhs, scale = midpoint_violation(
+                    family, direction, A1, A2, lam, B1, B2, f1, f2)
+                rel = viol / scale
+                worst_rel = max(worst_rel, rel)
+                if viol > CLAIM_REL * scale and rel > worst_cert_rel:
+                    worst_cert_rel = rel
+                    worst_cert = lab._make_certificate(
+                        family, direction, A1, B1, A2, B2, lam, lhs, rhs, viol,
+                        sampler.seed, stream)
+        except (EvaluationError, MatrixError):
+            failures += 1
+    return lab.TestReport(
+        label=label or family.label(), direction=direction, trials=trials,
+        worst_violation=float(worst_rel),
+        verdict=lab._verdict(failures, trials, worst_cert is not None, worst_rel),
+        failures=failures, worst_case=worst_cert)
+
+
 def _stacked_case(name):
     """Families whose curvature and segment scans are compared with the loops."""
     kraus = sample_kraus(3, 3, rank=2, seed=141)
@@ -426,6 +468,24 @@ def test_segment_test_equals_the_per_point_loop(name):
                 assert got == ref
 
 
+@pytest.mark.parametrize("name", ["lieb-n2", "lieb-kraus-n3", "mean-n2", "epstein-n3",
+                                  "sum-n2", "logexp-fails"])
+def test_midpoint_test_equals_the_per_direction_loop(name):
+    if name == "logexp-fails":  # Phi(I) + Psi(I) = 2I: every trial fails
+        fam = FamilySpec("logexp", identity_map(2), TRACE, ParameterPoint(1.0, 1.0, 1.0),
+                         psi=identity_map(2))
+    else:
+        fam = _stacked_case(name)
+    for seed, stream_index in ((0, 0), (7, 0), (11, 300)):
+        sampler = SamplerConfig(dim=fam.phi.in_dim, seed=seed, stream_index=stream_index)
+        both = lab._midpoint_reports(fam, ("concave", "convex"), 12, sampler, "case")
+        for direction in ("concave", "convex"):
+            got = midpoint_test(fam, direction, 12, sampler, label="case")
+            ref = _midpoint_test_loop(fam, direction, 12, sampler, label="case")
+            assert got.to_json() == both[direction].to_json() == ref.to_json()
+    assert (got.failures == 12) == (name == "logexp-fails")
+
+
 def test_stacked_scans_make_one_call_per_block(monkeypatch):
     calls = []
 
@@ -443,6 +503,33 @@ def test_stacked_scans_make_one_call_per_block(monkeypatch):
     del calls[:]
     lab._curvature_direction(fam, "concave", rng_for(0, 0xC0DE))
     assert calls == [(200, 3, 3)] * 3 + [(49, 3, 3)]
+
+
+def test_sweep_cell_evaluates_each_trial_once(monkeypatch):
+    pairs = {"midpoint": 0, "hunt": 0}
+    phase = ["midpoint"]
+    hunt = lab.hunt_counterexample
+
+    def counted(family, A, B=None):
+        pairs[phase[0]] += A.shape[0] if len(A.shape) == 3 else 1
+        return eval_family(family, A, B)
+
+    def hunted(*args, **kwargs):
+        phase[0] = "hunt"
+        try:
+            return hunt(*args, **kwargs)
+        finally:
+            phase[0] = "midpoint"
+
+    monkeypatch.setattr(lab, "eval_family", counted)
+    monkeypatch.setattr(lab, "hunt_counterexample", hunted)
+    fam = FamilySpec("lieb", identity_map(2), TRACE, ParameterPoint(0.7, 0.7, 1 / 1.4),
+                     psi=identity_map(2))
+    sweep(fam, [0.7], [0.7], [1 / 1.4], trials_per_cell=20,
+          sampler=SamplerConfig(dim=2, seed=118))
+    # two endpoint values and four mixed ones per trial, for both directions
+    assert pairs["midpoint"] == 6 * 20
+    assert pairs["hunt"] > 0
 
 
 class TestLoewnerTests:

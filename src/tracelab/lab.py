@@ -8,12 +8,21 @@ Streams (rng_for(seed, stream)): trial t of midpoint_test (both directions of a
 sweep cell judge the same draw), loewner_midpoint_test and the hunt's random phase:
 stream_index + t; hunt structured candidates: stream_index; curvature base point k:
 0xC0DE + k; hill climb from s: s ^ 0x5EED; Nelder-Mead restart k: (stream_index + k) ^ 0x0D0A.
+
+loewner_midpoint_test draws each trial on its stream as above, but builds and
+evaluates LOEWNER_BLOCK trials as one stack, then judges them in stream order; a
+block that raises is evaluated again trial by trial.  Its Nelder-Mead restarts run
+_nelder_mead, which does scipy 1.17's arithmetic but evaluates a step's four
+candidate points in one stacked call, speculatively, so it ends where scipy's
+minimize does.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -22,6 +31,8 @@ from .linalg import (
     MatrixError,
     PosDef,
     SamplerConfig,
+    build_posdef,
+    draw_posdef,
     hermitize,
     loewner_leq,
     matrix_exp_herm,
@@ -42,6 +53,8 @@ CLAIM_REL = 1e-4
 DEFAULT_LAMBDAS = (0.5, 0.25, 0.9)
 #: input regularization used for certificate stability re-checks
 CERT_EPS = 1e-8
+#: trials per stacked build and evaluation in loewner_midpoint_test
+LOEWNER_BLOCK = 100
 #: curvature rows per eval_family call: the 2 * 32**2 + 1 rows of n = 4 with B
 CURVATURE_BLOCK = 2049
 
@@ -144,8 +157,10 @@ def json_number(x: float) -> float | None:
 
 
 def _mix(P1: PosDef, P2: PosDef, lam: float) -> PosDef:
-    # checked, unlike the other internal sums: perfbench's tracer test needs one here
-    return PosDef.from_matrix(lam * P1.mat + (1 - lam) * P2.mat)
+    M = lam * P1.mat + (1 - lam) * P2.mat
+    # one matrix is checked, unlike the other internal sums: perfbench's tracer
+    # test needs one here; a stack is not (check_hermitian takes one matrix)
+    return PosDef.from_matrix(M) if M.ndim == 2 else PosDef.from_hermitian(M)
 
 
 def _checked_direction(direction: str) -> str:
@@ -279,7 +294,8 @@ def segment_test(
     B: PosDef | None = None,
     K: np.ndarray | None = None,
 ) -> TestReport:
-    """Second-difference scan of x -> F(A + xH, B + xK), 21 points in x <= 1."""
+    """Second-difference scan of x -> F(A + xH, B + xK), 21 points in x <= 1.  A
+    point whose evaluation raises is a failure: its value is null in the witness."""
     _checked_direction(direction)
     steps, x_max = 21, 1.0
 
@@ -298,19 +314,32 @@ def segment_test(
     else:
         raise EvaluationError("no positive definite range along the segment")
 
-    vals = eval_family(family, *pd_at(np.linspace(0.0, x_max, steps)))
+    xs = np.linspace(0.0, x_max, steps)
+    failed = np.zeros(steps, dtype=bool)
+    try:
+        vals = eval_family(family, *pd_at(xs))
+    except (EvaluationError, MatrixError):  # point by point: a point that raises fails
+        vals = np.full(steps, np.nan)
+        for i, x in enumerate(xs):
+            try:
+                vals[i] = eval_family(family, *pd_at(x))
+            except (EvaluationError, MatrixError):
+                failed[i] = True
     d2 = vals[:-2] - 2 * vals[1:-1] + vals[2:]
     scale = max(1.0, float(np.abs(vals).max()))
     # concave claim: second differences <= 0
     signed = d2 if direction == "concave" else -d2
     worst_rel = float(signed.max() / scale)
+    failures = int(failed.sum())
     return TestReport(
         label=f"segment:{family.label()}",
         direction=direction,
         trials=steps - 2,
         worst_violation=worst_rel,
-        verdict=_verdict(0, steps - 2, worst_rel > CLAIM_REL, worst_rel),
-        witness={"x_max": x_max, "values": vals.tolist()},
+        verdict=_verdict(failures, steps - 2, worst_rel > CLAIM_REL, worst_rel),
+        failures=failures,
+        witness={"x_max": x_max,
+                 "values": [None if f else v for v, f in zip(vals.tolist(), failed)]},
     )
 
 
@@ -570,8 +599,9 @@ def certificate_is_valid(cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 # Loewner-order midpoint/dominance tests
 
-def _loewner_excess(small: PosDef, big: PosDef) -> float:
-    """Relative excess of the claim small <= big in the Loewner order.
+def _loewner_excess(small: PosDef, big: PosDef):
+    """Relative excess of the claim small <= big in the Loewner order, one per
+    matrix of a stack.
 
     Conjugating by big^{-1/2} makes the comparison scale-free and keeps
     violations visible even when they live in the small-eigenvalue subspace:
@@ -580,78 +610,179 @@ def _loewner_excess(small: PosDef, big: PosDef) -> float:
     """
     Rih = big.power(-0.5).mat
     C = hermitize(Rih @ small.mat @ Rih)
-    return float(np.linalg.eigvalsh(C)[-1] - 1.0)
+    return np.linalg.eigvalsh(C)[..., -1] - 1.0
 
 
-def _gap(small: PosDef, big: PosDef, inputs: dict[str, PosDef]):
-    """(relative excess, witness, payload) of the claim small <= big.
-
-    The witness is lambda_min(big - small) on a violation (the excess
-    otherwise); the payload holds the named inputs as JSON matrices.
-    """
-    excess = _loewner_excess(small, big)
-    w = excess if excess <= 0.0 else loewner_leq(small.mat, big.mat)[1]
-    return excess, w, {name: mat_to_json(P.mat) for name, P in inputs.items()}
+#: the inputs each Loewner claim draws, in draw order, by their witness names
+LOEWNER_INPUTS = {"power-mean-dominance": ("a", "b"), "hat-power": ("a", "b"),
+                  "mean-concavity": ("a1", "a2", "b1", "b2")}
 
 
-def _dominance_gap(p: float, q: float, A: PosDef, B: PosDef):
-    return _gap(power_mean(A, B, p), power_mean(A, B, q), {"a": A, "b": B})
-
-
-def _loewner_gap(expr: str, params: dict, rng, cfg: SamplerConfig):
-    """_gap of one trial's claim, on inputs drawn from rng."""
-    if expr == "power-mean-dominance":
-        A, B = (sample_posdef_rng(rng, cfg.dim) for _ in range(2))
-        return _dominance_gap(params["p"], params["q"], A, B)
+def _loewner_sides(expr: str, params: dict, inputs):
+    """(small, big) of the claim small <= big, on stacks of the inputs of one
+    trial each, in LOEWNER_INPUTS order."""
+    if expr == "power-mean-dominance":  # the p-mean and the q-mean in one stack
+        A, B = inputs
+        m = A.shape[0]
+        twice = np.arange(2 * m) % m
+        means = power_mean(A[twice], B[twice], np.repeat([params["p"], params["q"]], m))
+        return means[:m], means[m:]
     if expr == "hat-power":
         phi: MapSpec = params["phi"]
         p = params["p"]
-        A, B = (sample_posdef_rng(rng, phi.in_dim) for _ in range(2))
+        A, B = inputs
         mid = hat_map(phi, _mix(A, B, 0.5).power(p))
         avg = PosDef.from_hermitian(0.5 * (hat_map(phi, A.power(p)).mat
                                            + hat_map(phi, B.power(p)).mat))
-        return _gap(avg, mid, {"a": A, "b": B})
-    if expr == "mean-concavity":
-        mean: MeanSpec = params["mean"]
-        A1, A2, B1, B2 = (sample_posdef_rng(rng, cfg.dim) for _ in range(4))
-        mid = eval_mean(mean, _mix(A1, A2, 0.5), _mix(B1, B2, 0.5))
-        avg = PosDef.from_hermitian(0.5 * (eval_mean(mean, A1, B1).mat
-                                           + eval_mean(mean, A2, B2).mat))
-        return _gap(avg, mid, {"a1": A1, "a2": A2, "b1": B1, "b2": B2})
-    raise ValueError(f"unknown Loewner expression {expr!r}")
+        return avg, mid
+    mean: MeanSpec = params["mean"]  # mean-concavity
+    A1, A2, B1, B2 = inputs
+    mid = eval_mean(mean, _mix(A1, A2, 0.5), _mix(B1, B2, 0.5))
+    avg = PosDef.from_hermitian(0.5 * (eval_mean(mean, A1, B1).mat
+                                       + eval_mean(mean, A2, B2).mat))
+    return avg, mid
 
 
-def _nm_dominance_search(p, q, dim, rng):
+def _loewner_evaluation(expr: str, params: dict, inputs: dict):
+    """The claim's excess at each row of the named input stacks, and
+    witness(t, stream): row t's lambda_min(big - small), excess, stream and
+    inputs as JSON matrices, built only for a witness that is kept."""
+    small, big = _loewner_sides(expr, params, tuple(inputs.values()))
+    excess = _loewner_excess(small, big)
+
+    def witness(t: int, stream: int) -> dict:
+        return {"witness_eigenvalue": loewner_leq(small.mat[t], big.mat[t])[1],
+                "relative_excess": float(excess[t]), "stream": stream,
+                **{name: mat_to_json(P.mat[t]) for name, P in inputs.items()}}
+
+    return excess, witness
+
+
+def _loewner_block(expr: str, params: dict, draws) -> list:
+    """(excess, witness(stream)) of each trial of a block, or None for a trial
+    that fails, from the trials' draws (a draw_posdef pair per input): the block
+    is built and evaluated as one stack.  A block that raises is evaluated
+    again trial by trial, so each trial fails or not as it would alone."""
+    names = LOEWNER_INPUTS[expr]
+    try:
+        P = build_posdef(*(np.array([[d[j][i] for d in draws] for j in range(len(names))])
+                           for i in (0, 1)))
+        excess, witness = _loewner_evaluation(expr, params,
+                                              {name: P[j] for j, name in enumerate(names)})
+    except (EvaluationError, MatrixError):
+        if len(draws) == 1:
+            return [None]
+        return [r for d in draws for r in _loewner_block(expr, params, [d])]
+    return [(excess[t], partial(witness, t)) for t in range(len(draws))]
+
+
+def _loewner_trials(expr: str, params: dict, trials: int, sampler: SamplerConfig):
+    """Lazily yields (stream, _loewner_block result) of each trial in stream
+    order, LOEWNER_BLOCK trials drawn and evaluated at a time."""
+    dim = params["phi"].in_dim if expr == "hat-power" else sampler.dim
+    draws = _trials(sampler, trials,
+                    lambda rng: [draw_posdef(rng, dim) for _ in LOEWNER_INPUTS[expr]])
+    while block := list(islice(draws, LOEWNER_BLOCK)):
+        yield from zip([stream for stream, _ in block],
+                       _loewner_block(expr, params, [d for _, d in block]))
+
+
+def _exp_pairs(V: np.ndarray, dim: int) -> tuple[PosDef, PosDef]:
+    """A = exp(H1) and B = exp(H2) of each row (H1, H2) of V, as two stacks."""
+    AB = matrix_exp_herm(vec_to_herm(V.reshape(len(V), 2, dim * dim), dim))
+    return AB[:, 0], AB[:, 1]
+
+
+def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
+    """scipy 1.17's Nelder-Mead (its default initial simplex, adaptive=False, no
+    bounds, maxfev unset) with the same arithmetic, so the same end point.
+
+    fun maps a stack of points (m, N) to their m values.  It evaluates the
+    initial simplex in one call, each shrink in one call, and each step's four
+    candidates (reflection, expansion, outside and inside contraction) in one
+    call before the step picks among them, so a step evaluates points scipy
+    would not; fun must give a point the value it has alone.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = fun(sim)
+    for _ in range(2):  # scipy sorts the initial simplex twice
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    for _ in range(1, maxiter):
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        cand = np.array([(1 + rho) * xbar - rho * sim[-1],
+                         (1 + rho * chi) * xbar - rho * chi * sim[-1],
+                         (1 + psi * rho) * xbar - psi * rho * sim[-1],
+                         (1 - psi) * xbar + psi * sim[-1]])
+        fxr, fxe, fxc, fxcc = fcand = fun(cand)
+        if fxr < fsim[0]:
+            pick = 1 if fxe < fxr else 0
+        elif fxr < fsim[-2]:
+            pick = 0
+        elif fxr < fsim[-1]:
+            pick = 2 if fxc <= fxr else None
+        else:
+            pick = 3 if fxcc < fsim[-1] else None
+        if pick is None:  # shrink towards the best vertex
+            sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+            fsim[1:] = fun(sim[1:])
+        else:
+            sim[-1], fsim[-1] = cand[pick], fcand[pick]
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0]
+
+
+def _dominance_objective(p: float, q: float, dim: int):
+    """The negated dominance excess at each row of a stack of parameter vectors
+    (those of H1, then H2, with A = exp(H1) and B = exp(H2)).
+
+    The bound on the parameter vector guards against overflow in the
+    exponential; a point whose power means are not numerically positive
+    definite scores as one beyond that bound.  A stack that raises is
+    evaluated again point by point, so each point scores as it would alone.
+    """
+    params = {"p": p, "q": q}
+
+    def objective(V: np.ndarray) -> np.ndarray:
+        f = np.ones(len(V))
+        inside = np.flatnonzero(~(np.max(np.abs(V), axis=1) > 10.0))
+        if inside.size:
+            try:
+                small, big = _loewner_sides("power-mean-dominance", params,
+                                            _exp_pairs(V[inside], dim))
+                f[inside] = -_loewner_excess(small, big)
+            except MatrixError:  # alone, a point that raises scores 1
+                if len(V) > 1:
+                    return np.concatenate([objective(V[i:i + 1]) for i in range(len(V))])
+        return f
+
+    return objective
+
+
+def _nm_dominance_search(p, q, dim, rng) -> tuple[PosDef, PosDef]:
     """Simplex search for a dominance violation over log-parametrized inputs.
 
     Violations for nearby exponent pairs need extreme anisotropy that random
     sampling essentially never reaches, so minimize the negated excess over
-    A = exp(H1), B = exp(H2) directly.  The bound on the parameter vector
-    guards against overflow in the exponential; a point whose power means
-    are not numerically positive definite scores as one beyond that bound.
+    A = exp(H1), B = exp(H2) directly.  Returns the end point's A and B as
+    stacks of one.
     """
-    import scipy.optimize
-
-    k = dim * dim
-
-    def objective(v):
-        if np.max(np.abs(v)) > 10.0:
-            return 1.0
-        A = matrix_exp_herm(vec_to_herm(v[:k], dim))
-        B = matrix_exp_herm(vec_to_herm(v[k:], dim))
-        try:
-            return -_loewner_excess(power_mean(A, B, p), power_mean(A, B, q))
-        except MatrixError:
-            return 1.0
-
-    res = scipy.optimize.minimize(
-        objective, rng.normal(0.0, 1.5, 2 * k), method="Nelder-Mead",
-        options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-16},
-    )
-    v = res.x
-    A = matrix_exp_herm(vec_to_herm(v[:k], dim))
-    B = matrix_exp_herm(vec_to_herm(v[k:], dim))
-    return A, B
+    x = _nelder_mead(_dominance_objective(p, q, dim), rng.normal(0.0, 1.5, 2 * dim * dim),
+                     maxiter=2000, xatol=1e-12, fatol=1e-16)
+    return _exp_pairs(x[None], dim)
 
 
 def loewner_midpoint_test(
@@ -663,31 +794,33 @@ def loewner_midpoint_test(
     stop_on_violation: bool = False,
     label: str | None = None,
 ) -> TestReport:
+    """Randomized test of a Loewner-order claim small <= big; trials evaluated
+    after a stop_on_violation witness in its block are not counted.  With
+    refine, a dominance claim without a witness gets Nelder-Mead restarts."""
+    if expr not in LOEWNER_INPUTS:
+        raise ValueError(f"unknown Loewner expression {expr!r}")
     worst_rel = -np.inf
-    witness = None
+    kept = None
     failures = 0
 
-    def record(gap, stream) -> bool:
+    def record(excess, witness, stream: int) -> bool:
         """Keeps the worst excess, and its witness when it clears the claim
         threshold; True when it does."""
-        nonlocal worst_rel, witness
-        excess, w, payload = gap
+        nonlocal worst_rel, kept
         if excess > worst_rel:
             worst_rel = excess
             if excess > CLAIM_REL:
-                witness = {"witness_eigenvalue": w, "relative_excess": excess,
-                           "stream": stream, **payload}
+                kept = witness(stream)
                 return True
         return False
 
-    for stream, gap in _trials(sampler, trials,
-                               lambda rng: _loewner_gap(expr, params, rng, sampler)):
-        if gap is None:
+    for stream, result in _loewner_trials(expr, params, trials, sampler):
+        if result is None:
             failures += 1
-        elif record(gap, stream) and stop_on_violation:
+        elif record(*result, stream) and stop_on_violation:
             break
 
-    if witness is None and refine and expr == "power-mean-dominance":
+    if kept is None and refine and expr == "power-mean-dominance":
         # simplex restarts: dominance failures for close exponent pairs sit in
         # corners of the cone that the random phase cannot reach
         p, q = params["p"], params["q"]
@@ -695,10 +828,10 @@ def loewner_midpoint_test(
             stream = (sampler.stream_index + k) ^ 0x0D0A
             A, B = _nm_dominance_search(p, q, sampler.dim, rng_for(sampler.seed, stream))
             try:
-                gap = _dominance_gap(p, q, A, B)
+                excess, witness = _loewner_evaluation(expr, params, {"a": A, "b": B})
             except MatrixError:
                 continue  # the search ended on a failed point: nothing to record
-            if record(gap, stream):
+            if record(excess[0], partial(witness, 0), stream):
                 break
 
     return TestReport(
@@ -706,9 +839,9 @@ def loewner_midpoint_test(
         direction="loewner",
         trials=trials,
         worst_violation=float(worst_rel),
-        verdict=_verdict(failures, trials, witness is not None, worst_rel),
+        verdict=_verdict(failures, trials, kept is not None, worst_rel),
         failures=failures,
-        witness=witness,
+        witness=kept,
     )
 
 

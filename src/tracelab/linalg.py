@@ -131,6 +131,10 @@ class PosDef:
         mat = hermitize((vecs * eigs[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
         return cls(mat=mat, eigs=eigs, vecs=vecs)
 
+    def __getitem__(self, rows) -> "PosDef":
+        """The matrices at rows of a stack: an index into its leading axes."""
+        return PosDef(mat=self.mat[rows], eigs=self.eigs[rows], vecs=self.vecs[rows])
+
     def power(self, t: float) -> "PosDef":
         return matrix_power(self, t)
 
@@ -138,8 +142,33 @@ class PosDef:
         return matrix_power(self, -1.0)
 
 
-def matrix_power(P: PosDef, t: float) -> PosDef:
-    """Spectral real power; t = 0 yields the identity (A^0 := I on PD)."""
+def by_value(t: np.ndarray, f: Callable[[np.ndarray, float], PosDef]) -> PosDef:
+    """The stack of t's shape whose matrices at the rows where t equals v are
+    f(rows, v), for each distinct value v of t (passed as a float)."""
+    out = None
+    for v in dict.fromkeys(t.ravel().tolist()):
+        rows = t == v
+        R = f(rows, float(v))
+        if out is None:
+            out = PosDef(*(np.empty(t.shape + a.shape[1:], a.dtype)
+                           for a in (R.mat, R.eigs, R.vecs)))
+        out.mat[rows], out.eigs[rows], out.vecs[rows] = R.mat, R.eigs, R.vecs
+    return out
+
+
+def matrix_power(P: PosDef, t: float | np.ndarray) -> PosDef:
+    """Spectral real power; t = 0 yields the identity (A^0 := I on PD).  t is one
+    exponent, or an array of one exponent per matrix of the stack P, each matrix
+    then computed as with its exponent alone."""
+    if isinstance(t, np.ndarray) and t.ndim:
+        values = dict.fromkeys(t.ravel().tolist())
+        if 0 in values or 1 in values:  # the rules below, on their own rows
+            return by_value(t, lambda rows, v: matrix_power(P[rows], v))
+        w = np.empty(P.eigs.shape)
+        for v in values:  # ** of one float, as for one exponent
+            rows = t == v
+            w[rows] = P.eigs[rows] ** v
+        return PosDef.from_spectrum(w, P.vecs)
     if t == 0:
         eye = np.broadcast_to(np.eye(P.dim, dtype=complex), P.shape)
         return PosDef(mat=eye, eigs=np.ones(P.eigs.shape), vecs=eye)
@@ -227,23 +256,35 @@ def rng_for(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_index,)))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian with phase fix."""
-    Z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+def _complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+
+
+def _haar_unitary(Z: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries via QR of complex Gaussians Z with phase fix."""
     Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
 
 
 def sample_unitary(dim: int, seed: int, stream_index: int = 0) -> np.ndarray:
-    return haar_unitary(dim, rng_for(seed, stream_index))
+    return _haar_unitary(_complex_gaussian(dim, rng_for(seed, stream_index)))
+
+
+def draw_posdef(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """What sample_posdef_rng draws from rng: log-eigenvalues, then the complex
+    Gaussian of its unitary."""
+    return rng.uniform(np.log(EIG_LOW), np.log(EIG_HIGH), size=dim), _complex_gaussian(dim, rng)
+
+
+def build_posdef(logs: np.ndarray, Z: np.ndarray) -> PosDef:
+    """The matrix of draw_posdef's draws, or the stack of a stack of draws
+    ((..., n) and (..., n, n)): one QR, phase fix and from_spectrum for all."""
+    return PosDef.from_spectrum(np.exp(logs), _haar_unitary(Z))
 
 
 def sample_posdef_rng(rng: np.random.Generator, dim: int) -> PosDef:
-    logs = rng.uniform(np.log(EIG_LOW), np.log(EIG_HIGH), size=dim)
-    eigs = np.exp(logs)
-    U = haar_unitary(dim, rng)
-    return PosDef.from_spectrum(eigs, U)
+    return build_posdef(*draw_posdef(rng, dim))
 
 
 def sample_posdef(cfg: SamplerConfig) -> PosDef:

@@ -1,6 +1,9 @@
 """Randomized convexity testing, certificates, Loewner tests, and sweeps."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,15 +29,19 @@ from tracelab.linalg import (
     PosDef,
     SamplerConfig,
     hermitize,
+    loewner_leq,
+    mat_to_json,
+    matrix_exp_herm,
     rng_for,
     sample_hermitian_rng,
     sample_posdef,
     sample_posdef_rng,
     vec_to_herm,
 )
-from tracelab.means import MeanSpec
+from tracelab.means import MeanSpec, eval_mean, power_mean
 from tracelab.norms import NormSpec
-from tracelab.posmaps import conjugation, identity_map, sample_kraus, transpose_then_kraus
+from tracelab.posmaps import (conjugation, hat_map, identity_map, sample_kraus,
+                              transpose_then_kraus)
 
 TRACE = NormSpec(kind="trace")
 
@@ -134,6 +141,21 @@ class TestSegmentTest:
         monkeypatch.setattr(linalg, "check_hermitian", refuse)
         report = segment_test(fam, "concave", A, H + H.conj().T)
         assert report.to_json() == expected.to_json()
+
+    def test_a_point_that_raises_is_a_failed_point(self):
+        # A^400 underflows to a singular matrix on parts of this segment: those
+        # points fail, and the scan is INCONCLUSIVE instead of raising
+        rng = rng_for(142, 0)
+        A, H = sample_posdef_rng(rng, 2), sample_hermitian_rng(rng, 2, scale=3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = segment_test(epstein(400.0, 0.001), "concave", A, H)
+        assert report.verdict == "INCONCLUSIVE"
+        assert 0 < report.failures == report.witness["values"].count(None)
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        json.loads(report.to_json(), parse_constant=refuse)
 
     def test_scalar_second_derivative_sign_classification(self):
         # for f(x) = (x^p + b)^s the sign of f'' matches (ps-1)x^p + (p-1)b;
@@ -324,8 +346,8 @@ def _curvature_direction_loop(family, direction, rng):
 
 
 def _segment_test_loop(family, direction, A, H, B=None, K=None):
-    """segment_test as it was with one eval_family call per point, kept as its
-    reference."""
+    """segment_test with one eval_family call per point, kept as its reference; a
+    point that raises is a failure."""
     steps, x_max = 21, 1.0
 
     def pd_at(x):
@@ -342,10 +364,14 @@ def _segment_test_loop(family, direction, A, H, B=None, K=None):
     else:
         raise EvaluationError("no positive definite range along the segment")
     xs = np.linspace(0.0, x_max, steps)
-    vals = []
+    vals, failed = [], []
     for x in xs:
-        Ax, Bx = pd_at(float(x))
-        vals.append(eval_family(family, Ax, Bx))
+        try:
+            Ax, Bx = pd_at(float(x))
+            vals.append(eval_family(family, Ax, Bx))
+        except (EvaluationError, MatrixError):
+            vals.append(np.nan)
+            failed.append(len(vals) - 1)
     vals = np.asarray(vals)
     d2 = vals[:-2] - 2 * vals[1:-1] + vals[2:]
     scale = max(1.0, float(np.abs(vals).max()))
@@ -353,9 +379,10 @@ def _segment_test_loop(family, direction, A, H, B=None, K=None):
     worst_rel = float(signed.max() / scale)
     return lab.TestReport(
         label=f"segment:{family.label()}", direction=direction, trials=steps - 2,
-        worst_violation=worst_rel,
-        verdict=lab._verdict(0, steps - 2, worst_rel > CLAIM_REL, worst_rel),
-        witness={"x_max": x_max, "values": vals.tolist()},
+        worst_violation=worst_rel, failures=len(failed),
+        verdict=lab._verdict(len(failed), steps - 2, worst_rel > CLAIM_REL, worst_rel),
+        witness={"x_max": x_max,
+                 "values": [None if i in failed else v for i, v in enumerate(vals.tolist())]},
     )
 
 
@@ -608,3 +635,189 @@ class TestReportSerialization:
         r1 = midpoint_test(fam, "concave", 50, SamplerConfig(dim=2, seed=117))
         r2 = midpoint_test(fam, "concave", 50, SamplerConfig(dim=2, seed=117))
         assert r1.to_json() == r2.to_json()
+
+
+def _loewner_excess_one(small, big):
+    Rih = big.power(-0.5).mat
+    C = hermitize(Rih @ small.mat @ Rih)
+    return float(np.linalg.eigvalsh(C)[-1] - 1.0)
+
+
+def _loewner_gap_one(expr, params, rng, cfg):
+    """One trial's (excess, witness eigenvalue, inputs as JSON) as the per-trial
+    loop drew and evaluated it."""
+    mix = lambda P1, P2: PosDef.from_matrix(0.5 * P1.mat + (1 - 0.5) * P2.mat)
+    if expr == "power-mean-dominance":
+        A, B = (sample_posdef_rng(rng, cfg.dim) for _ in range(2))
+        small, big = power_mean(A, B, params["p"]), power_mean(A, B, params["q"])
+        inputs = {"a": A, "b": B}
+    elif expr == "hat-power":
+        phi, p = params["phi"], params["p"]
+        A, B = (sample_posdef_rng(rng, phi.in_dim) for _ in range(2))
+        big = hat_map(phi, mix(A, B).power(p))
+        small = PosDef.from_hermitian(0.5 * (hat_map(phi, A.power(p)).mat
+                                             + hat_map(phi, B.power(p)).mat))
+        inputs = {"a": A, "b": B}
+    else:
+        mean = params["mean"]
+        A1, A2, B1, B2 = (sample_posdef_rng(rng, cfg.dim) for _ in range(4))
+        big = eval_mean(mean, mix(A1, A2), mix(B1, B2))
+        small = PosDef.from_hermitian(0.5 * (eval_mean(mean, A1, B1).mat
+                                             + eval_mean(mean, A2, B2).mat))
+        inputs = {"a1": A1, "a2": A2, "b1": B1, "b2": B2}
+    excess = _loewner_excess_one(small, big)
+    w = excess if excess <= 0.0 else loewner_leq(small.mat, big.mat)[1]
+    return excess, w, {name: mat_to_json(P.mat) for name, P in inputs.items()}
+
+
+def _loewner_midpoint_test_loop(expr, params, trials, sampler, stop_on_violation=False):
+    """The random phase of loewner_midpoint_test as it was, one trial per
+    evaluation, kept as its reference."""
+    worst_rel, witness, failures = -np.inf, None, 0
+    for t in range(trials):
+        stream = sampler.stream_index + t
+        try:
+            excess, w, payload = _loewner_gap_one(expr, params, rng_for(sampler.seed, stream),
+                                                  sampler)
+        except (EvaluationError, MatrixError):
+            failures += 1
+            continue
+        if excess > worst_rel:
+            worst_rel = excess
+            if excess > CLAIM_REL:
+                witness = {"witness_eigenvalue": w, "relative_excess": excess,
+                           "stream": stream, **payload}
+                if stop_on_violation:
+                    break
+    return lab.TestReport(
+        label=f"loewner:{expr}", direction="loewner", trials=trials,
+        worst_violation=float(worst_rel),
+        verdict=lab._verdict(failures, trials, witness is not None, worst_rel),
+        failures=failures, witness=witness)
+
+
+def _loewner_cases(dim):
+    """(expr, params) that pass, violate, take the p = 0 limit or fail some trials."""
+    X = rng_for(144, dim).normal(size=(dim, dim)) + 2 * np.eye(dim)
+    return [
+        ("power-mean-dominance", {"p": 0.5, "q": 1.0}),
+        ("power-mean-dominance", {"p": 0.3, "q": 1.0}),
+        ("power-mean-dominance", {"p": 0.0, "q": 1.0}),
+        ("power-mean-dominance", {"p": 2.0, "q": -1.0}),
+        ("power-mean-dominance", {"p": 300.0, "q": 200.0}),  # A^300 fails in some trials
+        ("hat-power", {"phi": conjugation(X), "p": 1.0}),
+        ("hat-power", {"phi": conjugation(X), "p": 2.0}),
+        ("hat-power", {"phi": sample_kraus(dim, dim, 2, 144), "p": 0.5}),
+        ("mean-concavity", {"mean": MeanSpec("geometric", t=0.5)}),
+        ("mean-concavity", {"mean": MeanSpec("power", r=-0.5, modifier="adjoint")}),
+        ("mean-concavity", {"mean": MeanSpec("sum")}),
+    ]
+
+
+@pytest.mark.parametrize("block", [lab.LOEWNER_BLOCK, 16])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_loewner_blocks_equal_the_per_trial_loop(dim, block, monkeypatch):
+    monkeypatch.setattr(lab, "LOEWNER_BLOCK", block)
+    seen = set()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for expr, params in _loewner_cases(dim):
+            for seed, stream_index in ((0, 0), (11, 300)):
+                sampler = SamplerConfig(dim=dim, seed=seed, stream_index=stream_index)
+                for stop in (False, True):
+                    got = loewner_midpoint_test(expr, params, 40, sampler,
+                                                stop_on_violation=stop)
+                    ref = _loewner_midpoint_test_loop(expr, params, 40, sampler, stop)
+                    assert got.to_json() == ref.to_json(), (expr, params, seed, stop)
+                    seen.add((expr, got.verdict, 0 < got.failures < 40))
+    assert {(e, "PASS", False) for e in lab.LOEWNER_INPUTS} <= seen
+    assert {("power-mean-dominance", "VIOLATED", False), ("hat-power", "VIOLATED", False)} <= seen
+    assert ("power-mean-dominance", "INCONCLUSIVE", True) in seen  # blocks that raised
+
+
+def test_a_witness_mid_block_leaves_later_failures_uncounted():
+    # at (300, 200) A^300 fails on some trials; with stop_on_violation the test
+    # stops at the witness on stream 1, inside a block that fails again after it
+    params, sampler = {"p": 300.0, "q": 200.0}, SamplerConfig(dim=2, seed=2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = loewner_midpoint_test("power-mean-dominance", params, 100, sampler,
+                                    stop_on_violation=True)
+        ref = _loewner_midpoint_test_loop("power-mean-dominance", params, 100, sampler, True)
+        whole = _loewner_midpoint_test_loop("power-mean-dominance", params, 100, sampler)
+    assert got.to_json() == ref.to_json()
+    assert got.verdict == "VIOLATED" and got.witness["stream"] == 1
+    assert got.failures == 1 < whole.failures
+
+
+def test_a_passing_block_builds_no_witness(monkeypatch):
+    built = []
+    monkeypatch.setattr(lab, "mat_to_json", lambda M: built.append(M))
+    monkeypatch.setattr(lab, "loewner_leq", lambda A, B: built.append(A))
+    report = loewner_midpoint_test("power-mean-dominance", {"p": 0.5, "q": 1.0}, 500,
+                                   SamplerConfig(dim=2, seed=61))
+    assert report.verdict == "PASS" and built == []
+
+
+def _dominance_objective_one(p, q, dim):
+    """The Nelder-Mead objective as it was, one point per call, kept as the
+    reference of lab._dominance_objective."""
+    k = dim * dim
+
+    def objective(v):
+        if np.max(np.abs(v)) > 10.0:
+            return 1.0
+        A = matrix_exp_herm(vec_to_herm(v[:k], dim))
+        B = matrix_exp_herm(vec_to_herm(v[k:], dim))
+        try:
+            return -_loewner_excess_one(power_mean(A, B, p), power_mean(A, B, q))
+        except MatrixError:
+            return 1.0
+
+    return objective
+
+
+# (p, q, seed, restart k): perfbench's two refined starts, criterion 6's restarts
+# at (0.8, 0.9) up to its witness, and verify L5.4's restart k = 9 at (1, 2),
+# which steps onto failed points
+_NM_RUNS = ([(0.6, 0.9, 1, 0), (0.6, 0.9, 4, 0)] + [(0.8, 0.9, 7, k) for k in range(11)]
+            + [(1.0, 2.0, 112, 9)])
+
+
+@pytest.mark.parametrize("p, q, seed, k", _NM_RUNS)
+def test_nelder_mead_ends_where_scipy_does(p, q, seed, k):
+    import scipy.optimize
+
+    x0 = rng_for(seed, k ^ 0x0D0A).normal(0.0, 1.5, 8)
+    ref = scipy.optimize.minimize(_dominance_objective_one(p, q, 2), x0, method="Nelder-Mead",
+                                  options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-16})
+    x = lab._nelder_mead(lab._dominance_objective(p, q, 2), x0, maxiter=2000, xatol=1e-12,
+                         fatol=1e-16)
+    assert x.tobytes() == ref.x.tobytes()
+
+
+def test_the_stacked_objective_scores_each_point_as_alone():
+    rng = rng_for(145, 0)
+    V = rng.normal(0.0, 1.5, (60, 8))
+    V[::7] *= 8.0  # beyond the bound
+    for p, q in ((0.8, 0.9), (1.0, 2.0), (0.0, 1.0), (200.0, 300.0)):
+        one = _dominance_objective_one(p, q, 2)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            got = np.concatenate([lab._dominance_objective(p, q, 2)(V[i:i + 4])
+                                  for i in range(0, len(V), 4)])
+            ref = np.array([one(v) for v in V])
+        assert got.tobytes() == ref.tobytes(), (p, q)
+
+
+def test_scipy_optimize_is_not_imported():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys\n"
+            "import tracelab.cli\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "from tracelab.lab import loewner_midpoint_test\n"
+            "from tracelab.linalg import SamplerConfig\n"
+            "r = loewner_midpoint_test('power-mean-dominance', {'p': 0.6, 'q': 0.9}, 3,\n"
+            "                          SamplerConfig(dim=2, seed=1), refine=True)\n"
+            "print(r.verdict, 'scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.split() == ["False", "VIOLATED", "False"]

@@ -11,9 +11,8 @@ from .linalg import (
     matrix_power,
     sample_posdef,
     sample_unitary,
-    spectral_decompose,
 )
-from .norms import NormSpec, derived_antinorm, eval_norm
+from .norms import NormSpec
 from .means import MeanSpec, eval_mean, power_mean
 from .posmaps import (
     MapSpec,
@@ -42,6 +41,5 @@ from .lab import (
     loewner_midpoint_test,
     midpoint_test,
     replay_certificate,
-    segment_test,
     sweep,
 )

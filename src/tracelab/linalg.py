@@ -7,10 +7,10 @@ before decomposition to suppress floating-point drift.
 Shape rule: a matrix is (n, n), or (..., n, n) for a stack evaluated in one
 call; the spectral calculus here, the maps, means, norms and families take
 either, and a stack fails as its failing matrix would alone.  Hermiticity is
-checked only on one (n, n) matrix from outside the program, by check_hermitian,
-spectral_decompose and PosDef.from_matrix.  The means, families and lab build
-with PosDef.from_hermitian, PosDef.from_spectrum and matrix_exp_herm, which do
-not check, from matrices that are Hermitian.
+checked only on one (n, n) matrix from outside the program, by check_hermitian
+and PosDef.from_matrix.  The means, families and lab build with
+PosDef.from_hermitian, PosDef.from_spectrum and matrix_exp_herm, which do not
+check, from matrices that are Hermitian.
 
 A Hermitian n x n matrix is parametrized by a real vector of length n*n: the
 n diagonal entries, then the real and imaginary parts of each entry above the
@@ -70,13 +70,6 @@ def check_hermitian(M: np.ndarray) -> np.ndarray:
             f"{HERM_ATOL * scale:.3e}"
         )
     return hermitize(M)
-
-
-def spectral_decompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and a unitary of eigenvectors for Hermitian H."""
-    H = check_hermitian(H)
-    w, V = np.linalg.eigh(H)
-    return w, V
 
 
 @dataclass(frozen=True)
@@ -142,33 +135,8 @@ class PosDef:
         return matrix_power(self, -1.0)
 
 
-def by_value(t: np.ndarray, f: Callable[[np.ndarray, float], PosDef]) -> PosDef:
-    """The stack of t's shape whose matrices at the rows where t equals v are
-    f(rows, v), for each distinct value v of t (passed as a float)."""
-    out = None
-    for v in dict.fromkeys(t.ravel().tolist()):
-        rows = t == v
-        R = f(rows, float(v))
-        if out is None:
-            out = PosDef(*(np.empty(t.shape + a.shape[1:], a.dtype)
-                           for a in (R.mat, R.eigs, R.vecs)))
-        out.mat[rows], out.eigs[rows], out.vecs[rows] = R.mat, R.eigs, R.vecs
-    return out
-
-
-def matrix_power(P: PosDef, t: float | np.ndarray) -> PosDef:
-    """Spectral real power; t = 0 yields the identity (A^0 := I on PD).  t is one
-    exponent, or an array of one exponent per matrix of the stack P, each matrix
-    then computed as with its exponent alone."""
-    if isinstance(t, np.ndarray) and t.ndim:
-        values = dict.fromkeys(t.ravel().tolist())
-        if 0 in values or 1 in values:  # the rules below, on their own rows
-            return by_value(t, lambda rows, v: matrix_power(P[rows], v))
-        w = np.empty(P.eigs.shape)
-        for v in values:  # ** of one float, as for one exponent
-            rows = t == v
-            w[rows] = P.eigs[rows] ** v
-        return PosDef.from_spectrum(w, P.vecs)
+def matrix_power(P: PosDef, t: float) -> PosDef:
+    """Spectral real power; t = 0 yields the identity (A^0 := I on PD)."""
     if t == 0:
         eye = np.broadcast_to(np.eye(P.dim, dtype=complex), P.shape)
         return PosDef(mat=eye, eigs=np.ones(P.eigs.shape), vecs=eye)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .linalg import (
     PosDef,
-    by_value,
     matrix_log,
     matrix_exp_herm,
     matrix_power,
@@ -120,14 +119,9 @@ def eval_mean(spec: MeanSpec, A: PosDef, B: PosDef) -> PosDef:
     return M.inv() if adjoint else M
 
 
-def power_mean(A: PosDef, B: PosDef, p: float | np.ndarray) -> PosDef:
-    """The matrix power mean ((A^p + B^p)/2)^{1/p}; p = 0 is the log-exp limit.  p is
-    one exponent, or an array of one exponent per pair of the stacks A and B."""
-    if isinstance(p, np.ndarray) and p.ndim:
-        if (p == 0).any():  # the limit's pairs apart from the others
-            return by_value(p == 0, lambda rows, limit: power_mean(
-                A[rows], B[rows], 0.0 if limit else p[rows]))
-    elif p == 0:
+def power_mean(A: PosDef, B: PosDef, p: float) -> PosDef:
+    """The matrix power mean ((A^p + B^p)/2)^{1/p}; p = 0 is the log-exp limit."""
+    if p == 0:
         return matrix_exp_herm(0.5 * (matrix_log(A) + matrix_log(B)))
     M = PosDef.from_hermitian(0.5 * (matrix_power(A, p).mat + matrix_power(B, p).mat))
     return matrix_power(M, 1.0 / p)

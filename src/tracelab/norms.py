@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PosDef
 
 #: eigenvalues below this fraction of the largest count as zero for rank decisions
 RANK_FLOOR = 1e-14
@@ -129,20 +128,6 @@ def eval_norm_from_eigs(spec: NormSpec, eigs: np.ndarray):
     return float(value) if value.ndim == 0 else value
 
 
-def eval_norm(spec: NormSpec, A: PosDef) -> float:
-    return eval_norm_from_eigs(spec, A.eigs)
-
-
-def derived_antinorm(spec: NormSpec, A: PosDef) -> float:
-    """The anti-norm ||A^{-1}||^{-1} derived from a symmetric norm."""
-    if spec.kind not in NORM_KINDS:
-        raise ValueError(f"derived_antinorm needs a NORM-tagged spec, got {spec.kind!r}")
-    lam = _check_psd_eigs(A.eigs)
-    if _rank_deficient(lam):
-        return 0.0
-    return 1.0 / eval_norm_from_eigs(spec, 1.0 / lam)
-
-
 def catalog_antinorms(dim: int) -> list[NormSpec]:
     """The anti-norm catalog instantiated for a given dimension."""
     specs = [NormSpec("trace"), NormSpec("lambda-min")]
@@ -151,11 +136,4 @@ def catalog_antinorms(dim: int) -> list[NormSpec]:
         specs.append(NormSpec("minkowski", k=k))
     specs.append(NormSpec("schatten-quasi", p=0.5))
     specs.append(NormSpec("neg-schatten", p=1.0))
-    return specs
-
-
-def catalog_norms(dim: int) -> list[NormSpec]:
-    specs = [NormSpec("trace"), NormSpec("operator")]
-    for k in range(1, dim + 1):
-        specs.append(NormSpec("kyfan", k=k))
     return specs

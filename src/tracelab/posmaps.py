@@ -159,10 +159,6 @@ def apply_map(spec: MapSpec, A: np.ndarray) -> np.ndarray:
     return _kraus_sum(spec.kraus, A.swapaxes(-1, -2) if spec.transpose else A)
 
 
-def map_on_identity(spec: MapSpec) -> np.ndarray:
-    return spec.unit
-
-
 def is_strictly_positive(spec: MapSpec) -> bool:
     return spec.strictly_positive
 

@@ -124,16 +124,9 @@ THEOREMS = {
 
 THEOREM_IDS = tuple(THEOREMS)
 
-#: direction of the claim made on each region ("concave", "convex" or "dominance")
-THEOREM_DIRECTION = {tid: th.direction for tid, th in THEOREMS.items()}
-
 
 def region_member(theorem_id: str, point: ParameterPoint) -> bool:
     return bool(THEOREMS[theorem_id].region(point.p, point.q, point.s))
-
-
-def region_description(theorem_id: str) -> str:
-    return THEOREMS[theorem_id].description
 
 
 def region_violation(theorem_id: str, point: ParameterPoint) -> str | None:
@@ -142,5 +135,5 @@ def region_violation(theorem_id: str, point: ParameterPoint) -> str | None:
         return None
     return (
         f"({point.p:g}, {point.q:g}, {point.s:g}) is outside the {theorem_id} "
-        f"region: requires {region_description(theorem_id)}"
+        f"region: requires {THEOREMS[theorem_id].description}"
     )

@@ -108,6 +108,14 @@ class TestVerify:
         assert (rc, report["verdict"], report["failures"]) == (3, "INCONCLUSIVE", 20)
         assert "worst_case" not in report and report["worst_violation"] is None
 
+    def test_trials_with_a_non_finite_value_are_failed_trials(self, capsys):
+        # Tr A^{450} overflows to inf on 8 of these 20 trials
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["verify", "--theorem", "T3.1-2-convex", "--p", "1.5", "--s", "300",
+                       "--force", "--trials", "20", "--seed", "0"])
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert (rc, report["verdict"], report["failures"]) == (3, "INCONCLUSIVE", 8)
+
     def test_off_region_refused(self, capsys):
         rc = main(["verify", "--theorem", "T1.1-1", "--p", "0.7", "--q", "0.7",
                    "--s", "0.9"])

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from tracelab import lab, linalg
+from tracelab import lab
 from tracelab.families import EvaluationError, FamilySpec, ParameterPoint, eval_family
 from tracelab.lab import (
     CLAIM_REL,
@@ -21,7 +21,6 @@ from tracelab.lab import (
     midpoint_test,
     midpoint_violation,
     replay_certificate,
-    segment_test,
     sweep,
 )
 from tracelab.linalg import (
@@ -33,7 +32,6 @@ from tracelab.linalg import (
     mat_to_json,
     matrix_exp_herm,
     rng_for,
-    sample_hermitian_rng,
     sample_posdef,
     sample_posdef_rng,
     vec_to_herm,
@@ -98,6 +96,16 @@ class TestMidpointTest:
         assert report.worst_case is None
         assert report.worst_violation == -np.inf
 
+    @pytest.mark.parametrize("p, s, direction, failed", [(1.5, 300.0, "convex", 8),
+                                                         (np.nan, 1.0, "concave", 20)])
+    def test_a_trial_with_a_non_finite_value_fails(self, p, s, direction, failed):
+        # Tr A^{ps} overflows to inf on some draws at s = 300, and every value is
+        # NaN at p = NaN: those trials fail instead of passing unjudged
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = midpoint_test(epstein(p, s), direction, trials=20,
+                                   sampler=SamplerConfig(dim=2, seed=0))
+        assert (report.failures, report.verdict) == (failed, "INCONCLUSIVE")
+
     def test_invalid_direction_rejected(self):
         with pytest.raises(ValueError):
             midpoint_test(carlen_lieb(1.5), "sideways", trials=1,
@@ -107,56 +115,9 @@ class TestMidpointTest:
         with pytest.raises(ValueError):
             hunt_counterexample(carlen_lieb(1.5), "concav", budget=1,
                                 sampler=SamplerConfig(dim=2, seed=0))
-        with pytest.raises(ValueError):
-            segment_test(epstein(1.0, 1.0), "concav", _sample(0), np.eye(2))
 
 
-class TestSegmentTest:
-    def test_quadratic_profile_is_convex(self):
-        fam = epstein(2.0, 1.0)  # Tr A^2 along a line is a parabola
-        A = _sample(103)
-        rng = rng_for(103, 1)
-        H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        report = segment_test(fam, "convex", A, H + H.conj().T)
-        assert report.verdict == "PASS"
-
-    def test_concave_epstein_segment(self):
-        fam = epstein(0.5, 2.0)
-        A = _sample(104)
-        rng = rng_for(104, 1)
-        H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        report = segment_test(fam, "concave", A, H + H.conj().T)
-        assert report.verdict == "PASS"
-
-    def test_points_run_no_hermiticity_check(self, monkeypatch):
-        fam = epstein(0.5, 2.0)
-        A = _sample(104)
-        rng = rng_for(104, 1)
-        H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        expected = segment_test(fam, "concave", A, H + H.conj().T)
-
-        def refuse(M):
-            raise AssertionError("check_hermitian called on an internal matrix")
-
-        monkeypatch.setattr(linalg, "check_hermitian", refuse)
-        report = segment_test(fam, "concave", A, H + H.conj().T)
-        assert report.to_json() == expected.to_json()
-
-    def test_a_point_that_raises_is_a_failed_point(self):
-        # A^400 underflows to a singular matrix on parts of this segment: those
-        # points fail, and the scan is INCONCLUSIVE instead of raising
-        rng = rng_for(142, 0)
-        A, H = sample_posdef_rng(rng, 2), sample_hermitian_rng(rng, 2, scale=3.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = segment_test(epstein(400.0, 0.001), "concave", A, H)
-        assert report.verdict == "INCONCLUSIVE"
-        assert 0 < report.failures == report.witness["values"].count(None)
-
-        def refuse(token):
-            raise ValueError(f"not JSON: {token}")
-
-        json.loads(report.to_json(), parse_constant=refuse)
-
+class TestScalarCurvature:
     def test_scalar_second_derivative_sign_classification(self):
         # for f(x) = (x^p + b)^s the sign of f'' matches (ps-1)x^p + (p-1)b;
         # checked across a parameter grid via 1x1 segment scans
@@ -345,47 +306,6 @@ def _curvature_direction_loop(family, direction, rng):
     return A0, B0, G1, G2, len(steps) - 1
 
 
-def _segment_test_loop(family, direction, A, H, B=None, K=None):
-    """segment_test with one eval_family call per point, kept as its reference; a
-    point that raises is a failure."""
-    steps, x_max = 21, 1.0
-
-    def pd_at(x):
-        Ax = PosDef.from_hermitian(A.mat + x * hermitize(H))
-        Bx = PosDef.from_hermitian(B.mat + x * hermitize(K)) if B is not None else None
-        return Ax, Bx
-
-    for _ in range(60):
-        try:
-            pd_at(x_max)
-            break
-        except MatrixError:
-            x_max /= 2
-    else:
-        raise EvaluationError("no positive definite range along the segment")
-    xs = np.linspace(0.0, x_max, steps)
-    vals, failed = [], []
-    for x in xs:
-        try:
-            Ax, Bx = pd_at(float(x))
-            vals.append(eval_family(family, Ax, Bx))
-        except (EvaluationError, MatrixError):
-            vals.append(np.nan)
-            failed.append(len(vals) - 1)
-    vals = np.asarray(vals)
-    d2 = vals[:-2] - 2 * vals[1:-1] + vals[2:]
-    scale = max(1.0, float(np.abs(vals).max()))
-    signed = d2 if direction == "concave" else -d2
-    worst_rel = float(signed.max() / scale)
-    return lab.TestReport(
-        label=f"segment:{family.label()}", direction=direction, trials=steps - 2,
-        worst_violation=worst_rel, failures=len(failed),
-        verdict=lab._verdict(len(failed), steps - 2, worst_rel > CLAIM_REL, worst_rel),
-        witness={"x_max": x_max,
-                 "values": [None if i in failed else v for i, v in enumerate(vals.tolist())]},
-    )
-
-
 def _midpoint_test_loop(family, direction, trials, sampler, label=None):
     """midpoint_test as it was, one pass per direction, kept as its reference."""
     worst_rel = -np.inf
@@ -420,7 +340,7 @@ def _midpoint_test_loop(family, direction, trials, sampler, label=None):
 
 
 def _stacked_case(name):
-    """Families whose curvature and segment scans are compared with the loops."""
+    """Families whose curvature scans and midpoint tests are compared with the loops."""
     kraus = sample_kraus(3, 3, rank=2, seed=141)
     X = rng_for(141, 1).normal(size=(2, 2)) + 2 * np.eye(2)
     return {
@@ -470,31 +390,6 @@ def test_curvature_direction_equals_the_per_point_loop(name, block, monkeypatch)
     assert (found == 0) == (name == "overflow-n2")
 
 
-def _report_or_error(test, *args):
-    try:
-        return test(*args).to_json()
-    except (EvaluationError, MatrixError) as exc:
-        return type(exc)
-
-
-@pytest.mark.parametrize("name", _STACKED_CASES)
-def test_segment_test_equals_the_per_point_loop(name):
-    fam = _stacked_case(name)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for seed in range(3):
-            rng = rng_for(142, seed)
-            A = sample_posdef_rng(rng, fam.phi.in_dim)
-            H = sample_hermitian_rng(rng, fam.phi.in_dim, scale=3.0)
-            B = K = None
-            if fam.two_variable:
-                B = sample_posdef_rng(rng, fam.psi.in_dim)
-                K = sample_hermitian_rng(rng, fam.psi.in_dim, scale=3.0)
-            for direction in ("concave", "convex"):
-                got, ref = (_report_or_error(test, fam, direction, A, H, B, K)
-                            for test in (segment_test, _segment_test_loop))
-                assert got == ref
-
-
 @pytest.mark.parametrize("name", ["lieb-n2", "lieb-kraus-n3", "mean-n2", "epstein-n3",
                                   "sum-n2", "logexp-fails"])
 def test_midpoint_test_equals_the_per_direction_loop(name):
@@ -524,8 +419,6 @@ def test_stacked_scans_make_one_call_per_block(monkeypatch):
     fam = _stacked_case("lieb-kraus-n3")  # 2 * 18**2 + 1 = 649 rows
     assert lab._curvature_direction(fam, "concave", rng_for(0, 0xC0DE)) is not None
     assert calls == [(649, 3, 3)]
-    segment_test(epstein(1.5, 0.8), "convex", _sample(143), np.eye(2), None, None)
-    assert calls[1:] == [(21, 2, 2)]
     monkeypatch.setattr(lab, "CURVATURE_BLOCK", 200)
     del calls[:]
     lab._curvature_direction(fam, "concave", rng_for(0, 0xC0DE))

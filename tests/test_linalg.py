@@ -22,7 +22,6 @@ from tracelab.linalg import (
     sample_hermitian_rng,
     sample_posdef,
     sample_unitary,
-    spectral_decompose,
 )
 from tracelab.means import power_mean
 from tracelab.norms import NormSpec
@@ -33,31 +32,7 @@ def random_hermitian(rng, n, scale=1.0):
     return sample_hermitian_rng(rng, n, scale=scale)
 
 
-class TestSpectralDecompose:
-    def test_diagonal_input(self):
-        eigs, vecs = spectral_decompose(np.diag([2.0, 1.0]).astype(complex))
-        assert np.allclose(eigs, [1.0, 2.0])
-        # basis is a permutation of the standard one
-        assert np.allclose(np.abs(vecs), [[0, 1], [1, 0]])
-
-    def test_identity(self):
-        eigs, vecs = spectral_decompose(np.eye(3, dtype=complex))
-        assert np.allclose(eigs, [1.0, 1.0, 1.0])
-        assert np.allclose(vecs @ vecs.conj().T, np.eye(3))
-
-    def test_reconstruction(self):
-        rng = rng_for(11, 0)
-        H = random_hermitian(rng, 4)
-        eigs, vecs = spectral_decompose(H)
-        R = vecs @ np.diag(eigs) @ vecs.conj().T
-        assert np.allclose(R, H, rtol=0, atol=1e-10 * max(1, np.abs(H).max()))
-        assert np.all(np.diff(eigs) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        M = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(NotHermitianError, match="asymmetry"):
-            spectral_decompose(M)
-
+class TestHermiticityChecks:
     def test_only_from_matrix_checks_hermiticity(self):
         M = np.array([[2.0, 1e-6], [0.0, 2.0]], dtype=complex)
         with pytest.raises(NotHermitianError, match="asymmetry"):

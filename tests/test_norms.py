@@ -7,11 +7,12 @@ from tracelab.linalg import PosDef, SamplerConfig, rng_for, sample_posdef, sampl
 from tracelab.norms import (
     NormSpec,
     catalog_antinorms,
-    catalog_norms,
-    derived_antinorm,
-    eval_norm,
     eval_norm_from_eigs,
 )
+
+#: the norm catalog at dimension 3
+NORMS_3 = [NormSpec("trace"), NormSpec("operator"),
+           *(NormSpec("kyfan", k=k) for k in range(1, 4))]
 
 
 def _diag(*vals):
@@ -20,48 +21,34 @@ def _diag(*vals):
 
 class TestFrozenValues:
     def test_kyfan_norm(self):
-        assert eval_norm(NormSpec(kind="kyfan", k=2), _diag(3.0, 1.0, 2.0)) == 5.0
+        v = eval_norm_from_eigs(NormSpec(kind="kyfan", k=2), _diag(3.0, 1.0, 2.0).eigs)
+        assert v == 5.0
 
     def test_kyfan_antinorm(self):
-        assert eval_norm(NormSpec(kind="kyfan-anti", k=2), _diag(3.0, 1.0, 2.0)) == 3.0
+        v = eval_norm_from_eigs(NormSpec(kind="kyfan-anti", k=2), _diag(3.0, 1.0, 2.0).eigs)
+        assert v == 3.0
 
     def test_minkowski(self):
-        v = eval_norm(NormSpec(kind="minkowski", k=2), _diag(1.0, 4.0))
+        v = eval_norm_from_eigs(NormSpec(kind="minkowski", k=2), _diag(1.0, 4.0).eigs)
         assert np.isclose(v, 2.0)  # det^{1/2}
 
     def test_schatten_quasi(self):
-        v = eval_norm(NormSpec(kind="schatten-quasi", p=0.5), _diag(1.0, 4.0))
+        v = eval_norm_from_eigs(NormSpec(kind="schatten-quasi", p=0.5), _diag(1.0, 4.0).eigs)
         assert np.isclose(v, 9.0)  # (1 + 2)^2
 
     def test_negative_schatten(self):
-        v = eval_norm(NormSpec(kind="neg-schatten", p=1.0), _diag(1.0, 0.5))
+        v = eval_norm_from_eigs(NormSpec(kind="neg-schatten", p=1.0), _diag(1.0, 0.5).eigs)
         assert np.isclose(v, 1.0 / 3.0)  # (1 + 2)^{-1}
 
     def test_trace_operator_lambda_min(self):
         P = _diag(1.0, 4.0, 2.0)
-        assert eval_norm(NormSpec(kind="trace"), P) == 7.0
-        assert eval_norm(NormSpec(kind="operator"), P) == 4.0
-        assert eval_norm(NormSpec(kind="lambda-min"), P) == 1.0
+        assert eval_norm_from_eigs(NormSpec(kind="trace"), P.eigs) == 7.0
+        assert eval_norm_from_eigs(NormSpec(kind="operator"), P.eigs) == 4.0
+        assert eval_norm_from_eigs(NormSpec(kind="lambda-min"), P.eigs) == 1.0
 
     def test_negative_schatten_singular_is_zero(self):
         eigs = np.array([0.0, 1.0, 2.0])
         assert eval_norm_from_eigs(NormSpec(kind="neg-schatten", p=1.0), eigs) == 0.0
-
-
-class TestDerivedAntinorm:
-    def test_from_operator_norm(self):
-        # ||A^{-1}||_inf^{-1} is the smallest eigenvalue
-        assert np.isclose(derived_antinorm(NormSpec(kind="operator"), _diag(2.0, 3.0)), 2.0)
-
-    def test_from_trace(self):
-        assert np.isclose(derived_antinorm(NormSpec(kind="trace"), _diag(1.0, 1.0)), 0.5)
-
-    def test_from_kyfan_cross_check(self):
-        P = sample_posdef(SamplerConfig(dim=4, seed=21))
-        spec = NormSpec(kind="kyfan", k=2)
-        # direct spectral evaluation: sum of the 2 largest inverse eigenvalues
-        direct = 1.0 / np.sum(np.sort(1.0 / P.eigs)[-2:])
-        assert np.isclose(derived_antinorm(spec, P), direct, rtol=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +74,7 @@ class TestAxioms:
                 assert ab - (a + b) >= -1e-10 * scale, spec.label()
 
     def test_norm_triangle_and_monotone(self, psd_pairs):
-        for spec in catalog_norms(3):
+        for spec in NORMS_3:
             for A, B in psd_pairs:
                 a = eval_norm_from_eigs(spec, np.linalg.eigvalsh(A))
                 b = eval_norm_from_eigs(spec, np.linalg.eigvalsh(B))
@@ -98,7 +85,7 @@ class TestAxioms:
 
     def test_homogeneity(self):
         P = sample_posdef(SamplerConfig(dim=3, seed=23))
-        for spec in catalog_norms(3) + catalog_antinorms(3):
+        for spec in NORMS_3 + catalog_antinorms(3):
             for t in (0.2, 3.7):
                 lhs = eval_norm_from_eigs(spec, t * P.eigs)
                 rhs = t * eval_norm_from_eigs(spec, P.eigs)
@@ -108,9 +95,9 @@ class TestAxioms:
         P = sample_posdef(SamplerConfig(dim=3, seed=24))
         U = sample_unitary(3, seed=24, stream_index=1)
         conj = PosDef.from_matrix(U @ P.mat @ U.conj().T)
-        for spec in catalog_norms(3) + catalog_antinorms(3):
-            assert np.isclose(eval_norm(spec, P), eval_norm(spec, conj),
-                              rtol=1e-9), spec.label()
+        for spec in NORMS_3 + catalog_antinorms(3):
+            assert np.isclose(eval_norm_from_eigs(spec, P.eigs),
+                              eval_norm_from_eigs(spec, conj.eigs), rtol=1e-9), spec.label()
 
 
 class TestKyFanDominance:
@@ -162,10 +149,10 @@ class TestSpecPlumbing:
 
     def test_k_out_of_range_at_eval(self):
         with pytest.raises(ValueError):
-            eval_norm(NormSpec(kind="kyfan", k=5), _diag(1.0, 2.0))
+            eval_norm_from_eigs(NormSpec(kind="kyfan", k=5), _diag(1.0, 2.0).eigs)
 
 
-@pytest.mark.parametrize("spec", catalog_norms(3) + catalog_antinorms(3)
+@pytest.mark.parametrize("spec", NORMS_3 + catalog_antinorms(3)
                          + [NormSpec("schatten-quasi", p=0.3), NormSpec("neg-schatten", p=0.7)],
                          ids=NormSpec.label)
 def test_a_stack_of_spectra_evaluates_row_by_row(spec):

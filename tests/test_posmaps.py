@@ -19,7 +19,6 @@ from tracelab.posmaps import (
     identity_map,
     is_strictly_positive,
     kraus_map,
-    map_on_identity,
     pinching,
     sample_kraus,
     transpose_then_kraus,
@@ -100,7 +99,7 @@ class TestStrictPositivity:
 
     def test_map_on_identity(self):
         spec = sample_kraus(3, 2, rank=2, seed=56)
-        out = map_on_identity(spec)
+        out = spec.unit
         assert np.allclose(out, apply_map(spec, np.eye(3, dtype=complex)))
 
 
@@ -134,7 +133,7 @@ class TestSampleKraus:
 
     def test_unit_spectral_norm_on_identity(self):
         spec = sample_kraus(3, 2, rank=2, seed=60)
-        out = map_on_identity(spec)
+        out = spec.unit
         assert np.isclose(np.linalg.eigvalsh(out)[-1], 1.0, rtol=1e-10)
 
     def test_deterministic(self):

@@ -10,11 +10,9 @@ from tracelab.cli import _verify_family, build_parser
 from tracelab.families import ParameterPoint, eval_family
 from tracelab.linalg import SamplerConfig, sample_posdef
 from tracelab.regions import (
-    THEOREM_DIRECTION,
     THEOREM_IDS,
     THEOREMS,
     power_mean_dominates,
-    region_description,
     region_member,
     region_violation,
 )
@@ -111,8 +109,8 @@ class TestMembership:
 class TestPlumbing:
     def test_all_ids_have_direction_and_description(self):
         for tid in THEOREM_IDS:
-            assert THEOREM_DIRECTION[tid] in ("concave", "convex", "dominance")
-            assert region_description(tid)
+            assert THEOREMS[tid].direction in ("concave", "convex", "dominance")
+            assert THEOREMS[tid].description
 
     def test_violation_message(self):
         msg = region_violation("T1.1-1", P(0.7, 0.7, 0.9))

@@ -132,14 +132,25 @@ def count(text: str) -> int:
     return value
 
 
-def _parse_grid(text: str | None) -> list[float]:
-    """Grid argument: either lo:hi:count or a comma-separated list."""
-    if text is None:
-        return []
-    if ":" in text:
-        lo, hi, count = text.split(":")
-        return [float(x) for x in np.linspace(float(lo), float(hi), int(count))]
-    return [float(x) for x in text.split(",") if x.strip()]
+def finite(text: str) -> float:
+    """argparse type of ``--p``, ``--q`` and ``--s``, and of each grid value: a
+    finite float."""
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _parse_grid(text: str) -> list[float]:
+    """argparse type of the grid flags: either lo:hi:count or a comma-separated
+    list, of finite values."""
+    try:
+        if ":" in text:
+            lo, hi, num = text.split(":")
+            return [float(x) for x in np.linspace(finite(lo), finite(hi), int(num))]
+        return [finite(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expects lo:hi:count or a comma-separated list, got {text!r}") from exc
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -273,9 +284,7 @@ def _verify_family(args, theorem: Theorem, dims) -> FamilySpec:
 
 def cmd_sweep(args) -> int:
     dims = _parse_dims(args.dims)
-    p_grid = _parse_grid(args.p_grid)
-    q_grid = _parse_grid(args.q_grid)
-    s_grid = _parse_grid(args.s_grid)
+    p_grid, q_grid, s_grid = args.p_grid, args.q_grid, args.s_grid
     if p_grid and s_grid and not q_grid:
         q_grid = [0.0]  # one-variable families ignore q
     # sweep() sets each cell's own point; (1, 1, 1) is valid for every family
@@ -347,9 +356,9 @@ _FAMILY_CHOICES = sorted(FAMILIES)
 
 
 def _add_point_flags(sub):
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--q", type=float)
-    sub.add_argument("--s", type=float)
+    sub.add_argument("--p", type=finite)
+    sub.add_argument("--q", type=finite)
+    sub.add_argument("--s", type=finite)
 
 
 def _add_functional_flags(sub):
@@ -403,9 +412,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_sweep.add_argument("--family", required=True, choices=_FAMILY_CHOICES)
     _add_functional_flags(p_sweep)
     _add_run_flags(p_sweep)
-    p_sweep.add_argument("--p-grid", dest="p_grid", help="lo:hi:count or list")
-    p_sweep.add_argument("--q-grid", dest="q_grid")
-    p_sweep.add_argument("--s-grid", dest="s_grid")
+    p_sweep.add_argument("--p-grid", dest="p_grid", type=_parse_grid, default=[],
+                         help="lo:hi:count or list")
+    p_sweep.add_argument("--q-grid", dest="q_grid", type=_parse_grid, default=[])
+    p_sweep.add_argument("--s-grid", dest="s_grid", type=_parse_grid, default=[])
     p_sweep.add_argument("--trials", type=count, default=200)
     p_sweep.set_defaults(handler=cmd_sweep)
 

@@ -14,7 +14,9 @@ evaluates LOEWNER_BLOCK trials as one stack, then judges them in stream order; a
 block that raises is evaluated again trial by trial.  Its Nelder-Mead restarts run
 _nelder_mead, which does scipy 1.17's arithmetic but evaluates a step's four
 candidate points in one stacked call, speculatively, so it ends where scipy's
-minimize does.
+minimize does.  Its objective and the power-mean dominance blocks compute the
+excess on spectra (_dominance_sides, then _loewner_excess), building a matrix
+only where a later step reads it.
 """
 
 from __future__ import annotations
@@ -32,19 +34,23 @@ from .linalg import (
     PosDef,
     SamplerConfig,
     build_posdef,
+    compose,
     draw_posdef,
+    exp_spectrum,
     hermitize,
     loewner_leq,
     matrix_exp_herm,
+    matrix_of,
     mat_from_json,
     mat_to_json,
+    positive_spectrum,
     rng_for,
     sample_hermitian_rng,
     sample_posdef_rng,
     vec_to_herm,
 )
-from .means import MeanSpec, eval_mean, power_mean
-from .posmaps import MapSpec, apply_map, hat_map
+from .means import MeanSpec, eval_mean, power_mean_spectra
+from .posmaps import MapSpec, hat_map
 
 SLACK_REL = 1e-8
 CLAIM_REL = 1e-4
@@ -546,17 +552,17 @@ def certificate_is_valid(cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 # Loewner-order midpoint/dominance tests
 
-def _loewner_excess(small: PosDef, big: PosDef):
+def _loewner_excess(small: np.ndarray, big_eigs: np.ndarray, big_vecs: np.ndarray):
     """Relative excess of the claim small <= big in the Loewner order, one per
-    matrix of a stack.
+    matrix of a stack, from small's matrices and big's spectra.
 
     Conjugating by big^{-1/2} makes the comparison scale-free and keeps
     violations visible even when they live in the small-eigenvalue subspace:
     the claim holds iff lambda_max(big^{-1/2} small big^{-1/2}) <= 1, so the
     excess lambda_max - 1 is positive exactly on a violation.
     """
-    Rih = big.power(-0.5).mat
-    C = hermitize(Rih @ small.mat @ Rih)
+    Rih = compose(*positive_spectrum(big_eigs**-0.5, big_vecs))
+    C = hermitize(Rih @ small @ Rih)
     return np.linalg.eigvalsh(C)[..., -1] - 1.0
 
 
@@ -565,39 +571,50 @@ LOEWNER_INPUTS = {"power-mean-dominance": ("a", "b"), "hat-power": ("a", "b"),
                   "mean-concavity": ("a1", "a2", "b1", "b2")}
 
 
-def _loewner_sides(expr: str, params: dict, inputs):
-    """(small, big) of the claim small <= big, on stacks of the inputs of one
-    trial each, in LOEWNER_INPUTS order."""
+def _dominance_sides(p: float, q: float, eigs, vecs, mats=None):
+    """(small, big) of the claim M_p(A, B) <= M_q(A, B) on the spectra of A and B
+    stacked on the leading axis (mats as power_mean_spectra takes them): small
+    as matrices, big as (mat, eigs, vecs) with mat None, left unbuilt, unless
+    q's last step builds it."""
+    return (matrix_of(*power_mean_spectra(p, eigs, vecs, mats)),
+            power_mean_spectra(q, eigs, vecs, mats))
+
+
+def _loewner_sides(expr: str, params: dict, P: PosDef):
+    """(small, big) of the claim small <= big on the stack P, whose leading axis
+    runs over the inputs in LOEWNER_INPUTS order, each a stack of one trial per
+    row; small as matrices, big as (mat, eigs, vecs) as _dominance_sides gives
+    it."""
     if expr == "power-mean-dominance":
-        A, B = inputs
-        return power_mean(A, B, params["p"]), power_mean(A, B, params["q"])
+        return _dominance_sides(params["p"], params["q"], P.eigs, P.vecs, P.mat)
     if expr == "hat-power":
         phi: MapSpec = params["phi"]
         p = params["p"]
-        A, B = inputs
+        A, B = P
         mid = hat_map(phi, _mix(A, B, 0.5).power(p))
-        avg = PosDef.from_hermitian(0.5 * (hat_map(phi, A.power(p)).mat
-                                           + hat_map(phi, B.power(p)).mat))
-        return avg, mid
-    mean: MeanSpec = params["mean"]  # mean-concavity
-    A1, A2, B1, B2 = inputs
-    mid = eval_mean(mean, _mix(A1, A2, 0.5), _mix(B1, B2, 0.5))
-    avg = PosDef.from_hermitian(0.5 * (eval_mean(mean, A1, B1).mat
-                                       + eval_mean(mean, A2, B2).mat))
-    return avg, mid
+        avg = 0.5 * (hat_map(phi, A.power(p)).mat + hat_map(phi, B.power(p)).mat)
+    else:
+        mean: MeanSpec = params["mean"]  # mean-concavity
+        A1, A2, B1, B2 = P
+        mid = eval_mean(mean, _mix(A1, A2, 0.5), _mix(B1, B2, 0.5))
+        avg = 0.5 * (eval_mean(mean, A1, B1).mat + eval_mean(mean, A2, B2).mat)
+    return PosDef.from_hermitian(avg).mat, (mid.mat, mid.eigs, mid.vecs)
 
 
-def _loewner_evaluation(expr: str, params: dict, inputs: dict):
-    """The claim's excess at each row of the named input stacks, and
-    witness(t, stream): row t's lambda_min(big - small), excess, stream and
-    inputs as JSON matrices, built only for a witness that is kept."""
-    small, big = _loewner_sides(expr, params, tuple(inputs.values()))
-    excess = _loewner_excess(small, big)
+def _loewner_evaluation(expr: str, params: dict, P: PosDef):
+    """The claim's excess at each row of the input stack P (as _loewner_sides
+    takes it), and witness(t, stream): row t's lambda_min(big - small), excess,
+    stream and inputs as JSON matrices, built only for a witness that is kept."""
+    small, big = _loewner_sides(expr, params, P)
+    excess = _loewner_excess(small, *big[1:])
 
     def witness(t: int, stream: int) -> dict:
-        return {"witness_eigenvalue": loewner_leq(small.mat[t], big.mat[t])[1],
+        mat, eigs, vecs = big
+        big_t = compose(eigs[t], vecs[t]) if mat is None else mat[t]
+        return {"witness_eigenvalue": loewner_leq(small[t], big_t)[1],
                 "relative_excess": float(excess[t]), "stream": stream,
-                **{name: mat_to_json(P.mat[t]) for name, P in inputs.items()}}
+                **{name: mat_to_json(P.mat[j, t])
+                   for j, name in enumerate(LOEWNER_INPUTS[expr])}}
 
     return excess, witness
 
@@ -611,8 +628,7 @@ def _loewner_block(expr: str, params: dict, draws) -> list:
     try:
         P = build_posdef(*(np.array([[d[j][i] for d in draws] for j in range(len(names))])
                            for i in (0, 1)))
-        excess, witness = _loewner_evaluation(expr, params,
-                                              {name: P[j] for j, name in enumerate(names)})
+        excess, witness = _loewner_evaluation(expr, params, P)
     except (EvaluationError, MatrixError):
         if len(draws) == 1:
             return [None]
@@ -631,10 +647,10 @@ def _loewner_trials(expr: str, params: dict, trials: int, sampler: SamplerConfig
                        _loewner_block(expr, params, [d for _, d in block]))
 
 
-def _exp_pairs(V: np.ndarray, dim: int) -> tuple[PosDef, PosDef]:
-    """A = exp(H1) and B = exp(H2) of each row (H1, H2) of V, as two stacks."""
-    AB = matrix_exp_herm(vec_to_herm(V.reshape(len(V), 2, dim * dim), dim))
-    return AB[:, 0], AB[:, 1]
+def _log_pairs(V: np.ndarray, dim: int) -> np.ndarray:
+    """H1 and H2 of each row (H1, H2) of V, stacked on the leading axis: the
+    logarithms of A and B, shape (2, len(V), dim, dim)."""
+    return vec_to_herm(V.reshape(len(V), 2, dim * dim).swapaxes(0, 1), dim)
 
 
 def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
@@ -691,23 +707,22 @@ def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) 
 
 def _dominance_objective(p: float, q: float, dim: int):
     """The negated dominance excess at each row of a stack of parameter vectors
-    (those of H1, then H2, with A = exp(H1) and B = exp(H2)).
+    (those of H1, then H2, with A = exp(H1) and B = exp(H2)), computed on the
+    spectra of A and B: no matrix of A, B or the q-mean is built.
 
     The bound on the parameter vector guards against overflow in the
     exponential; a point whose power means are not numerically positive
     definite scores as one beyond that bound.  A stack that raises is
     evaluated again point by point, so each point scores as it would alone.
     """
-    params = {"p": p, "q": q}
-
     def objective(V: np.ndarray) -> np.ndarray:
         f = np.ones(len(V))
         inside = np.flatnonzero(~(np.max(np.abs(V), axis=1) > 10.0))
         if inside.size:
             try:
-                small, big = _loewner_sides("power-mean-dominance", params,
-                                            _exp_pairs(V[inside], dim))
-                f[inside] = -_loewner_excess(small, big)
+                small, (_, big_eigs, big_vecs) = _dominance_sides(
+                    p, q, *exp_spectrum(_log_pairs(V[inside], dim)))
+                f[inside] = -_loewner_excess(small, big_eigs, big_vecs)
             except MatrixError:  # alone, a point that raises scores 1
                 if len(V) > 1:
                     return np.concatenate([objective(V[i:i + 1]) for i in range(len(V))])
@@ -716,17 +731,17 @@ def _dominance_objective(p: float, q: float, dim: int):
     return objective
 
 
-def _nm_dominance_search(p, q, dim, rng) -> tuple[PosDef, PosDef]:
+def _nm_dominance_search(p, q, dim, rng) -> PosDef:
     """Simplex search for a dominance violation over log-parametrized inputs.
 
     Violations for nearby exponent pairs need extreme anisotropy that random
     sampling essentially never reaches, so minimize the negated excess over
-    A = exp(H1), B = exp(H2) directly.  Returns the end point's A and B as
-    stacks of one.
+    A = exp(H1), B = exp(H2) directly.  Returns the end point's A and B as a
+    stack of two stacks of one.
     """
     x = _nelder_mead(_dominance_objective(p, q, dim), rng.normal(0.0, 1.5, 2 * dim * dim),
                      maxiter=2000, xatol=1e-12, fatol=1e-16)
-    return _exp_pairs(x[None], dim)
+    return matrix_exp_herm(_log_pairs(x[None], dim))
 
 
 def loewner_midpoint_test(
@@ -770,9 +785,9 @@ def loewner_midpoint_test(
         p, q = params["p"], params["q"]
         for k in range(24):
             stream = (sampler.stream_index + k) ^ 0x0D0A
-            A, B = _nm_dominance_search(p, q, sampler.dim, rng_for(sampler.seed, stream))
+            P = _nm_dominance_search(p, q, sampler.dim, rng_for(sampler.seed, stream))
             try:
-                excess, witness = _loewner_evaluation(expr, params, {"a": A, "b": B})
+                excess, witness = _loewner_evaluation(expr, params, P)
             except MatrixError:
                 continue  # the search ended on a failed point: nothing to record
             if record(excess[0], partial(witness, 0), stream):

@@ -12,6 +12,13 @@ and PosDef.from_matrix.  The means, families and lab build with
 PosDef.from_hermitian, PosDef.from_spectrum and matrix_exp_herm, which do not
 check, from matrices that are Hermitian.
 
+Each spectral step also exists on plain arrays: positive_spectrum (the checks
+of from_spectrum), compose (its matrix), hermitian_spectrum (from_hermitian),
+spectral_power (matrix_power), spectral_function and exp_spectrum.  PosDef's
+constructors and matrix_power are built from them; a caller that reads only a
+spectrum, such as the power means of the Loewner tests, uses them to build no
+matrix that it does not read.
+
 A Hermitian n x n matrix is parametrized by a real vector of length n*n: the
 n diagonal entries, then the real and imaginary parts of each entry above the
 diagonal, row by row (vec_to_herm).  herm_grad_to_vec maps the gradient of a
@@ -100,29 +107,12 @@ class PosDef:
     @classmethod
     def from_hermitian(cls, M: np.ndarray) -> "PosDef":
         """The Hermitian part of M, decomposed; M's asymmetry is not checked."""
-        H = hermitize(M)
-        w, V = np.linalg.eigh(H)
-        low = np.fmin.reduce(w[..., 0], axis=None)  # over a stack, NaN rows ignored
-        if low <= 0:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: smallest eigenvalue {low:.3e}"
-            )
-        return cls(mat=H, eigs=w, vecs=V)
+        return cls(*hermitian_spectrum(M))
 
     @classmethod
     def from_spectrum(cls, eigs: np.ndarray, vecs: np.ndarray) -> "PosDef":
-        eigs = np.asarray(eigs, dtype=float)
-        if (eigs <= 0).any():
-            raise NotPositiveDefiniteError(
-                f"spectrum contains a non-positive value: {eigs.min():.3e}"
-            )
-        vecs = np.asarray(vecs, dtype=complex)
-        # a strictly ascending spectrum is its own argsort: nothing to reorder
-        if not (eigs[..., 1:] > eigs[..., :-1]).all():
-            vecs = np.take_along_axis(vecs, eigs.argsort(axis=-1)[..., None, :], axis=-1)
-            eigs = np.sort(eigs, axis=-1)
-        mat = hermitize((vecs * eigs[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
-        return cls(mat=mat, eigs=eigs, vecs=vecs)
+        eigs, vecs = positive_spectrum(eigs, vecs)
+        return cls(mat=compose(eigs, vecs), eigs=eigs, vecs=vecs)
 
     def __getitem__(self, rows) -> "PosDef":
         """The matrices at rows of a stack: an index into its leading axes."""
@@ -135,33 +125,93 @@ class PosDef:
         return matrix_power(self, -1.0)
 
 
+def hermitian_spectrum(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H, eigs, vecs): the Hermitian part H of M (not checked) and its ascending
+    spectrum, which must be positive."""
+    H = hermitize(M)
+    w, V = np.linalg.eigh(H)
+    low = np.fmin.reduce(w[..., 0], axis=None)  # over a stack, NaN rows ignored
+    if low <= 0:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite: smallest eigenvalue {low:.3e}"
+        )
+    return H, w, V
+
+
+def positive_spectrum(eigs: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigs and vecs checked positive and put in ascending order."""
+    eigs = np.asarray(eigs, dtype=float)
+    if (eigs <= 0).any():
+        raise NotPositiveDefiniteError(
+            f"spectrum contains a non-positive value: {eigs.min():.3e}"
+        )
+    vecs = np.asarray(vecs, dtype=complex)
+    # a strictly ascending spectrum is its own argsort: nothing to reorder
+    if not (eigs[..., 1:] > eigs[..., :-1]).all():
+        vecs = np.take_along_axis(vecs, eigs.argsort(axis=-1)[..., None, :], axis=-1)
+        eigs = np.sort(eigs, axis=-1)
+    return eigs, vecs
+
+
+def compose(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix vecs @ diag(eigs) @ vecs* of a spectrum."""
+    return hermitize((vecs * eigs[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
+
+
+def spectral_power(mat: np.ndarray | None, eigs: np.ndarray, vecs: np.ndarray, t: float):
+    """matrix_power on arrays: (mat, eigs, vecs) of the t-th power of the matrix
+    with spectrum (eigs, vecs) and matrix mat.  mat is read and returned only at
+    t = 1; a returned mat of None is compose(eigs, vecs), left unbuilt."""
+    if t == 0:
+        eye = np.broadcast_to(np.eye(eigs.shape[-1], dtype=complex), vecs.shape)
+        return eye, np.ones(eigs.shape), eye
+    if t == 1:
+        return mat, eigs, vecs
+    return None, *positive_spectrum(eigs**t, vecs)
+
+
+def matrix_of(mat: np.ndarray | None, eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The matrix of a spectral_power result: mat, built when it is None."""
+    return compose(eigs, vecs) if mat is None else mat
+
+
 def matrix_power(P: PosDef, t: float) -> PosDef:
     """Spectral real power; t = 0 yields the identity (A^0 := I on PD)."""
-    if t == 0:
-        eye = np.broadcast_to(np.eye(P.dim, dtype=complex), P.shape)
-        return PosDef(mat=eye, eigs=np.ones(P.eigs.shape), vecs=eye)
     if t == 1:
         return P
-    return PosDef.from_spectrum(P.eigs**t, P.vecs)
+    mat, eigs, vecs = spectral_power(P.mat, P.eigs, P.vecs, t)
+    return PosDef(mat=matrix_of(mat, eigs, vecs), eigs=eigs, vecs=vecs)
+
+
+def spectral_function(eigs: np.ndarray, vecs: np.ndarray,
+                      f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The Hermitian matrix of a scalar function applied to a spectrum."""
+    w = np.broadcast_to(np.asarray(f(eigs), dtype=float), eigs.shape)
+    if not np.all(np.isfinite(w)):
+        bad = eigs[~np.isfinite(w)][0]
+        raise MatrixError(f"scalar function is not finite at eigenvalue {bad!r}")
+    return compose(w, vecs)
 
 
 def matrix_function(P: PosDef, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to P through its spectrum; returns Hermitian."""
-    w = np.broadcast_to(np.asarray(f(P.eigs), dtype=float), P.eigs.shape)
-    if not np.all(np.isfinite(w)):
-        bad = P.eigs[~np.isfinite(w)][0]
-        raise MatrixError(f"scalar function is not finite at eigenvalue {bad!r}")
-    return hermitize((P.vecs * w[..., None, :]) @ P.vecs.conj().swapaxes(-1, -2))
+    return spectral_function(P.eigs, P.vecs, f)
 
 
 def matrix_log(P: PosDef) -> np.ndarray:
     return matrix_function(P, np.log)
 
 
+def exp_spectrum(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum (eigs, vecs) of exp of a Hermitian matrix (not checked)."""
+    w, V = np.linalg.eigh(hermitize(H))
+    return positive_spectrum(np.exp(w), V)
+
+
 def matrix_exp_herm(H: np.ndarray) -> PosDef:
     """exp of a Hermitian matrix (not checked), always positive definite."""
-    w, V = np.linalg.eigh(hermitize(H))
-    return PosDef.from_spectrum(np.exp(w), V)
+    eigs, vecs = exp_spectrum(H)
+    return PosDef(mat=compose(eigs, vecs), eigs=eigs, vecs=vecs)
 
 
 def loewner_leq(A: np.ndarray, B: np.ndarray, tol: float = 0.0) -> tuple[bool, float]:
@@ -225,7 +275,8 @@ def rng_for(seed: int, stream_index: int) -> np.random.Generator:
 
 
 def _complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    re, im = rng.standard_normal((2, dim, dim))
+    return (re + 1j * im) / np.sqrt(2)
 
 
 def _haar_unitary(Z: np.ndarray) -> np.ndarray:
@@ -260,8 +311,8 @@ def sample_posdef(cfg: SamplerConfig) -> PosDef:
 
 
 def sample_hermitian_rng(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitize(Z) * scale
+    re, im = rng.standard_normal((2, dim, dim))
+    return hermitize(re + 1j * im) * scale
 
 
 def mat_to_json(M: np.ndarray) -> dict:

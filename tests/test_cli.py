@@ -193,6 +193,12 @@ class TestBadInput:
                      id="config-zero-trials"),
         pytest.param('{"trials": false}', ["--config", "{file}"] + _ON_REGION,
                      id="config-false-trials"),
+        pytest.param('{"q": NaN}', ["--config", "{file}", "verify", "--theorem", "T3.1-1",
+                                    "--p", "0.5", "--s", "1", "--force", "--trials", "5"],
+                     id="config-nan-q"),
+        pytest.param('{"s_grid": "1,Infinity"}', ["--config", "{file}", "sweep", "--family",
+                                                  "epstein", "--p-grid", "0.5", "--trials", "5"],
+                     id="config-infinite-s-grid"),
         pytest.param('{"budget": 0}', ["--config", "{file}", "hunt", "--family", "lieb",
                                        "--p", "0.5", "--q", "0.5", "--s", "0.8",
                                        "--direction", "concave"],
@@ -263,6 +269,14 @@ class TestBadInput:
         pytest.param(_EVAL + ["--s", "0", "--a", "{eye}"], id="eval-explicit-zero-s"),
         pytest.param(["hunt", "--family", "epstein", "--p", "1", "--s", "0",
                       "--direction", "concave", "--budget", "5"], id="hunt-explicit-zero-s"),
+        pytest.param(["verify", "--theorem", "T3.1-1", "--p", "nan", "--s", "1", "--force",
+                      "--trials", "20"], id="nan-p"),
+        pytest.param(["verify", "--theorem", "T3.1-1", "--p", "0.5", "--s", "inf", "--force",
+                      "--trials", "20"], id="infinite-s"),
+        pytest.param(["sweep", "--family", "epstein", "--p-grid", "nan,0.5", "--s-grid", "1",
+                      "--trials", "5"], id="nan-in-p-grid"),
+        pytest.param(["sweep", "--family", "epstein", "--p-grid", "0.5", "--s-grid", "0:inf:3",
+                      "--trials", "5"], id="infinite-range-s-grid"),
     ])
     def test_bad_flag_or_map_exits_4(self, argv, tmp_path, capsys):
         singular = tmp_path / "singular.json"

@@ -1,0 +1,32 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tracelab"
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that source imports and never reads, sorted."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            for alias in node.names:
+                imported.add((alias.asname or alias.name).split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_the_check_finds_an_unused_import():
+    assert unused_imports("import os\nfrom json import dumps, loads as ld\n"
+                          "from __future__ import annotations\nprint(dumps)\n") == ["ld", "os"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_no_unused_imports(module):
+    assert unused_imports((SRC / module).read_text()) == []

@@ -670,34 +670,46 @@ def _dominance_objective_one(p, q, dim):
 
 # (p, q, seed, restart k): perfbench's two refined starts, criterion 6's restarts
 # at (0.8, 0.9) up to its witness, and verify L5.4's restart k = 9 at (1, 2),
-# which steps onto failed points
-_NM_RUNS = ([(0.6, 0.9, 1, 0), (0.6, 0.9, 4, 0)] + [(0.8, 0.9, 7, k) for k in range(11)]
-            + [(1.0, 2.0, 112, 9)])
+# which steps onto failed points; then the exponents of each branch of the power
+# mean (the log-exp limit, A^1, the fast paths of 0.5, 2 and -1) at n = 2 and 3
+_NM_RUNS = ([pytest.param(*run, 2, id="-".join(map(str, run)))
+             for run in [(0.6, 0.9, 1, 0), (0.6, 0.9, 4, 0)]
+             + [(0.8, 0.9, 7, k) for k in range(11)] + [(1.0, 2.0, 112, 9)]]
+            + [pytest.param(p, q, 3, 0, dim, id=f"{p}-{q}-3-0-n{dim}")
+               for p, q in [(0.0, 0.5), (1.0, 2.0), (-1.0, 0.5), (0.5, 1.0), (0.6, 0.9)]
+               for dim in (2, 3)])
 
 
-@pytest.mark.parametrize("p, q, seed, k", _NM_RUNS)
-def test_nelder_mead_ends_where_scipy_does(p, q, seed, k):
+@pytest.mark.parametrize("p, q, seed, k, dim", _NM_RUNS)
+def test_nelder_mead_ends_where_scipy_does(p, q, seed, k, dim):
     import scipy.optimize
 
-    x0 = rng_for(seed, k ^ 0x0D0A).normal(0.0, 1.5, 8)
-    ref = scipy.optimize.minimize(_dominance_objective_one(p, q, 2), x0, method="Nelder-Mead",
+    x0 = rng_for(seed, k ^ 0x0D0A).normal(0.0, 1.5, 2 * dim * dim)
+    ref = scipy.optimize.minimize(_dominance_objective_one(p, q, dim), x0, method="Nelder-Mead",
                                   options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-16})
-    x = lab._nelder_mead(lab._dominance_objective(p, q, 2), x0, maxiter=2000, xatol=1e-12,
+    x = lab._nelder_mead(lab._dominance_objective(p, q, dim), x0, maxiter=2000, xatol=1e-12,
                          fatol=1e-16)
     assert x.tobytes() == ref.x.tobytes()
 
 
 def test_the_stacked_objective_scores_each_point_as_alone():
-    rng = rng_for(145, 0)
-    V = rng.normal(0.0, 1.5, (60, 8))
-    V[::7] *= 8.0  # beyond the bound
-    for p, q in ((0.8, 0.9), (1.0, 2.0), (0.0, 1.0), (200.0, 300.0)):
-        one = _dominance_objective_one(p, q, 2)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            got = np.concatenate([lab._dominance_objective(p, q, 2)(V[i:i + 4])
-                                  for i in range(0, len(V), 4)])
-            ref = np.array([one(v) for v in V])
-        assert got.tobytes() == ref.tobytes(), (p, q)
+    for dim in (2, 3):
+        rng = rng_for(145, 0 if dim == 2 else dim)
+        V = rng.normal(0.0, 1.5, (60, 2 * dim * dim))
+        V[::7] *= 8.0  # beyond the bound
+        # rows raise at (200, 300) and (300, -1) for n = 2; for n = 3 the powers
+        # overflow to inf, which eigh does not take
+        raising = ((200.0, 300.0), (300.0, -1.0)) if dim == 2 else ()
+        for p, q in ((0.8, 0.9), (1.0, 2.0), (0.0, 1.0), (0.0, 0.5), (-1.0, 0.5), (0.5, 1.0),
+                     (0.6, 0.9)) + raising:
+            one = _dominance_objective_one(p, q, dim)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                got = np.concatenate([lab._dominance_objective(p, q, dim)(V[i:i + 4])
+                                      for i in range(0, len(V), 4)])
+                ref = np.array([one(v) for v in V])
+            assert got.tobytes() == ref.tobytes(), (dim, p, q)
+            if (p, q) in raising:
+                assert 1.0 in ref[np.max(np.abs(V), axis=1) <= 10.0]
 
 
 def test_scipy_optimize_is_not_imported():

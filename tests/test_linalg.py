@@ -206,6 +206,21 @@ class TestSampling:
         eigs = np.linalg.eigvalsh(U @ D @ U.conj().T)
         assert np.allclose(np.sort(eigs), [1.0, 2.0, 3.0], atol=1e-10)
 
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_complex_draws_equal_two_generator_calls(self, dim):
+        # one standard_normal((2, n, n)) per complex Gaussian gives the bytes and
+        # the generator state of a call for the real part, then one for the imaginary
+        for seed, stream in ((0, 0), (7, 3), (2**40 + 1, 12345), (99, 2**20)):
+            one, two = rng_for(seed, stream), rng_for(seed, stream)
+            re, im = two.standard_normal((dim, dim)), two.standard_normal((dim, dim))
+            assert (linalg._complex_gaussian(dim, one).tobytes()
+                    == ((re + 1j * im) / np.sqrt(2)).tobytes())
+            assert one.bit_generator.state == two.bit_generator.state
+            re, im = two.standard_normal((dim, dim)), two.standard_normal((dim, dim))
+            assert (sample_hermitian_rng(one, dim, 0.7).tobytes()
+                    == (linalg.hermitize(re + 1j * im) * 0.7).tobytes())
+            assert one.bit_generator.state == two.bit_generator.state
+
 
 def _vec_to_herm_loops(v, dim):
     """The entry-by-entry vec_to_herm, kept as its reference."""

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tracelab.linalg import PosDef, SamplerConfig, loewner_leq, rng_for, sample_posdef
+from tracelab.lab import SLACK_REL, loewner_midpoint_test
+from tracelab.linalg import (PosDef, SamplerConfig, loewner_leq, matrix_exp_herm, matrix_log,
+                             matrix_power, rng_for, sample_posdef, sample_unitary)
 from tracelab.means import MeanSpec, eval_mean, power_mean
+from tracelab.regions import power_mean_dominates
 
 
 def _diag(*vals):
@@ -78,6 +83,67 @@ class TestPowerMean:
                 ok, witness = loewner_leq(power_mean(A, B, p).mat,
                                           power_mean(A, B, q).mat, tol=1e-8)
                 assert ok, (p, q, witness)
+
+
+def _power_mean_composed(A, B, p):
+    """The power mean composed of PosDef steps (two matrix_power calls,
+    from_hermitian, matrix_power): the reference of its spectral core."""
+    if p == 0:
+        return matrix_exp_herm(0.5 * (matrix_log(A) + matrix_log(B)))
+    M = PosDef.from_hermitian(0.5 * (matrix_power(A, p).mat + matrix_power(B, p).mat))
+    return matrix_power(M, 1.0 / p)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -1.0, 0.5, 2.0, -0.5, 0.6, 0.9, 3.0, 1e-6, -2.5])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_power_mean_equals_its_posdef_composition(p, dim):
+    for stream in range(0, 40, 2):
+        A, B = _sample(50 + dim, stream, dim), _sample(50 + dim, stream + 1, dim)
+        if stream % 4:  # stacks too, of the same matrices
+            A, B = (PosDef.from_hermitian(np.stack([P.mat, 2.0 * P.mat])) for P in (A, B))
+        got, ref = power_mean(A, B, p), _power_mean_composed(A, B, p)
+        for x, y in ((got.mat, ref.mat), (got.eigs, ref.eigs), (got.vecs, ref.vecs)):
+            assert x.tobytes() == y.tobytes(), (p, dim, stream)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_ORACLE = settings(max_examples=40, deadline=None, derandomize=True)
+#: exponents away from 0 but for 0 itself: 1/p overflows for a p near 0
+_POWERS = (st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]) | st.floats(0.05, 3.0)
+           | st.floats(-3.0, -0.05))
+
+
+class TestPowerMeanOracles:
+    """Identities that hold exactly in mathematics, checked to rounding."""
+
+    @_ORACLE
+    @given(p=_POWERS, seed=_SEEDS, dim=st.integers(2, 4))
+    def test_unitary_invariance(self, p, seed, dim):
+        A, B = _sample(seed, 0, dim), _sample(seed, 1, dim)
+        U = sample_unitary(dim, seed, 2)
+        conj = lambda P: PosDef.from_hermitian(U @ P.mat @ U.conj().T)
+        lhs = power_mean(conj(A), conj(B), p).mat
+        rhs = U @ power_mean(A, B, p).mat @ U.conj().T
+        assert np.allclose(lhs, rhs, rtol=1e-8, atol=1e-8 * np.abs(rhs).max())
+
+    @_ORACLE
+    @given(p=_POWERS, seed=_SEEDS, dim=st.integers(2, 4), t=st.floats(0.01, 100.0))
+    def test_homogeneity(self, p, seed, dim, t):
+        A, B = _sample(seed, 0, dim), _sample(seed, 1, dim)
+        scaled = lambda P: PosDef.from_hermitian(t * P.mat)
+        lhs = power_mean(scaled(A), scaled(B), p).mat
+        rhs = t * power_mean(A, B, p).mat
+        assert np.allclose(lhs, rhs, rtol=1e-8, atol=1e-8 * np.abs(rhs).max())
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(p=_POWERS, q=_POWERS, seed=_SEEDS, dim=st.integers(2, 3))
+    def test_no_dominance_excess_on_the_region(self, p, q, seed, dim):
+        p, q = min(p, q), max(p, q)
+        if not power_mean_dominates(p, q):
+            p, q = q, q  # M_q <= M_q holds for every q
+        report = loewner_midpoint_test("power-mean-dominance", {"p": p, "q": q}, 20,
+                                       SamplerConfig(dim=dim, seed=seed))
+        assert report.failures == 0 and report.worst_violation <= SLACK_REL, (p, q)
 
 
 class TestKuboAndoProperties:

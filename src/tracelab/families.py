@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     PosDef,
+    eigh,
     herm_grad_to_vec,
     hermitize,
     matrix_exp_herm,
@@ -139,7 +140,7 @@ def _floored_eigs(M: np.ndarray) -> np.ndarray:
 
     A genuinely indefinite matrix signals an input bug and aborts.
     """
-    w = np.linalg.eigvalsh(hermitize(M))
+    w = eigh(hermitize(M), vectors=False)
     floor = INNER_FLOOR * np.maximum(w[..., -1:], 1e-300)
     low = w[..., :1] < -floor
     if low.any():

@@ -14,9 +14,9 @@ evaluates LOEWNER_BLOCK trials as one stack, then judges them in stream order; a
 block that raises is evaluated again trial by trial.  Its Nelder-Mead restarts run
 _nelder_mead, which does scipy 1.17's arithmetic but evaluates a step's four
 candidate points in one stacked call, speculatively, so it ends where scipy's
-minimize does.  Its objective and the power-mean dominance blocks compute the
-excess on spectra (_dominance_sides, then _loewner_excess), building a matrix
-only where a later step reads it.
+minimize does.  Its objective and the power-mean dominance blocks pass the
+pair (A, B) as one PosDef stack to power_mean_pair, then _loewner_excess; a
+PosDef builds its matrix only when a later step reads it.
 """
 
 from __future__ import annotations
@@ -34,22 +34,19 @@ from .linalg import (
     PosDef,
     SamplerConfig,
     build_posdef,
-    compose,
     draw_posdef,
-    exp_spectrum,
+    eigh,
     hermitize,
     loewner_leq,
     matrix_exp_herm,
-    matrix_of,
     mat_from_json,
     mat_to_json,
-    positive_spectrum,
     rng_for,
     sample_hermitian_rng,
     sample_posdef_rng,
     vec_to_herm,
 )
-from .means import MeanSpec, eval_mean, power_mean_spectra
+from .means import MeanSpec, eval_mean, power_mean_pair
 from .posmaps import MapSpec, hat_map
 
 SLACK_REL = 1e-8
@@ -552,18 +549,18 @@ def certificate_is_valid(cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 # Loewner-order midpoint/dominance tests
 
-def _loewner_excess(small: np.ndarray, big_eigs: np.ndarray, big_vecs: np.ndarray):
+def _loewner_excess(small: np.ndarray, big: PosDef):
     """Relative excess of the claim small <= big in the Loewner order, one per
-    matrix of a stack, from small's matrices and big's spectra.
+    matrix of a stack, from small's matrices and big's spectrum.
 
     Conjugating by big^{-1/2} makes the comparison scale-free and keeps
     violations visible even when they live in the small-eigenvalue subspace:
     the claim holds iff lambda_max(big^{-1/2} small big^{-1/2}) <= 1, so the
     excess lambda_max - 1 is positive exactly on a violation.
     """
-    Rih = compose(*positive_spectrum(big_eigs**-0.5, big_vecs))
+    Rih = big.power(-0.5).mat
     C = hermitize(Rih @ small @ Rih)
-    return np.linalg.eigvalsh(C)[..., -1] - 1.0
+    return eigh(C, vectors=False)[..., -1] - 1.0
 
 
 #: the inputs each Loewner claim draws, in draw order, by their witness names
@@ -571,22 +568,13 @@ LOEWNER_INPUTS = {"power-mean-dominance": ("a", "b"), "hat-power": ("a", "b"),
                   "mean-concavity": ("a1", "a2", "b1", "b2")}
 
 
-def _dominance_sides(p: float, q: float, eigs, vecs, mats=None):
-    """(small, big) of the claim M_p(A, B) <= M_q(A, B) on the spectra of A and B
-    stacked on the leading axis (mats as power_mean_spectra takes them): small
-    as matrices, big as (mat, eigs, vecs) with mat None, left unbuilt, unless
-    q's last step builds it."""
-    return (matrix_of(*power_mean_spectra(p, eigs, vecs, mats)),
-            power_mean_spectra(q, eigs, vecs, mats))
-
-
 def _loewner_sides(expr: str, params: dict, P: PosDef):
     """(small, big) of the claim small <= big on the stack P, whose leading axis
     runs over the inputs in LOEWNER_INPUTS order, each a stack of one trial per
-    row; small as matrices, big as (mat, eigs, vecs) as _dominance_sides gives
-    it."""
+    row; small as matrices, big as a PosDef.  For power-mean-dominance, P is
+    the pair (A, B) that power_mean_pair takes."""
     if expr == "power-mean-dominance":
-        return _dominance_sides(params["p"], params["q"], P.eigs, P.vecs, P.mat)
+        return power_mean_pair(P, params["p"]).mat, power_mean_pair(P, params["q"])
     if expr == "hat-power":
         phi: MapSpec = params["phi"]
         p = params["p"]
@@ -598,7 +586,7 @@ def _loewner_sides(expr: str, params: dict, P: PosDef):
         A1, A2, B1, B2 = P
         mid = eval_mean(mean, _mix(A1, A2, 0.5), _mix(B1, B2, 0.5))
         avg = 0.5 * (eval_mean(mean, A1, B1).mat + eval_mean(mean, A2, B2).mat)
-    return PosDef.from_hermitian(avg).mat, (mid.mat, mid.eigs, mid.vecs)
+    return PosDef.from_hermitian(avg).mat, mid
 
 
 def _loewner_evaluation(expr: str, params: dict, P: PosDef):
@@ -606,14 +594,12 @@ def _loewner_evaluation(expr: str, params: dict, P: PosDef):
     takes it), and witness(t, stream): row t's lambda_min(big - small), excess,
     stream and inputs as JSON matrices, built only for a witness that is kept."""
     small, big = _loewner_sides(expr, params, P)
-    excess = _loewner_excess(small, *big[1:])
+    excess = _loewner_excess(small, big)
 
     def witness(t: int, stream: int) -> dict:
-        mat, eigs, vecs = big
-        big_t = compose(eigs[t], vecs[t]) if mat is None else mat[t]
-        return {"witness_eigenvalue": loewner_leq(small[t], big_t)[1],
+        return {"witness_eigenvalue": loewner_leq(small[t], big[t].mat)[1],
                 "relative_excess": float(excess[t]), "stream": stream,
-                **{name: mat_to_json(P.mat[j, t])
+                **{name: mat_to_json(P[j, t].mat)
                    for j, name in enumerate(LOEWNER_INPUTS[expr])}}
 
     return excess, witness
@@ -720,9 +706,8 @@ def _dominance_objective(p: float, q: float, dim: int):
         inside = np.flatnonzero(~(np.max(np.abs(V), axis=1) > 10.0))
         if inside.size:
             try:
-                small, (_, big_eigs, big_vecs) = _dominance_sides(
-                    p, q, *exp_spectrum(_log_pairs(V[inside], dim)))
-                f[inside] = -_loewner_excess(small, big_eigs, big_vecs)
+                P = matrix_exp_herm(_log_pairs(V[inside], dim))
+                f[inside] = -_loewner_excess(power_mean_pair(P, p).mat, power_mean_pair(P, q))
             except MatrixError:  # alone, a point that raises scores 1
                 if len(V) > 1:
                     return np.concatenate([objective(V[i:i + 1]) for i in range(len(V))])

@@ -12,12 +12,10 @@ and PosDef.from_matrix.  The means, families and lab build with
 PosDef.from_hermitian, PosDef.from_spectrum and matrix_exp_herm, which do not
 check, from matrices that are Hermitian.
 
-Each spectral step also exists on plain arrays: positive_spectrum (the checks
-of from_spectrum), compose (its matrix), hermitian_spectrum (from_hermitian),
-spectral_power (matrix_power), spectral_function and exp_spectrum.  PosDef's
-constructors and matrix_power are built from them; a caller that reads only a
-spectrum, such as the power means of the Loewner tests, uses them to build no
-matrix that it does not read.
+A PosDef holds its spectrum and builds its matrix on the first read of .mat,
+so a caller that reads only spectra, such as the power means of the Loewner
+tests, builds no matrix.  Every eigensolver run on a computed matrix goes
+through eigh, which turns a solver failure into a MatrixError.
 
 A Hermitian n x n matrix is parametrized by a real vector of length n*n: the
 n diagonal entries, then the real and imaginary parts of each entry above the
@@ -79,25 +77,41 @@ def check_hermitian(M: np.ndarray) -> np.ndarray:
     return hermitize(M)
 
 
-@dataclass(frozen=True)
-class PosDef:
-    """A positive definite matrix with its cached spectral decomposition.
+def eigh(H: np.ndarray, vectors: bool = True):
+    """np.linalg.eigh, or eigvalsh without vectors, of a computed Hermitian matrix or
+    stack; a solver failure (say on overflowed entries) raises MatrixError."""
+    try:
+        return np.linalg.eigh(H) if vectors else np.linalg.eigvalsh(H)
+    except np.linalg.LinAlgError as exc:
+        raise MatrixError(f"eigensolver failed: {exc}") from exc
 
-    ``vecs @ diag(eigs) @ vecs*`` reconstructs ``mat``; eigenvalues are
-    ascending and strictly positive.
+
+class PosDef:
+    """A positive definite matrix, or a stack of them, held by its spectrum.
+
+    Eigenvalues are ascending and strictly positive; ``mat``, ``vecs @ diag(eigs)
+    @ vecs*``, is built on its first read and kept, unless a constructor had it.
     """
 
-    mat: np.ndarray
-    eigs: np.ndarray
-    vecs: np.ndarray
+    __slots__ = ("eigs", "vecs", "_mat")
+
+    def __init__(self, eigs: np.ndarray, vecs: np.ndarray, mat: np.ndarray | None = None):
+        self.eigs, self.vecs, self._mat = eigs, vecs, mat
+
+    @property
+    def mat(self) -> np.ndarray:
+        if self._mat is None:
+            V = self.vecs
+            self._mat = hermitize((V * self.eigs[..., None, :]) @ V.conj().swapaxes(-1, -2))
+        return self._mat
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[-1]
+        return self.eigs.shape[-1]
 
     @property
     def shape(self) -> tuple:
-        return self.mat.shape
+        return self.vecs.shape
 
     @classmethod
     def from_matrix(cls, M: np.ndarray) -> "PosDef":
@@ -107,16 +121,36 @@ class PosDef:
     @classmethod
     def from_hermitian(cls, M: np.ndarray) -> "PosDef":
         """The Hermitian part of M, decomposed; M's asymmetry is not checked."""
-        return cls(*hermitian_spectrum(M))
+        H = hermitize(M)
+        w, V = eigh(H)
+        low = np.fmin.reduce(w[..., 0], axis=None)  # over a stack, NaN rows ignored
+        if low <= 0:
+            raise NotPositiveDefiniteError(
+                f"matrix is not positive definite: smallest eigenvalue {low:.3e}"
+            )
+        return cls(w, V, H)
 
     @classmethod
     def from_spectrum(cls, eigs: np.ndarray, vecs: np.ndarray) -> "PosDef":
-        eigs, vecs = positive_spectrum(eigs, vecs)
-        return cls(mat=compose(eigs, vecs), eigs=eigs, vecs=vecs)
+        eigs = np.asarray(eigs, dtype=float)
+        if (eigs <= 0).any():
+            raise NotPositiveDefiniteError(
+                f"spectrum contains a non-positive value: {eigs.min():.3e}"
+            )
+        vecs = np.asarray(vecs, dtype=complex)
+        # strictly ascending needs no sort, strictly descending (a negative power) a reversal
+        if not (eigs[..., 1:] > eigs[..., :-1]).all():
+            if (eigs[..., 1:] < eigs[..., :-1]).all():
+                eigs, vecs = eigs[..., ::-1].copy(), vecs[..., ::-1].copy()
+            else:
+                vecs = np.take_along_axis(vecs, eigs.argsort(axis=-1)[..., None, :], axis=-1)
+                eigs = np.sort(eigs, axis=-1)
+        return cls(eigs, vecs)
 
     def __getitem__(self, rows) -> "PosDef":
-        """The matrices at rows of a stack: an index into its leading axes."""
-        return PosDef(mat=self.mat[rows], eigs=self.eigs[rows], vecs=self.vecs[rows])
+        """The rows of a stack (an index into its leading axes), lazy as the stack is."""
+        mat = None if self._mat is None else self._mat[rows]
+        return PosDef(self.eigs[rows], self.vecs[rows], mat)
 
     def power(self, t: float) -> "PosDef":
         return matrix_power(self, t)
@@ -125,93 +159,33 @@ class PosDef:
         return matrix_power(self, -1.0)
 
 
-def hermitian_spectrum(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H, eigs, vecs): the Hermitian part H of M (not checked) and its ascending
-    spectrum, which must be positive."""
-    H = hermitize(M)
-    w, V = np.linalg.eigh(H)
-    low = np.fmin.reduce(w[..., 0], axis=None)  # over a stack, NaN rows ignored
-    if low <= 0:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: smallest eigenvalue {low:.3e}"
-        )
-    return H, w, V
-
-
-def positive_spectrum(eigs: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigs and vecs checked positive and put in ascending order."""
-    eigs = np.asarray(eigs, dtype=float)
-    if (eigs <= 0).any():
-        raise NotPositiveDefiniteError(
-            f"spectrum contains a non-positive value: {eigs.min():.3e}"
-        )
-    vecs = np.asarray(vecs, dtype=complex)
-    # a strictly ascending spectrum is its own argsort: nothing to reorder
-    if not (eigs[..., 1:] > eigs[..., :-1]).all():
-        vecs = np.take_along_axis(vecs, eigs.argsort(axis=-1)[..., None, :], axis=-1)
-        eigs = np.sort(eigs, axis=-1)
-    return eigs, vecs
-
-
-def compose(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix vecs @ diag(eigs) @ vecs* of a spectrum."""
-    return hermitize((vecs * eigs[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
-
-
-def spectral_power(mat: np.ndarray | None, eigs: np.ndarray, vecs: np.ndarray, t: float):
-    """matrix_power on arrays: (mat, eigs, vecs) of the t-th power of the matrix
-    with spectrum (eigs, vecs) and matrix mat.  mat is read and returned only at
-    t = 1; a returned mat of None is compose(eigs, vecs), left unbuilt."""
-    if t == 0:
-        eye = np.broadcast_to(np.eye(eigs.shape[-1], dtype=complex), vecs.shape)
-        return eye, np.ones(eigs.shape), eye
-    if t == 1:
-        return mat, eigs, vecs
-    return None, *positive_spectrum(eigs**t, vecs)
-
-
-def matrix_of(mat: np.ndarray | None, eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """The matrix of a spectral_power result: mat, built when it is None."""
-    return compose(eigs, vecs) if mat is None else mat
-
-
 def matrix_power(P: PosDef, t: float) -> PosDef:
     """Spectral real power; t = 0 yields the identity (A^0 := I on PD)."""
+    if t == 0:
+        eye = np.broadcast_to(np.eye(P.dim, dtype=complex), P.shape)
+        return PosDef(np.ones(P.eigs.shape), eye, eye)
     if t == 1:
         return P
-    mat, eigs, vecs = spectral_power(P.mat, P.eigs, P.vecs, t)
-    return PosDef(mat=matrix_of(mat, eigs, vecs), eigs=eigs, vecs=vecs)
-
-
-def spectral_function(eigs: np.ndarray, vecs: np.ndarray,
-                      f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The Hermitian matrix of a scalar function applied to a spectrum."""
-    w = np.broadcast_to(np.asarray(f(eigs), dtype=float), eigs.shape)
-    if not np.all(np.isfinite(w)):
-        bad = eigs[~np.isfinite(w)][0]
-        raise MatrixError(f"scalar function is not finite at eigenvalue {bad!r}")
-    return compose(w, vecs)
+    return PosDef.from_spectrum(P.eigs**t, P.vecs)
 
 
 def matrix_function(P: PosDef, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to P through its spectrum; returns Hermitian."""
-    return spectral_function(P.eigs, P.vecs, f)
+    w = np.broadcast_to(np.asarray(f(P.eigs), dtype=float), P.eigs.shape)
+    if not np.all(np.isfinite(w)):
+        bad = P.eigs[~np.isfinite(w)][0]
+        raise MatrixError(f"scalar function is not finite at eigenvalue {bad!r}")
+    return hermitize((P.vecs * w[..., None, :]) @ P.vecs.conj().swapaxes(-1, -2))
 
 
 def matrix_log(P: PosDef) -> np.ndarray:
     return matrix_function(P, np.log)
 
 
-def exp_spectrum(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum (eigs, vecs) of exp of a Hermitian matrix (not checked)."""
-    w, V = np.linalg.eigh(hermitize(H))
-    return positive_spectrum(np.exp(w), V)
-
-
 def matrix_exp_herm(H: np.ndarray) -> PosDef:
     """exp of a Hermitian matrix (not checked), always positive definite."""
-    eigs, vecs = exp_spectrum(H)
-    return PosDef(mat=compose(eigs, vecs), eigs=eigs, vecs=vecs)
+    w, V = eigh(hermitize(H))
+    return PosDef.from_spectrum(np.exp(w), V)
 
 
 def loewner_leq(A: np.ndarray, B: np.ndarray, tol: float = 0.0) -> tuple[bool, float]:

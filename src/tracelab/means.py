@@ -4,10 +4,10 @@ A mean is evaluated as A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} where f is its
 representing function with f(1) = 1.  The plain-sum combiner A + B is carried
 alongside as non-normalized plumbing.
 
-The matrix power mean ((A^p + B^p)/2)^{1/p} is computed on spectra
-(power_mean_spectra), with A and B stacked and raised to p in one call; the
-mean's matrix is built only for a caller that reads it.  power_mean is its
-PosDef form.
+The matrix power mean ((A^p + B^p)/2)^{1/p} is computed by power_mean_pair
+on A and B stacked as one PosDef, raised to p in one call; the mean's matrix
+is built only for a caller that reads it.  power_mean(A, B, p) stacks its
+arguments and calls it.
 """
 
 from __future__ import annotations
@@ -17,15 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import (
-    PosDef,
-    exp_spectrum,
-    hermitian_spectrum,
-    matrix_of,
-    matrix_power,
-    spectral_function,
-    spectral_power,
-)
+from .linalg import PosDef, matrix_exp_herm, matrix_log, matrix_power
 
 KUBO_ANDO_KINDS = frozenset({"arithmetic", "harmonic", "geometric", "power"})
 ALL_KINDS = KUBO_ANDO_KINDS | {"sum"}
@@ -127,26 +119,18 @@ def eval_mean(spec: MeanSpec, A: PosDef, B: PosDef) -> PosDef:
     return M.inv() if adjoint else M
 
 
-def power_mean_spectra(p: float, eigs: np.ndarray, vecs: np.ndarray, mats=None):
-    """The power mean ((A^p + B^p)/2)^{1/p} of A and B given by their spectra,
-    stacked on the leading axis: A is (eigs[0], vecs[0]) and B (eigs[1], vecs[1]),
-    each a matrix or a stack.  p = 0 is the log-exp limit.
-
-    power_mean's steps on arrays, A and B raised to p in one call.  Returns the
-    mean as spectral_power does, (mat, eigs, vecs) with mat None unless the last
-    step builds it, so a caller that reads only the mean's spectrum builds no
-    matrix of it.  mats holds the matrices of A and B, read only at p = 1, where
-    A^p is A itself; without them they are built from the spectra.
-    """
+def power_mean_pair(P: PosDef, p: float) -> PosDef:
+    """The power mean ((A^p + B^p)/2)^{1/p} of A = P[0] and B = P[1], each a matrix
+    or a stack, raised to p in one call; p = 0 is the log-exp limit.  The mean's
+    matrix is left unbuilt but at p = 1, where its last step has it."""
     if p == 0:
-        logs = spectral_function(eigs, vecs, np.log)
-        return None, *exp_spectrum(0.5 * (logs[0] + logs[1]))
-    X = matrix_of(*spectral_power(mats, eigs, vecs, p))
-    return spectral_power(*hermitian_spectrum(0.5 * (X[0] + X[1])), 1.0 / p)
+        logs = matrix_log(P)
+        return matrix_exp_herm(0.5 * (logs[0] + logs[1]))
+    X = matrix_power(P, p).mat
+    return matrix_power(PosDef.from_hermitian(0.5 * (X[0] + X[1])), 1.0 / p)
 
 
 def power_mean(A: PosDef, B: PosDef, p: float) -> PosDef:
     """The matrix power mean ((A^p + B^p)/2)^{1/p}; p = 0 is the log-exp limit."""
-    mat, eigs, vecs = power_mean_spectra(p, np.stack([A.eigs, B.eigs]),
-                                         np.stack([A.vecs, B.vecs]), (A.mat, B.mat))
-    return PosDef(mat=matrix_of(mat, eigs, vecs), eigs=eigs, vecs=vecs)
+    return power_mean_pair(PosDef(np.stack([A.eigs, B.eigs]), np.stack([A.vecs, B.vecs]),
+                                  np.stack([A.mat, B.mat])), p)

@@ -18,6 +18,7 @@ from .linalg import (
     MatrixError,
     PosDef,
     _matrix_payload,
+    eigh,
     hermitize,
     mat_from_json,
     mat_to_json,
@@ -166,7 +167,7 @@ def is_strictly_positive(spec: MapSpec) -> bool:
 def hat_map(spec: MapSpec, A: PosDef) -> PosDef:
     """The nonlinear transform Phi(A^{-1})^{-1} on positive definite inputs."""
     img = hermitize(apply_map(spec, A.inv().mat))
-    w, V = np.linalg.eigh(img)
+    w, V = eigh(img)
     if (w[..., :1] <= HAT_FLOOR * np.maximum(w[..., -1:], 1.0)).any():
         raise MatrixError(
             f"hat-map image is numerically singular: eigenvalue {w[..., 0].min():.3e}"

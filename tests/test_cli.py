@@ -116,6 +116,15 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)["report"]
         assert (rc, report["verdict"], report["failures"]) == (3, "INCONCLUSIVE", 8)
 
+    def test_an_eigensolver_failure_fails_its_point_not_the_run(self, capsys):
+        # at n = 3, A^200 and A^300 overflow; the eigensolver then fails on their
+        # mean, in random trials and at Nelder-Mead points, and each one fails alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["verify", "--theorem", "L5.4", "--p", "200", "--q", "300",
+                       "--dims", "3", "--trials", "20"])
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert (rc, report["verdict"]) == (3, "INCONCLUSIVE") and report["failures"] > 0
+
     def test_off_region_refused(self, capsys):
         rc = main(["verify", "--theorem", "T1.1-1", "--p", "0.7", "--q", "0.7",
                    "--s", "0.9"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracelab.families import (
     FamilySpec,
@@ -16,6 +18,7 @@ from tracelab.linalg import (
     SamplerConfig,
     rng_for,
     sample_posdef,
+    sample_unitary,
 )
 from tracelab.means import MeanSpec
 from tracelab.norms import NormSpec
@@ -212,6 +215,93 @@ class TestLogExp:
         scaled = eval_family(fam, PosDef.from_matrix(t * A.mat),
                              PosDef.from_matrix(t * B.mat))
         assert np.isclose(scaled, t * base, rtol=1e-9)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_ORACLE = settings(max_examples=30, deadline=None, derandomize=True)
+_EXPONENTS = st.floats(-1.5, 1.5)
+_S = st.floats(0.1, 1.5) | st.floats(-1.5, -0.1)
+#: norms and anti-norms of every kind, with k <= 2
+_NORMS = st.sampled_from([TRACE, NormSpec("operator"), NormSpec("kyfan", k=2),
+                          NormSpec("lambda-min"), NormSpec("kyfan-anti", k=1),
+                          NormSpec("minkowski", k=2), NormSpec("schatten-quasi", p=0.5),
+                          NormSpec("neg-schatten", p=1.0)])
+_MEANS = st.sampled_from([MeanSpec("geometric", t=0.5), MeanSpec("geometric", t=0.2),
+                          MeanSpec("arithmetic"), MeanSpec("harmonic"),
+                          MeanSpec("power", r=0.3), MeanSpec("sum")])
+
+
+def _oracle_family(family, p, q, s, norm, mean, dim):
+    """family at (p, q, s) with identity maps, halved for logexp (whose premise
+    is Phi(I) + Psi(I) = I); None where (p, q, s) is not a valid point."""
+    phi = (conjugation(np.sqrt(0.5) * np.eye(dim, dtype=complex)) if family == "logexp"
+           else identity_map(dim))
+    try:
+        return FamilySpec(family=family, phi=phi, psi=phi, norm=norm,
+                          params=ParameterPoint(p, q, s),
+                          mean=mean if family == "mean" else None)
+    except ValueError:
+        return None
+
+
+def _close(x, y):
+    return np.isclose(x, y, rtol=1e-7, atol=0.0)
+
+
+class TestFamilyOracles:
+    """Identities that hold exactly in mathematics, checked to rounding."""
+
+    @_ORACLE
+    @given(family=st.sampled_from(["lieb", "mean", "epstein", "logexp"]), p=_EXPONENTS,
+           q=_EXPONENTS, s=_S, norm=_NORMS, mean=_MEANS, seed=_SEEDS, dim=st.integers(2, 3))
+    def test_unitary_invariance(self, family, p, q, s, norm, mean, seed, dim):
+        fam = _oracle_family(family, p, q, s, norm, mean, dim)
+        if fam is None:
+            return
+        A, B = _sample(seed, 0, dim), _sample(seed, 1, dim)
+        U = sample_unitary(dim, seed, 2)
+        conj = lambda P: PosDef.from_hermitian(U @ P.mat @ U.conj().T)
+        assert _close(eval_family(fam, conj(A), conj(B)), eval_family(fam, A, B))
+
+    @_ORACLE
+    @given(family=st.sampled_from(["lieb", "mean", "epstein"]), p=_EXPONENTS, q=_EXPONENTS,
+           s=_S, norm=_NORMS, mean=_MEANS, seed=_SEEDS, dim=st.integers(2, 3),
+           t=st.floats(0.1, 10.0))
+    def test_homogeneity(self, family, p, q, s, norm, mean, seed, dim, t):
+        # lieb has degree s(p + q) and epstein ps; mean has degree ps only at
+        # p = q, where the mean of t^p S and t^p T is t^p (S sigma T)
+        if family == "mean":
+            q = p
+        fam = _oracle_family(family, p, q, s, norm, mean, dim)
+        if fam is None:
+            return
+        degree = s * (p + q) if family == "lieb" else p * s
+        A, B = _sample(seed, 0, dim), _sample(seed, 1, dim)
+        scaled = lambda P: PosDef.from_hermitian(t * P.mat)
+        assert _close(eval_family(fam, scaled(A), scaled(B)),
+                      t ** degree * eval_family(fam, A, B))
+
+    @_ORACLE
+    @given(p=_EXPONENTS, q=_EXPONENTS, s=_S, norm=_NORMS, seed=_SEEDS, dim=st.integers(2, 3))
+    def test_lieb_is_symmetric_in_its_two_inputs(self, p, q, s, norm, seed, dim):
+        # S^{1/2} T S^{1/2} and T^{1/2} S T^{1/2} are both similar to S T
+        fam, swapped = (_oracle_family("lieb", *pq, s, norm, None, dim) for pq in [(p, q), (q, p)])
+        if fam is None:
+            return
+        A, B = _sample(seed, 0, dim), _sample(seed, 1, dim)
+        assert _close(eval_family(swapped, B, A), eval_family(fam, A, B))
+
+    @_ORACLE
+    @given(p=_EXPONENTS, s=_S, seed=_SEEDS, dim=st.integers(1, 3))
+    def test_epstein_trace_is_additive_over_direct_sums(self, p, s, seed, dim):
+        one, two = (_oracle_family("epstein", p, 0.0, s, TRACE, None, n) for n in (dim, 2 * dim))
+        if one is None:
+            return
+        A, B = _sample(seed, 0, dim), _sample(seed, 1, dim)
+        block = np.zeros((2 * dim, 2 * dim), dtype=complex)
+        block[:dim, :dim], block[dim:, dim:] = A.mat, B.mat
+        assert _close(eval_family(two, PosDef.from_hermitian(block)),
+                      eval_family(one, A) + eval_family(one, B))
 
 
 class TestEigenvalueDomination:

@@ -697,9 +697,9 @@ def test_the_stacked_objective_scores_each_point_as_alone():
         rng = rng_for(145, 0 if dim == 2 else dim)
         V = rng.normal(0.0, 1.5, (60, 2 * dim * dim))
         V[::7] *= 8.0  # beyond the bound
-        # rows raise at (200, 300) and (300, -1) for n = 2; for n = 3 the powers
-        # overflow to inf, which eigh does not take
-        raising = ((200.0, 300.0), (300.0, -1.0)) if dim == 2 else ()
+        # rows raise at (200, 300) and (300, -1): at n = 3 the powers overflow to
+        # inf, on which the eigensolver fails, and that scores as any failure
+        raising = ((200.0, 300.0), (300.0, -1.0))
         for p, q in ((0.8, 0.9), (1.0, 2.0), (0.0, 1.0), (0.0, 0.5), (-1.0, 0.5), (0.5, 1.0),
                      (0.6, 0.9)) + raising:
             one = _dominance_objective_one(p, q, dim)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tracelab import linalg
+from tracelab import families, linalg
 from tracelab.families import FamilySpec, ParameterPoint, eval_family
 from tracelab.linalg import (
     DimensionMismatchError,
@@ -89,6 +89,19 @@ class TestMatrixPower:
             rhs = matrix_power(P, a).mat @ matrix_power(P, b).mat
             assert np.allclose(lhs, rhs, rtol=1e-9)
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_a_spectrum_out_of_order_is_sorted_as_argsort_sorts_it(self, dim):
+        # a negative power's strictly descending spectrum, and one with a tie
+        P = _stack(dim, 145)
+        tied = P.eigs[..., ::-1].copy()
+        tied[..., 1] = tied[..., 0]
+        for eigs in (P.eigs**-0.5, tied):
+            order = eigs.argsort(axis=-1)
+            Q = PosDef.from_spectrum(eigs, P.vecs)
+            assert Q.eigs.tobytes() == np.take_along_axis(eigs, order, axis=-1).tobytes()
+            ref = np.take_along_axis(P.vecs, order[..., None, :], axis=-1)
+            assert Q.vecs.tobytes() == ref.tobytes() and Q.vecs.flags.c_contiguous
+
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.9])
     def test_loewner_monotone_on_unit_interval(self, t):
         rng = rng_for(13, 0)
@@ -139,6 +152,78 @@ class TestMatrixFunction:
         lhs = matrix_function(conj, np.sqrt)
         rhs = U @ matrix_function(P, np.sqrt) @ U.conj().T
         assert np.allclose(lhs, rhs, rtol=1e-9)
+
+
+def _built(P: PosDef) -> bool:
+    """Whether P's matrix has been built (PosDef keeps it in its _mat slot)."""
+    return P._mat is not None
+
+
+def _stack(dim, seed):
+    """A (2, 7, dim, dim) stack, as the Loewner blocks build their inputs."""
+    rng = rng_for(seed, dim)
+    draws = [[linalg.draw_posdef(rng, dim) for _ in range(7)] for _ in range(2)]
+    return linalg.build_posdef(*(np.array([[d[i] for d in row] for row in draws])
+                                 for i in (0, 1)))
+
+
+class TestLazyMatrix:
+    """A PosDef builds its matrix on the first read of .mat, and only then."""
+
+    @pytest.mark.parametrize("name", ["from_spectrum", "matrix_exp_herm", "power",
+                                      "inverse", "row", "rows"])
+    def test_a_matrix_is_built_on_its_first_read(self, name):
+        P = _stack(3, 141)
+        H = random_hermitian(rng_for(141, 1), 3)
+        Q = {"from_spectrum": lambda: P,
+             "matrix_exp_herm": lambda: matrix_exp_herm(H),
+             "power": lambda: matrix_power(P, 0.3),
+             "inverse": lambda: P.inv(),
+             "row": lambda: P[1, 4],
+             "rows": lambda: P[0]}[name]()
+        assert (Q.dim, Q.shape) == (3, Q.vecs.shape) and not _built(Q)
+        expected = linalg.hermitize((Q.vecs * Q.eigs[..., None, :])
+                                    @ Q.vecs.conj().swapaxes(-1, -2))
+        M = Q.mat
+        assert _built(Q) and Q.mat is M and M.tobytes() == expected.tobytes()
+
+    def test_a_constructor_that_has_the_matrix_keeps_it(self):
+        M = sample_posdef(SamplerConfig(dim=3, seed=142)).mat
+        P = PosDef.from_hermitian(M)
+        assert _built(P) and np.array_equal(P.mat, M)
+        assert matrix_power(P, 1.0) is P
+        assert _built(matrix_power(P, 0.0))
+        assert np.array_equal(matrix_power(P, 0.0).mat, np.eye(3))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("stack_first", [False, True])
+    def test_a_row_matrix_equals_the_row_of_the_stack_matrix(self, dim, stack_first):
+        P, ref = _stack(dim, 143), _stack(dim, 143).mat
+        if stack_first:
+            assert P.mat.tobytes() == ref.tobytes()
+        for j in range(2):
+            assert P[j].mat.tobytes() == ref[j].tobytes()
+            for t in range(7):
+                assert P[j, t].mat.tobytes() == ref[j, t].tobytes()
+                assert P[j][t].mat.tobytes() == ref[j, t].tobytes()
+        assert _built(P) == stack_first
+
+    def test_logexp_builds_no_matrix_of_its_exponential(self, monkeypatch):
+        made = []
+
+        def recorded(H):
+            made.append(matrix_exp_herm(H))
+            return made[-1]
+
+        monkeypatch.setattr(families, "matrix_exp_herm", recorded)
+        half = conjugation(np.sqrt(0.5) * np.eye(3, dtype=complex))
+        logexp = FamilySpec(family="logexp", phi=half, psi=half, norm=NormSpec(kind="trace"),
+                            params=ParameterPoint(1.0, 1.0, 1.0))
+        A = sample_posdef(SamplerConfig(dim=3, seed=144))
+        B = sample_posdef(SamplerConfig(dim=3, seed=144, stream_index=1))
+        value = eval_family(logexp, A, B)
+        assert len(made) == 1 and not _built(made[0])
+        assert np.isclose(value, np.sum(made[0].eigs), rtol=1e-12)
 
 
 class TestLoewnerLeq:

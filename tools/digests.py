@@ -5,12 +5,14 @@ Usage, from anywhere inside a checkout:
     python3 tools/digests.py REV
 
 extracts ``src/`` of the git revision REV into a temporary directory and runs
-this checkout's digest printers, ``tests/test_acceptance.py`` (criteria 1-10)
-and ``tests/test_cli.py`` (the pinned CLI runs), once on REV's ``src/`` and
-once on the working tree's; the two sides of each printer run at the same
-time.  It prints the lines of the two sides that differ as a unified diff and
-exits 1 on any difference or failed printer, 0 otherwise.  Nothing is written
-inside the checkout.
+this checkout's digest printers, ``tests/test_acceptance.py`` (criteria 1-10),
+``tests/test_cli.py`` (the pinned CLI runs) and the first-pass digests of this
+checkout's perfbench workloads ``verify``, ``hunt`` and ``dominance`` at seed 1
+(computed in-process, nothing written under ``perfbench/out``), once on REV's
+``src/`` and once on the working tree's; the two sides of each printer run at
+the same time.  It prints the lines of the two sides that differ as a unified
+diff and exits 1 on any difference or failed printer, 0 otherwise.  Nothing is
+written inside the checkout.
 """
 
 from __future__ import annotations
@@ -25,7 +27,16 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PRINTERS = ("tests/test_acceptance.py", "tests/test_cli.py")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+PERFBENCH_DIGESTS = """\
+import run, workloads
+for name in ("verify", "hunt", "dominance"):
+    print("perfbench", name, "seed 1", run.digest(run.run_pass(workloads.build(name, 1), 0)[0]))
+"""
+#: the interpreter arguments of each printer, by name
+PRINTERS = {"tests/test_acceptance.py": [os.path.join(ROOT, "tests/test_acceptance.py")],
+            "tests/test_cli.py": [os.path.join(ROOT, "tests/test_cli.py")],
+            "perfbench first passes": ["-c", PERFBENCH_DIGESTS]}
 
 
 def extract_src(rev: str, dest: str) -> str:
@@ -45,10 +56,11 @@ def main() -> int:
         srcs = {args.rev: extract_src(args.rev, os.path.join(tmp, "rev")),
                 "working tree": os.path.join(ROOT, "src")}
         lines = {name: [] for name in srcs}
-        for printer in PRINTERS:
+        for printer, argv in PRINTERS.items():
             procs = {name: subprocess.Popen(
-                [sys.executable, os.path.join(ROOT, printer)], cwd=tmp, text=True,
-                env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+                [sys.executable, *argv], cwd=tmp, text=True,
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, PERFBENCH]),
+                         PYTHONDONTWRITEBYTECODE="1"),
                 stdout=subprocess.PIPE) for name, src in srcs.items()}
             outs = {name: proc.communicate()[0] for name, proc in procs.items()}
             for name, proc in procs.items():

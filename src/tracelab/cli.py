@@ -450,7 +450,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("hunt needs --family and --direction (or --replay)")
         if (hunting or args.command in ("eval", "verify")) and args.p is None:
             parser.error(f"{args.command} needs --p")
-        return args.handler(args)
+        # a numerical failure counts through its exception or a non-finite check,
+        # so numpy's floating-point warnings would only add noise on stderr
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except (CliError, MatrixError, EvaluationError, FileNotFoundError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

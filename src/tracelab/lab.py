@@ -17,6 +17,17 @@ candidate points in one stacked call, speculatively, so it ends where scipy's
 minimize does.  Its objective and the power-mean dominance blocks pass the
 pair (A, B) as one PosDef stack to power_mean_pair, then _loewner_excess; a
 PosDef builds its matrix only when a later step reads it.
+
+The hunt evaluates ahead in stacks and judges in order, so it draws, charges
+and certifies as one evaluation at a time does, on the stream layout above.
+Each candidate's endpoint pairs and mixed pairs at all its weights go in one
+eval_family call, a curvature base point's segment endpoints in one call, and
+the random phase's draws in blocks of 1, 2, 4, ... up to HUNT_BLOCK draws.  The
+hill climb draws a block of steps as if each were rejected, evaluates them in
+one call and keeps the first accepted one, restoring the rng and step recorded
+after it; its blocks grow from 2 to HUNT_BLOCK steps and fall back to 2 on an
+acceptance.  A stack that raises is evaluated again candidate by candidate, or
+the climb's block step by step.
 """
 
 from __future__ import annotations
@@ -60,6 +71,8 @@ CERT_EPS = 1e-8
 LOEWNER_BLOCK = 100
 #: curvature rows per eval_family call: the 2 * 32**2 + 1 rows of n = 4 with B
 CURVATURE_BLOCK = 2049
+#: most hill-climb steps, and hunt random-phase draws, per eval_family call
+HUNT_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -159,11 +172,35 @@ def json_number(x: float) -> float | None:
     return x if np.isfinite(x) else None
 
 
-def _mix(P1: PosDef, P2: PosDef, lam: float) -> PosDef:
+def _mix(P1: PosDef, P2: PosDef, lam) -> PosDef:
+    """lam P1 + (1 - lam) P2; for stacks, lam may hold one weight per row."""
     M = lam * P1.mat + (1 - lam) * P2.mat
     # one matrix is checked, unlike the other internal sums: perfbench's tracer
     # test needs one here; a stack is not (check_hermitian takes one matrix)
     return PosDef.from_matrix(M) if M.ndim == 2 else PosDef.from_hermitian(M)
+
+
+def _joined(Ps) -> PosDef:
+    """The matrices and stacks Ps joined, in order, into one stack; each matrix
+    keeps the bytes it has alone."""
+    n = Ps[0].dim
+    return PosDef(np.concatenate([P.eigs.reshape(-1, n) for P in Ps]),
+                  np.concatenate([P.vecs.reshape(-1, n, n) for P in Ps]),
+                  np.concatenate([P.mat.reshape(-1, n, n) for P in Ps]))
+
+
+def _pair_values(family: FamilySpec, pairs, mixes) -> list[float]:
+    """eval_family, in one stacked call, at each pair (A, B) of pairs, then at
+    the pair lam (A1, B1) + (1 - lam) (A2, B2) of each mix (A1, B1, A2, B2, lam)
+    (B is None for a one-variable family).  Each value is the one its pair
+    has alone; the call raises when any pair would raise alone."""
+    A1, B1, A2, B2, lam = zip(*mixes)
+    lam = np.array(lam)[:, None, None]
+    A = _joined([*(A for A, _ in pairs), _mix(_joined(A1), _joined(A2), lam)])
+    B = None
+    if family.two_variable:
+        B = _joined([*(B for _, B in pairs), _mix(_joined(B1), _joined(B2), lam)])
+    return eval_family(family, A, B).tolist()
 
 
 def _checked_direction(direction: str) -> str:
@@ -194,7 +231,11 @@ def midpoint_violation(
     if f2 is None:
         f2 = eval_family(family, A2, B2)
     Bmix = _mix(B1, B2, lam) if B1 is not None else None
-    lhs = eval_family(family, _mix(A1, A2, lam), Bmix)
+    return _violation(direction, lam, eval_family(family, _mix(A1, A2, lam), Bmix), f1, f2)
+
+
+def _violation(direction: str, lam: float, lhs: float, f1: float, f2: float):
+    """midpoint_violation's (raw signed violation, lhs, rhs, scale) from its values."""
     rhs = lam * f1 + (1 - lam) * f2
     scale = max(1.0, abs(lhs), abs(rhs))
     return _signed_violation(direction, lhs, rhs), lhs, rhs, scale
@@ -311,39 +352,86 @@ def _structured_candidates(family: FamilySpec):
             yield d1, None, d2, None
 
 
+def _propose(state, lam: float, step: float, rng):
+    """Draws one hill-climb step from rng: (moved state, index of the moved pair,
+    new weight, step), or (None, None, None, step after the step) for a step
+    that moves nothing: its input is missing (B of a one-variable family), or
+    its perturbation is not positive definite."""
+    idx = int(rng.integers(0, 4))
+    if state[idx] is None:
+        return None, None, None, step
+    P = state[idx]
+    G = sample_hermitian_rng(rng, P.dim, scale=step * float(P.eigs[-1]))
+    try:
+        P2 = PosDef.from_hermitian(P.mat + G)
+    except MatrixError:
+        return None, None, None, step * 0.9
+    trial = list(state)
+    trial[idx] = P2
+    return trial, idx // 2, float(np.clip(lam + step * rng.normal(0, 0.1), 0.02, 0.98)), step
+
+
+def _climb_step(family, direction, climb, rng):
+    """The hill climb (state, f, lam, best, step) after one step drawn from rng,
+    evaluated alone."""
+    state, f, lam, best, step = climb
+    trial, pair, lam2, step = _propose(state, lam, step, rng)
+    if trial is None:
+        return state, f, lam, best, step
+    trial_f = list(f)
+    try:
+        trial_f[pair] = eval_family(family, *trial[2 * pair:2 * pair + 2])
+        cand = midpoint_violation(family, direction, trial[0], trial[2], lam2,
+                                  trial[1], trial[3], *trial_f)
+    except (EvaluationError, MatrixError):
+        return state, f, lam, best, step * 0.9
+    if cand[0] / cand[3] > best[0] / best[3]:
+        return trial, trial_f, lam2, cand, step
+    return state, f, lam, best, step * 0.97
+
+
 def _hill_climb(family, direction, state, f, lam, best, rng, iters):
     """Local refinement: perturb inputs and weight to amplify the violation.
     f and best are the values at state = (A1, B1, A2, B2) and lam (f of each pair,
-    then midpoint_violation); a step re-evaluates the pair whose input it moved."""
-    step = 0.3
-    for _ in range(iters):
-        idx = int(rng.integers(0, 4))
-        if state[idx] is None:
-            continue
-        P = state[idx]
-        G = sample_hermitian_rng(rng, P.dim, scale=step * float(P.eigs[-1]))
+    then midpoint_violation); a step re-evaluates the pair whose input it moved.
+
+    The steps run speculatively, in blocks that grow from 2 to HUNT_BLOCK steps
+    and fall back to 2 on an accepted step.  A block draws its steps as if each
+    were rejected, evaluates their moved and mixed pairs in one stacked call and
+    judges them in order; at the first accepted step it drops the rest and
+    restores the rng and step recorded after that one, so the climb draws and
+    ends as one step at a time does.  A block that raises runs again step by step.
+    """
+    climb, done, size = (state, f, lam, best, 0.3), 0, 2
+    while done < iters:
+        state, f, lam, best, step = climb
+        start, end, block = rng.bit_generator.state, done, []
+        while end < iters and len(block) < size:
+            trial, pair, lam2, step = _propose(state, lam, step, rng)
+            end += 1
+            if trial is not None:  # what an acceptance would leave: state, steps, step
+                block.append((trial, pair, lam2, rng.bit_generator.state, end, step))
+                step *= 0.97
         try:
-            P2 = PosDef.from_hermitian(P.mat + G)
-        except MatrixError:
-            step *= 0.9
-            continue
-        trial_state, trial_f = list(state), list(f)
-        trial_state[idx] = P2
-        lam2 = float(np.clip(lam + step * rng.normal(0, 0.1), 0.02, 0.98))
-        pair = idx // 2
-        try:
-            trial_f[pair] = eval_family(family, *trial_state[2 * pair:2 * pair + 2])
-            cand = midpoint_violation(
-                family, direction, trial_state[0], trial_state[2], lam2,
-                trial_state[1], trial_state[3], *trial_f,
-            )
+            values = _pair_values(family, [t[2 * p:2 * p + 2] for t, p, *_ in block],
+                                  [(*t, lam2) for t, _, lam2, *_ in block]) if block else []
         except (EvaluationError, MatrixError):
-            step *= 0.9
+            rng.bit_generator.state = start
+            for _ in range(end - done):
+                climb = _climb_step(family, direction, climb, rng)
+            done, size = end, 2
             continue
-        if cand[0] / cand[3] > best[0] / best[3]:
-            state, f, lam, best = trial_state, trial_f, lam2, cand
-        else:
-            step *= 0.97
+        climb, done, size = (state, f, lam, best, step), end, min(2 * size, HUNT_BLOCK)
+        for (trial, pair, lam2, after, steps, kept), moved, lhs in zip(
+                block, values[:len(block)], values[len(block):]):
+            trial_f = list(f)
+            trial_f[pair] = moved
+            cand = _violation(direction, lam2, lhs, *trial_f)
+            if cand[0] / cand[3] > best[0] / best[3]:
+                rng.bit_generator.state = after
+                climb, done, size = (trial, trial_f, lam2, cand, kept), steps, 2
+                break
+    state, _, lam, best, _ = climb
     return state, lam, best
 
 
@@ -426,27 +514,72 @@ def _segment_endpoints(A0, B0, G1, G2):
         yield A1, B1, A2, B2
 
 
+def _candidate_values(family: FamilySpec, cands) -> list:
+    """(f, sides) of each candidate ((A1, B1, A2, B2), weights): f its endpoint
+    values, sides (lam, f at the inputs mixed at lam) for each weight, all in
+    one stacked eval_family call.  A stack that raises is evaluated again
+    candidate by candidate, and a candidate that raises alone value by value:
+    no sides where an endpoint value raises, no side at a weight whose mix does."""
+    if not cands:
+        return []
+    try:
+        values = _pair_values(family, [pair for (A1, B1, A2, B2), _ in cands
+                                       for pair in ((A1, B1), (A2, B2))],
+                              [(*inputs, lam) for inputs, lams in cands for lam in lams])
+    except (EvaluationError, MatrixError):
+        if len(cands) > 1:
+            return [v for cand in cands for v in _candidate_values(family, [cand])]
+        (A1, B1, A2, B2), lams = cands[0]
+        try:
+            f = eval_family(family, A1, B1), eval_family(family, A2, B2)
+        except (EvaluationError, MatrixError):
+            return [(None, [])]
+        sides = []
+        for lam in lams:
+            try:
+                sides.append((lam, midpoint_violation(family, "concave", A1, A2, lam,
+                                                      B1, B2, *f)[1]))
+            except (EvaluationError, MatrixError):
+                pass
+        return [(f, sides)]
+    f = iter(zip(values[:2 * len(cands):2], values[1:2 * len(cands):2]))
+    lhs = iter(values[2 * len(cands):])
+    return [(next(f), [(lam, next(lhs)) for lam in lams]) for _, lams in cands]
+
+
 def _candidates(family: FamilySpec, direction: str, budget: int, sampler: SamplerConfig):
     """The hunt's candidates, phase by phase: structured, curvature, random.
 
-    Yields (trials charged, (A1, B1, A2, B2), mixing weights, stream).  A
-    curvature base point is charged on an item of its own, with no inputs and
-    no weights: 1 if it fails, else a third of its evaluations; its segment
-    endpoints follow, charged 0.  A random draw that fails is charged 1 the same way.
+    Yields (trials charged, stream, (A1, B1, A2, B2), f, sides), f and sides as
+    _candidate_values gives them.  A curvature base point is charged on an item
+    of its own, with no inputs and no sides: 1 if it fails, else a third of its
+    evaluations; its segment endpoints follow, charged 0 and evaluated as one
+    stack.  A random draw that fails is charged 1 the same way.  The random
+    draws are evaluated in blocks of 1, 2, 4, ... up to HUNT_BLOCK draws, so
+    that a certificate among the first draws leaves little evaluated past it.
     """
+    def evaluated(items):  # (charge, stream, (inputs, weights) or None) of each item
+        values = iter(_candidate_values(family, [c for _, _, c in items if c is not None]))
+        for charge, stream, cand in items:
+            yield charge, stream, *((cand[0], *next(values)) if cand else (None, None, []))
+
     for inputs in _structured_candidates(family):
-        yield 1, inputs, (0.5, 0.25, 0.75), sampler.stream_index
+        yield from evaluated([(1, sampler.stream_index, (inputs, (0.5, 0.25, 0.75)))])
     # curvature-directed phase: Hessian eigendirections at random base points
     for k in range(int(min(10, max(2, budget // 100)))):
         stream = 0xC0DE + k
         found = _curvature_direction(family, direction, rng_for(sampler.seed, stream))
-        yield 1 if found is None else max(1, found[-1] // 3), None, (), stream
-        if found is not None:
-            for inputs in _segment_endpoints(*found[:4]):
-                yield 0, inputs, (0.5,), stream
+        if found is None:
+            yield 1, stream, None, None, []
+        else:
+            yield from evaluated([(max(1, found[-1] // 3), stream, None)]
+                                 + [(0, stream, (inputs, (0.5,)))
+                                    for inputs in _segment_endpoints(*found[:4])])
     draw = lambda rng: (_sample_inputs(family, rng), (0.5, float(rng.uniform(0.05, 0.95))))
-    for stream, drawn in _trials(sampler, budget, draw):
-        yield 1, *(drawn or (None, ())), stream  # a failed draw: no inputs, no weights
+    draws, size = _trials(sampler, budget, draw), 1
+    while block := list(islice(draws, size)):
+        yield from evaluated([(1, stream, drawn) for stream, drawn in block])
+        size = min(2 * size, HUNT_BLOCK)
 
 
 def hunt_counterexample(
@@ -495,20 +628,10 @@ def hunt_counterexample(
         return _make_certificate(family, direction, A1, B1, A2, B2, lam, lhs, rhs,
                                  viol, sampler.seed, stream), rel
 
-    for charge, inputs, lams, stream in _candidates(family, direction, budget, sampler):
+    for charge, stream, inputs, f, sides in _candidates(family, direction, budget, sampler):
         trials_used += charge
-        if inputs is None:
-            continue  # the charge of a curvature base point or a failed draw
-        A1, B1, A2, B2 = inputs
-        try:  # the endpoint values, once for all the candidate's weights
-            f = eval_family(family, A1, B1), eval_family(family, A2, B2)
-        except (EvaluationError, MatrixError):
-            continue
-        for lam in lams:
-            try:
-                found = midpoint_violation(family, direction, A1, A2, lam, B1, B2, *f)
-            except (EvaluationError, MatrixError):
-                continue
+        for lam, lhs in sides:  # none for a charge alone or failed endpoint values
+            found = _violation(direction, lam, lhs, *f)
             rel = found[0] / found[3]
             if rel > best_rel:
                 best_rel, near_miss = rel, (inputs, f, lam, found, stream)

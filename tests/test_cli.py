@@ -1,6 +1,7 @@
 """End-to-end command-line interface checks."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,17 @@ class TestVerify:
                        "--dims", "3", "--trials", "20"])
         report = json.loads(capsys.readouterr().out)["report"]
         assert (rc, report["verdict"]) == (3, "INCONCLUSIVE") and report["failures"] > 0
+
+    def test_floating_point_warnings_stay_off_stderr(self, capsys):
+        # the overflowing run above, with numpy's error state left as it is and
+        # its warnings raised: the CLI evaluates with floating-point errors ignored
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["verify", "--theorem", "L5.4", "--p", "200", "--q", "300",
+                       "--dims", "3", "--trials", "20"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and json.loads(out)["report"]["verdict"] == "INCONCLUSIVE"
+        assert "Warning" not in err
 
     def test_off_region_refused(self, capsys):
         rc = main(["verify", "--theorem", "T1.1-1", "--p", "0.7", "--q", "0.7",

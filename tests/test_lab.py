@@ -452,6 +452,219 @@ def test_sweep_cell_evaluates_each_trial_once(monkeypatch):
     assert pairs["hunt"] > 0
 
 
+def _hill_climb_loop(family, direction, state, f, lam, best, rng, iters):
+    """The hill climb as it was, one step and one eval_family call per pair at a
+    time, kept as the reference of _hill_climb."""
+    step = 0.3
+    for _ in range(iters):
+        idx = int(rng.integers(0, 4))
+        if state[idx] is None:
+            continue
+        P = state[idx]
+        G = lab.sample_hermitian_rng(rng, P.dim, scale=step * float(P.eigs[-1]))
+        try:
+            P2 = PosDef.from_hermitian(P.mat + G)
+        except MatrixError:
+            step *= 0.9
+            continue
+        trial_state, trial_f = list(state), list(f)
+        trial_state[idx] = P2
+        lam2 = float(np.clip(lam + step * rng.normal(0, 0.1), 0.02, 0.98))
+        pair = idx // 2
+        try:
+            trial_f[pair] = eval_family(family, *trial_state[2 * pair:2 * pair + 2])
+            cand = midpoint_violation(family, direction, trial_state[0], trial_state[2], lam2,
+                                      trial_state[1], trial_state[3], *trial_f)
+        except (EvaluationError, MatrixError):
+            step *= 0.9
+            continue
+        if cand[0] / cand[3] > best[0] / best[3]:
+            state, f, lam, best = trial_state, trial_f, lam2, cand
+        else:
+            step *= 0.97
+    return state, lam, best
+
+
+def _climb_start(name):
+    """(family, direction, (A1, B1, A2, B2)) of a climb compared with the loop."""
+    kraus = sample_kraus(3, 3, rank=2, seed=141)
+    X = rng_for(109, 0).normal(size=(2, 2)) + 1j * rng_for(109, 1).normal(size=(2, 2))
+    if name == "lieb-kraus-n3":
+        fam = FamilySpec("lieb", kraus, TRACE, ParameterPoint(0.7, 0.7, 1 / 1.4),
+                         psi=transpose_then_kraus(kraus.kraus))
+        return fam, "concave", lab._sample_inputs(fam, rng_for(5, 0))
+    if name == "epstein-n2":  # B is None: a step that picks it moves nothing
+        fam = epstein(1.0, 1.2, phi=conjugation(X))
+        return fam, "concave", lab._sample_inputs(fam, rng_for(5, 1))
+    fam = carlen_lieb(3.0)  # cube-sum, from near-singular structured inputs
+    return fam, "concave", next(lab._structured_candidates(fam))
+
+
+def _climbs_agree(fam, direction, inputs, seed, iters):
+    """Runs _hill_climb and the loop from inputs at lambda = 1/2 on the same
+    stream; asserts equal end states, weights, values and rng states."""
+    A1, B1, A2, B2 = inputs
+    f = eval_family(fam, A1, B1), eval_family(fam, A2, B2)
+    found = midpoint_violation(fam, direction, A1, A2, 0.5, B1, B2, *f)
+    rng, ref_rng = rng_for(seed, 0x5EED), rng_for(seed, 0x5EED)
+    state, lam, best = lab._hill_climb(fam, direction, inputs, f, 0.5, found, rng, iters)
+    ref = _hill_climb_loop(fam, direction, inputs, f, 0.5, found, ref_rng, iters)
+    for P, Q in zip(state, ref[0]):
+        assert (P is None) == (Q is None)
+        if P is not None:
+            assert all(_same(x, y) for x, y in ((P.mat, Q.mat), (P.eigs, Q.eigs),
+                                                 (P.vecs, Q.vecs)))
+    assert lam == ref[1]
+    assert np.array(best).tobytes() == np.array(ref[2]).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return best != found  # whether any step was accepted
+
+
+@pytest.mark.parametrize("iters", [1, 5, 200])
+@pytest.mark.parametrize("name", ["lieb-kraus-n3", "epstein-n2", "cube-sum-n2"])
+def test_hill_climb_equals_the_one_step_loop(name, iters):
+    # iters 1 and 5 end inside the first and second blocks (2 and 4 steps)
+    fam, direction, inputs = _climb_start(name)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        moved = [_climbs_agree(fam, direction, inputs, seed, iters) for seed in range(3)]
+    assert any(moved) or iters < 200
+
+
+def test_a_hill_climb_block_that_raises_runs_step_by_step(monkeypatch):
+    def one_pair_only(family, A, B=None):
+        if len(A.shape) == 3 and A.shape[0] > 1:
+            raise EvaluationError("a stack of more than one pair")
+        return eval_family(family, A, B)
+
+    monkeypatch.setattr(lab, "eval_family", one_pair_only)
+    fam, direction, inputs = _climb_start("lieb-kraus-n3")
+    assert _climbs_agree(fam, direction, inputs, 0, 60)
+
+
+def _hunt_loop(family, direction, budget, sampler):
+    """hunt_counterexample as it was, one candidate and one lab.eval_family call
+    per pair at a time, kept as the reference of the hunt's stacked look-ahead."""
+    def candidates():
+        for inputs in lab._structured_candidates(family):
+            yield 1, inputs, (0.5, 0.25, 0.75), sampler.stream_index
+        for k in range(int(min(10, max(2, budget // 100)))):
+            stream = 0xC0DE + k
+            found = lab._curvature_direction(family, direction, rng_for(sampler.seed, stream))
+            yield 1 if found is None else max(1, found[-1] // 3), None, (), stream
+            if found is not None:
+                for inputs in lab._segment_endpoints(*found[:4]):
+                    yield 0, inputs, (0.5,), stream
+        draw = lambda rng: (lab._sample_inputs(family, rng),
+                            (0.5, float(rng.uniform(0.05, 0.95))))
+        for stream, drawn in lab._trials(sampler, budget, draw):
+            yield 1, *(drawn or (None, ())), stream
+
+    def climb_and_certify(inputs, f, lam, found, stream, iters):
+        rng = rng_for(sampler.seed, stream ^ 0x5EED)
+        (A1, B1, A2, B2), lam, (viol, lhs, rhs, scale) = lab._hill_climb(
+            family, direction, inputs, f, lam, found, rng, iters)
+        rel = viol / scale
+        if not viol > CLAIM_REL * scale:
+            return None, rel
+        for eps in (lab.CERT_EPS, lab.CERT_EPS / 10):
+            reg = lambda P: (PosDef.from_hermitian(P.mat + eps * P.eigs[-1] * np.eye(P.dim))
+                             if P is not None else None)
+            try:
+                again = midpoint_violation(family, direction, reg(A1), reg(A2), lam,
+                                           reg(B1), reg(B2))
+            except (EvaluationError, MatrixError):
+                return None, rel
+            if not again[0] / again[3] > 0.5 * CLAIM_REL:
+                return None, rel
+        return lab._make_certificate(family, direction, A1, B1, A2, B2, lam, lhs, rhs,
+                                     viol, sampler.seed, stream), rel
+
+    best_rel, trials_used, near_miss = -np.inf, 0, None
+    for charge, inputs, lams, stream in candidates():
+        trials_used += charge
+        if inputs is None:
+            continue
+        A1, B1, A2, B2 = inputs
+        try:
+            f = lab.eval_family(family, A1, B1), lab.eval_family(family, A2, B2)
+        except (EvaluationError, MatrixError):
+            continue
+        for lam in lams:
+            try:
+                found = midpoint_violation(family, direction, A1, A2, lam, B1, B2, *f)
+            except (EvaluationError, MatrixError):
+                continue
+            rel = found[0] / found[3]
+            if rel > best_rel:
+                best_rel, near_miss = rel, (inputs, f, lam, found, stream)
+            if found[0] > CLAIM_REL * found[3]:
+                cert, rel = climb_and_certify(inputs, f, lam, found, stream, iters=200)
+                if cert is not None:
+                    return HuntResult(cert, trials_used, max(best_rel, rel))
+    if near_miss is not None:
+        cert, rel = climb_and_certify(*near_miss, iters=400)
+        return HuntResult(cert, trials_used, max(best_rel, rel))
+    return HuntResult(None, trials_used, best_rel)
+
+
+def _hunt_case(name):
+    """(family, direction, budget, sampler) of a hunt compared with the loop: the
+    on-region hunt, the roundtrip test's off-region one (a structured
+    certificate) and one that certifies on random draw 32, inside the block of
+    draws 31 to 62, once the curvature phase finds nothing."""
+    if name == "on-region":
+        fam = FamilySpec(family="lieb", phi=identity_map(2), psi=identity_map(2),
+                         norm=TRACE, params=ParameterPoint(0.7, 0.7, 1 / 1.4))
+        return fam, "concave", 300, SamplerConfig(dim=2, seed=108)
+    if name == "random-phase":
+        fam = FamilySpec(family="lieb", phi=identity_map(3), psi=identity_map(3),
+                         norm=TRACE, params=ParameterPoint(0.5, 0.5, 1.1))
+        return fam, "concave", 300, SamplerConfig(dim=3, seed=0)
+    rng = rng_for(109, 0)
+    X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return epstein(1.0, 1.2, phi=conjugation(X)), "concave", 5_000, SamplerConfig(2, 109)
+
+
+def _hunt_key(result):
+    cert = result.certificate
+    return (json.dumps(cert.to_dict(), sort_keys=True) if cert else None,
+            result.trials_used, np.float64(result.best_violation).tobytes())
+
+
+@pytest.mark.parametrize("name", ["on-region", "off-region", "random-phase"])
+def test_hunt_equals_the_one_draw_loop(name, monkeypatch):
+    rows = {"blocks": 0, "loop": 0, "climb": 0}
+    counting, climb = ["blocks"], lab._hill_climb
+
+    def counted(family, A, B=None):
+        rows[counting[0]] += A.shape[0] if len(A.shape) == 3 else 1
+        return eval_family(family, A, B)
+
+    def uncounted(*args):  # both hunts climb with _hill_climb: count the candidates
+        seen, counting[0] = counting[0], "climb"
+        try:
+            return climb(*args)
+        finally:
+            counting[0] = seen
+
+    monkeypatch.setattr(lab, "eval_family", counted)
+    monkeypatch.setattr(lab, "_hill_climb", uncounted)
+    if name == "random-phase":
+        monkeypatch.setattr(lab, "_curvature_direction", lambda *args: None)
+    fam, direction, budget, sampler = _hunt_case(name)
+    got = hunt_counterexample(fam, direction, budget, sampler)
+    counting[0] = "loop"
+    ref = _hunt_loop(fam, direction, budget, sampler)
+    assert _hunt_key(got) == _hunt_key(ref)
+    assert (got.certificate is None) == (name == "on-region")
+    # the look-ahead past the certifying draw: at most a block's 4 rows per draw
+    assert 0 <= rows["blocks"] - rows["loop"] <= 4 * lab.HUNT_BLOCK
+    if name == "random-phase":
+        assert got.certificate.stream == 32 and rows["blocks"] > rows["loop"]
+    if name == "on-region":
+        assert rows["blocks"] == rows["loop"]
+
+
 class TestLoewnerTests:
     def test_hat_power_concavity_passes(self):
         rng = rng_for(110, 0)

@@ -146,6 +146,37 @@ class TestPowerMeanOracles:
         assert report.failures == 0 and report.worst_violation <= SLACK_REL, (p, q)
 
 
+class TestModifierOracles:
+    """The transposed and adjoint means against their definitions, sigma'(A, B) =
+    B sigma A and sigma*(A, B) = (A^-1 sigma B^-1)^-1, through means whose own
+    code paths differ, within SLACK_REL of the largest entry."""
+
+    @staticmethod
+    def _agree(got, want):
+        assert np.abs(got.mat - want.mat).max() <= SLACK_REL * np.abs(want.mat).max()
+
+    @_ORACLE
+    @given(t=st.floats(0.0, 1.0), seed=_SEEDS, dim=st.integers(2, 4))
+    def test_transposed_geometric_is_the_complementary_weight(self, t, seed, dim):
+        A, B = _sample(seed, 0, dim), _sample(seed, 1, dim)
+        self._agree(eval_mean(MeanSpec("geometric", t=t, modifier="transposed"), A, B),
+                    eval_mean(MeanSpec("geometric", t=1 - t), A, B))
+
+    @_ORACLE
+    @given(seed=_SEEDS, dim=st.integers(2, 4))
+    def test_adjoint_arithmetic_is_harmonic(self, seed, dim):
+        A, B = _sample(seed, 0, dim), _sample(seed, 1, dim)
+        self._agree(eval_mean(MeanSpec("arithmetic", modifier="adjoint"), A, B),
+                    eval_mean(MeanSpec("harmonic"), A, B))
+
+    @_ORACLE
+    @given(t=st.floats(0.0, 1.0), seed=_SEEDS, dim=st.integers(2, 4))
+    def test_adjoint_geometric_is_self_adjoint(self, t, seed, dim):
+        A, B = _sample(seed, 0, dim), _sample(seed, 1, dim)
+        self._agree(eval_mean(MeanSpec("geometric", t=t, modifier="adjoint"), A, B),
+                    eval_mean(MeanSpec("geometric", t=t), A, B))
+
+
 class TestKuboAndoProperties:
     @pytest.mark.parametrize("spec", KUBO_ANDO_SPECS, ids=lambda s: s.label())
     def test_idempotence(self, spec):

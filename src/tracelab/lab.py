@@ -9,25 +9,27 @@ sweep cell judge the same draw), loewner_midpoint_test and the hunt's random pha
 stream_index + t; hunt structured candidates: stream_index; curvature base point k:
 0xC0DE + k; hill climb from s: s ^ 0x5EED; Nelder-Mead restart k: (stream_index + k) ^ 0x0D0A.
 
-loewner_midpoint_test draws each trial on its stream as above, but builds and
-evaluates LOEWNER_BLOCK trials as one stack, then judges them in stream order; a
-block that raises is evaluated again trial by trial.  Its Nelder-Mead restarts run
-_nelder_mead, which does scipy 1.17's arithmetic but evaluates a step's four
-candidate points in one stacked call, speculatively, so it ends where scipy's
-minimize does.  Its objective and the power-mean dominance blocks pass the
-pair (A, B) as one PosDef stack to power_mean_pair, then _loewner_excess; a
-PosDef builds its matrix only when a later step reads it.
+midpoint_test and loewner_midpoint_test draw each trial on its stream as above and
+build LOEWNER_BLOCK trials' inputs as one stack, then judge them in stream order.
+midpoint_test evaluates them trial by trial and builds a block whose build raises
+again draw by draw; loewner_midpoint_test evaluates a block as one stack, again
+trial by trial if that raises.  Its Nelder-Mead restarts run _nelder_mead, which
+does scipy 1.17's arithmetic but evaluates a step's four candidate points in one
+stacked call, speculatively, so it ends where scipy's minimize does.  Its
+objective and the power-mean dominance blocks pass the pair (A, B) as one PosDef
+stack to power_mean_pair, then _loewner_excess; a PosDef builds its matrix only
+when a later step reads it.
 
 The hunt evaluates ahead in stacks and judges in order, so it draws, charges
 and certifies as one evaluation at a time does, on the stream layout above.
 Each candidate's endpoint pairs and mixed pairs at all its weights go in one
-eval_family call, a curvature base point's segment endpoints in one call, and
-the random phase's draws in blocks of 1, 2, 4, ... up to HUNT_BLOCK draws.  The
-hill climb draws a block of steps as if each were rejected, evaluates them in
-one call and keeps the first accepted one, restoring the rng and step recorded
-after it; its blocks grow from 2 to HUNT_BLOCK steps and fall back to 2 on an
-acceptance.  A stack that raises is evaluated again candidate by candidate, or
-the climb's block step by step.
+eval_family call, a curvature base point's segment endpoints in one call, and the
+random phase's draws, built as midpoint_test's are, in blocks of 1, 2, 4, ... up to
+HUNT_BLOCK draws.  The hill climb draws a block of steps as if each were rejected,
+evaluates them in one call and keeps the first accepted one, restoring the rng and
+step recorded after it; its blocks grow from 2 to HUNT_BLOCK steps and fall back
+to 2 on an acceptance.  A stack that raises is evaluated again candidate by
+candidate, or the climb's block step by step.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .linalg import (
     mat_to_json,
     rng_for,
     sample_hermitian_rng,
-    sample_posdef_rng,
     vec_to_herm,
 )
 from .means import MeanSpec, eval_mean, power_mean_pair
@@ -67,7 +68,7 @@ CLAIM_REL = 1e-4
 DEFAULT_LAMBDAS = (0.5, 0.25, 0.9)
 #: input regularization used for certificate stability re-checks
 CERT_EPS = 1e-8
-#: trials per stacked build and evaluation in loewner_midpoint_test
+#: trials per stacked build in midpoint_test and loewner_midpoint_test
 LOEWNER_BLOCK = 100
 #: curvature rows per eval_family call: the 2 * 32**2 + 1 rows of n = 4 with B
 CURVATURE_BLOCK = 2049
@@ -241,15 +242,43 @@ def _violation(direction: str, lam: float, lhs: float, f1: float, f2: float):
     return _signed_violation(direction, lhs, rhs), lhs, rhs, scale
 
 
+def _draw_inputs(family: FamilySpec, rng) -> list:
+    """The draw_posdef draws of one trial's inputs from rng: A1, A2, then B1, B2 of
+    a two-variable family."""
+    dims = (family.phi.in_dim, family.psi.in_dim) if family.two_variable else (family.phi.in_dim,)
+    return [draw_posdef(rng, n) for n in dims for _ in range(2)]
+
+
+def _build_inputs(draws: list) -> list:
+    """The inputs (A1, B1, A2, B2) of each trial's _draw_inputs draws, one build_posdef
+    call per input dimension, matrices built (_mix reads them); bytes as if alone."""
+    P = [None] * 4  # the stacks of A1, B1, A2, B2 over the trials; drawn A1, A2, B1, B2
+    for n in dict.fromkeys(logs.size for logs, _ in draws[0]):
+        js = [j for j, (logs, _) in enumerate(draws[0]) if logs.size == n]
+        built = build_posdef(*(np.array([[d[j][i] for d in draws] for j in js])
+                               for i in (0, 1)))
+        built.mat
+        for k, j in enumerate(js):
+            P[(0, 2, 1, 3)[j]] = built[k]
+    return [tuple(None if S is None else S[t] for S in P) for t in range(len(draws))]
+
+
 def _sample_inputs(family: FamilySpec, rng):
-    A1 = sample_posdef_rng(rng, family.phi.in_dim)
-    A2 = sample_posdef_rng(rng, family.phi.in_dim)
-    if family.two_variable:
-        B1 = sample_posdef_rng(rng, family.psi.in_dim)
-        B2 = sample_posdef_rng(rng, family.psi.in_dim)
-    else:
-        B1 = B2 = None
-    return A1, B1, A2, B2
+    return _build_inputs([_draw_inputs(family, rng)])[0]
+
+
+def _built(block: list) -> list:
+    """block's (stream, (input draws, x) or None) items as (stream, (inputs, x)), built
+    by _build_inputs, or (stream, None); a block whose build raises is built again
+    draw by draw, and a draw whose build raises alone gives None."""
+    drawn = [d for _, d in block if d is not None]
+    try:
+        inputs = iter(_build_inputs([draws for draws, _ in drawn]) if drawn else [])
+    except MatrixError:
+        if len(block) > 1:
+            return [item for b in block for item in _built([b])]
+        return [(block[0][0], None)]
+    return [(stream, None if d is None else (next(inputs), d[1])) for stream, d in block]
 
 
 def _verdict(failures: int, trials: int, violated: bool, worst_rel: float) -> str:
@@ -289,32 +318,36 @@ def _midpoint_reports(family: FamilySpec, directions, trials: int, sampler: Samp
                       label: str | None = None) -> dict[str, TestReport]:
     """Randomized joint midpoint tests of each direction on one pass of trials.  A trial
     evaluates every weight before any is judged, so it counts as whole or failed; a
-    trial with a non-finite lhs or rhs fails."""
-    def draw(rng):  # (lam, lhs, rhs, scale) at each weight, signed per direction below
-        A1, B1, A2, B2 = inputs = _sample_inputs(family, rng)
-        f = eval_family(family, A1, B1), eval_family(family, A2, B2)
-        sides = [(lam, *midpoint_violation(family, "concave", A1, A2, lam, B1, B2, *f)[1:])
-                 for lam in (*DEFAULT_LAMBDAS, float(rng.uniform()))]
-        if not np.isfinite([side[1:3] for side in sides]).all():
-            raise EvaluationError("a midpoint trial has a non-finite value")
-        return inputs, sides
+    trial with a non-finite lhs or rhs fails.  Inputs are built LOEWNER_BLOCK at a time."""
+    def evaluated(inputs, extra):  # (inputs, (lam, lhs, rhs, scale) at each weight), or None
+        A1, B1, A2, B2 = inputs
+        try:
+            f = eval_family(family, A1, B1), eval_family(family, A2, B2)
+            sides = [(lam, *midpoint_violation(family, "concave", A1, A2, lam, B1, B2, *f)[1:])
+                     for lam in (*DEFAULT_LAMBDAS, extra)]
+        except (EvaluationError, MatrixError):
+            return None
+        return (inputs, sides) if np.isfinite([side[1:3] for side in sides]).all() else None
 
     worst = dict.fromkeys(directions, -np.inf)
     best = dict.fromkeys(directions, (0.0, None))  # (relative violation, certificate)
     failures = 0
-    for stream, trial in _trials(sampler, trials, draw):
-        if trial is None:
-            failures += 1
-            continue
-        inputs, sides = trial
-        for direction in directions:
-            for lam, lhs, rhs, scale in sides:
-                viol = _signed_violation(direction, lhs, rhs)
-                rel = viol / scale
-                worst[direction] = max(worst[direction], rel)
-                if viol > CLAIM_REL * scale and rel > best[direction][0]:
-                    best[direction] = rel, _make_certificate(
-                        family, direction, *inputs, lam, lhs, rhs, viol, sampler.seed, stream)
+    draws = _trials(sampler, trials, lambda rng: (_draw_inputs(family, rng), float(rng.uniform())))
+    while block := list(islice(draws, LOEWNER_BLOCK)):
+        for stream, trial in _built(block):
+            if trial is None or (trial := evaluated(*trial)) is None:
+                failures += 1
+                continue
+            inputs, sides = trial
+            for direction in directions:
+                for lam, lhs, rhs, scale in sides:
+                    viol = _signed_violation(direction, lhs, rhs)
+                    rel = viol / scale
+                    worst[direction] = max(worst[direction], rel)
+                    if viol > CLAIM_REL * scale and rel > best[direction][0]:
+                        best[direction] = rel, _make_certificate(
+                            family, direction, *inputs, lam, lhs, rhs, viol, sampler.seed,
+                            stream)
     return {d: TestReport(label=label or family.label(), direction=d, trials=trials,
                           worst_violation=float(worst[d]), failures=failures,
                           verdict=_verdict(failures, trials, best[d][1] is not None, worst[d]),
@@ -575,10 +608,10 @@ def _candidates(family: FamilySpec, direction: str, budget: int, sampler: Sample
             yield from evaluated([(max(1, found[-1] // 3), stream, None)]
                                  + [(0, stream, (inputs, (0.5,)))
                                     for inputs in _segment_endpoints(*found[:4])])
-    draw = lambda rng: (_sample_inputs(family, rng), (0.5, float(rng.uniform(0.05, 0.95))))
+    draw = lambda rng: (_draw_inputs(family, rng), (0.5, float(rng.uniform(0.05, 0.95))))
     draws, size = _trials(sampler, budget, draw), 1
     while block := list(islice(draws, size)):
-        yield from evaluated([(1, stream, drawn) for stream, drawn in block])
+        yield from evaluated([(1, stream, drawn) for stream, drawn in _built(block)])
         size = min(2 * size, HUNT_BLOCK)
 
 

@@ -59,11 +59,9 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
-def check_hermitian(M: np.ndarray) -> np.ndarray:
-    """Validate hermiticity; returns the hermitized matrix.
-
-    The tolerance scales with the largest entry, floored at 1.
-    """
+def check_hermitian(M: np.ndarray) -> None:
+    """Raise unless M is one square matrix, Hermitian within HERM_ATOL times its
+    largest entry (floored at 1); M itself is left to the caller to hermitize."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {M.shape}")
@@ -74,7 +72,6 @@ def check_hermitian(M: np.ndarray) -> np.ndarray:
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
             f"{HERM_ATOL * scale:.3e}"
         )
-    return hermitize(M)
 
 
 def eigh(H: np.ndarray, vectors: bool = True):

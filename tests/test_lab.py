@@ -306,6 +306,15 @@ def _curvature_direction_loop(family, direction, rng):
     return A0, B0, G1, G2, len(steps) - 1
 
 
+def _sample_inputs_loop(family, rng):
+    """lab._sample_inputs as it was: A1, A2, then B1, B2, each sampled alone."""
+    A1, A2 = (sample_posdef_rng(rng, family.phi.in_dim) for _ in range(2))
+    if not family.two_variable:
+        return A1, None, A2, None
+    B1, B2 = (sample_posdef_rng(rng, family.psi.in_dim) for _ in range(2))
+    return A1, B1, A2, B2
+
+
 def _midpoint_test_loop(family, direction, trials, sampler, label=None):
     """midpoint_test as it was, one pass per direction, kept as its reference."""
     worst_rel = -np.inf
@@ -316,7 +325,7 @@ def _midpoint_test_loop(family, direction, trials, sampler, label=None):
         stream = sampler.stream_index + t
         rng = rng_for(sampler.seed, stream)
         try:
-            A1, B1, A2, B2 = lab._sample_inputs(family, rng)
+            A1, B1, A2, B2 = _sample_inputs_loop(family, rng)
             f1 = eval_family(family, A1, B1)
             f2 = eval_family(family, A2, B2)
             lam_extra = float(rng.uniform())
@@ -406,6 +415,101 @@ def test_midpoint_test_equals_the_per_direction_loop(name):
             ref = _midpoint_test_loop(fam, direction, 12, sampler, label="case")
             assert got.to_json() == both[direction].to_json() == ref.to_json()
     assert (got.failures == 12) == (name == "logexp-fails")
+
+
+def _midpoint_reports_loop(family, directions, trials, sampler, label=None):
+    """lab._midpoint_reports as it was, each trial sampled and evaluated on its own,
+    kept as the reference of its blocks of draws."""
+    def draw(rng):
+        A1, B1, A2, B2 = inputs = _sample_inputs_loop(family, rng)
+        f = eval_family(family, A1, B1), eval_family(family, A2, B2)
+        sides = [(lam, *midpoint_violation(family, "concave", A1, A2, lam, B1, B2, *f)[1:])
+                 for lam in (*lab.DEFAULT_LAMBDAS, float(rng.uniform()))]
+        if not np.isfinite([side[1:3] for side in sides]).all():
+            raise EvaluationError("a midpoint trial has a non-finite value")
+        return inputs, sides
+
+    worst = dict.fromkeys(directions, -np.inf)
+    best = dict.fromkeys(directions, (0.0, None))
+    failures = 0
+    for stream, trial in lab._trials(sampler, trials, draw):
+        if trial is None:
+            failures += 1
+            continue
+        inputs, sides = trial
+        for direction in directions:
+            for lam, lhs, rhs, scale in sides:
+                viol = lab._signed_violation(direction, lhs, rhs)
+                rel = viol / scale
+                worst[direction] = max(worst[direction], rel)
+                if viol > CLAIM_REL * scale and rel > best[direction][0]:
+                    best[direction] = rel, lab._make_certificate(
+                        family, direction, *inputs, lam, lhs, rhs, viol, sampler.seed, stream)
+    return {d: lab.TestReport(label=label or family.label(), direction=d, trials=trials,
+                              worst_violation=float(worst[d]), failures=failures,
+                              verdict=lab._verdict(failures, trials, best[d][1] is not None,
+                                                   worst[d]),
+                              worst_case=best[d][1])
+            for d in directions}
+
+
+def _midpoint_block_case(name):
+    """Families whose midpoint trials are compared with the one-trial loop."""
+    return {
+        "lieb-kraus-n3": lambda: _stacked_case("lieb-kraus-n3"),
+        "epstein-n2": lambda: epstein(1.5, 0.8),
+        "geometric-n2": lambda: FamilySpec("mean", identity_map(2), NormSpec("kyfan-anti", k=1),
+                                           ParameterPoint(0.5, 0.5, 1.0), psi=identity_map(2),
+                                           mean=MeanSpec("geometric", t=0.5)),
+        # psi takes 3 x 3 inputs, phi 2 x 2: B is built in a stack of its own
+        "lieb-psi-n3": lambda: FamilySpec("lieb", identity_map(2), TRACE,
+                                          ParameterPoint(0.6, 0.8, 1.0),
+                                          psi=sample_kraus(3, 2, rank=1, seed=5)),
+        # Tr A^{ps} overflows on some draws: those trials fail on a non-finite value
+        "overflow-n2": lambda: epstein(1.5, 300.0),
+    }[name]()
+
+
+@pytest.mark.parametrize("setting", ["block-100", "block-7", "one-draw-builds"])
+@pytest.mark.parametrize("name", ["lieb-kraus-n3", "epstein-n2", "geometric-n2",
+                                  "lieb-psi-n3", "overflow-n2"])
+def test_midpoint_blocks_equal_the_per_trial_loop(name, setting, monkeypatch):
+    fam = _midpoint_block_case(name)
+    monkeypatch.setattr(lab, "LOEWNER_BLOCK", 7 if setting == "block-7" else 100)
+    if setting == "one-draw-builds":  # a build of several draws raises
+        build = lab.build_posdef
+
+        def one_draw_only(logs, Z):
+            if logs.shape[-2] > 1:
+                raise MatrixError("a stack of draws")
+            return build(logs, Z)
+
+        monkeypatch.setattr(lab, "build_posdef", one_draw_only)
+    sampler = SamplerConfig(dim=fam.phi.in_dim, seed=3, stream_index=40)
+    with np.errstate(all="ignore"):
+        for direction in ("concave", "convex"):
+            got = midpoint_test(fam, direction, 120, sampler, label="case")
+            ref = _midpoint_reports_loop(fam, (direction,), 120, sampler, "case")[direction]
+            assert got.to_json() == ref.to_json()
+        grid = ([fam.params.p], [fam.params.q], [fam.params.s])
+        cells = sweep(fam, *grid, trials_per_cell=20, sampler=sampler).to_csv()
+        monkeypatch.setattr(lab, "_midpoint_reports", _midpoint_reports_loop)
+        assert cells == sweep(fam, *grid, trials_per_cell=20, sampler=sampler).to_csv()
+    assert (0 < got.failures < 120) == (name == "overflow-n2")
+
+
+def test_a_trial_whose_build_raises_fails(monkeypatch):
+    def refuse(logs, Z):
+        raise MatrixError("no build")
+
+    monkeypatch.setattr(lab, "build_posdef", refuse)
+    monkeypatch.setattr(lab, "_curvature_direction", lambda *args: None)
+    fam = epstein(1.5, 0.8, dim=3)  # odd: no structured candidates
+    report = midpoint_test(fam, "concave", 30, SamplerConfig(dim=3, seed=0))
+    assert (report.failures, report.verdict) == (30, "INCONCLUSIVE")
+    # each draw is charged 1, as are the two curvature base points
+    found = hunt_counterexample(fam, "concave", 20, SamplerConfig(dim=3, seed=0))
+    assert (found.certificate, found.trials_used, found.best_violation) == (None, 22, -np.inf)
 
 
 def test_stacked_scans_make_one_call_per_block(monkeypatch):
@@ -554,7 +658,7 @@ def _hunt_loop(family, direction, budget, sampler):
             if found is not None:
                 for inputs in lab._segment_endpoints(*found[:4]):
                     yield 0, inputs, (0.5,), stream
-        draw = lambda rng: (lab._sample_inputs(family, rng),
+        draw = lambda rng: (_sample_inputs_loop(family, rng),
                             (0.5, float(rng.uniform(0.05, 0.95))))
         for stream, drawn in lab._trials(sampler, budget, draw):
             yield 1, *(drawn or (None, ())), stream

@@ -1,0 +1,92 @@
+"""A/B benchmark: run perfbench on a revision and on the working tree, alternating.
+
+Usage, from anywhere inside a checkout:
+
+    python3 tools/ab.py REV --workload verify --pairs 10 [--seconds 30] [--seed 2]
+
+builds two temporary checkouts, each holding this checkout's ``perfbench/`` and
+``BENCHMARK.json``: one with ``src/`` of the git revision REV (extracted as
+``tools/digests.py`` does) and one with the working tree's ``src/``.  It then
+runs ``perfbench/run.py --workload W --seed K --seconds S`` in each, one after
+the other, for N pairs; odd pairs run REV first, even pairs the working tree
+first.  It prints each run's metrics to standard error as it ends, then, for
+every end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles
+and in how many pairs the working tree did better.
+Nothing is written inside the checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+from digests import ROOT, extract_src
+
+
+def checkout(dest: str, src: str) -> str:
+    """A checkout at dest with src as its src/ and copies of perfbench/ (without
+    its results) and BENCHMARK.json; returns dest."""
+    shutil.copytree(src, os.path.join(dest, "src"),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(os.path.join(ROOT, "perfbench"), os.path.join(dest, "perfbench"),
+                    ignore=shutil.ignore_patterns("__pycache__", "out"))
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), dest)
+    return dest
+
+
+def run(root: str, args) -> dict:
+    """The end-to-end metric values of one perfbench run in the checkout root."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds)],
+        cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, check=True)
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
+    return {name: m["value"] for name, m in metrics.items()}
+
+
+def summary(values: list) -> str:
+    """median [first quartile, third quartile] of values, or the one value."""
+    if len(values) == 1:
+        return f"{values[0]:.4g}"
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("rev", help="git revision to compare against, e.g. HEAD")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seed", type=int, default=2)
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {args.rev: checkout(os.path.join(tmp, "rev"),
+                                    extract_src(args.rev, os.path.join(tmp, "archive"))),
+                 "working tree": checkout(os.path.join(tmp, "tree"), os.path.join(ROOT, "src"))}
+        runs = {name: [] for name in sides}
+        for k in range(args.pairs):
+            for name in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
+                runs[name].append(run(sides[name], args))
+                print(f"pair {k + 1}, {name}: {runs[name][-1]}", file=sys.stderr, flush=True)
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs: "
+          f"median [quartiles] at {args.rev} -> working tree")
+    for m in end_to_end:
+        rev, tree = ([r[m["name"]] for r in runs[name]] for name in sides)
+        won = sum(b > a if m["better"] == "higher" else b < a for a, b in zip(rev, tree))
+        print(f"  {m['name']} ({m['unit']}): {summary(rev)} -> {summary(tree)}; "
+              f"working tree better in {won} of {args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

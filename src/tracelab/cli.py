@@ -155,8 +155,8 @@ def _parse_grid(text: str) -> list[float]:
 
 def _parse_dims(text: str) -> tuple[int, int]:
     parts = [int(x) for x in text.split(",")]
-    if len(parts) > 2:
-        raise CliError(f"--dims expects n or n,m, got {text!r}")
+    if len(parts) > 2 or min(parts) < 1:
+        raise CliError(f"--dims expects n or n,m, each at least 1, got {text!r}")
     return parts[0], parts[-1]
 
 

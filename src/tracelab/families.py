@@ -242,7 +242,7 @@ def variational_min(phi: MapSpec, p: float, r: float, A: PosDef) -> VariationalR
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
         M = vec_to_herm(v, dim)
-        wM, VM = np.linalg.eigh(M)
+        wM, VM = eigh(M)
         wB = np.exp(wM)
         val = (np.sum((VM.conj().T @ C.mat @ VM).diagonal().real * g(wB))
                + (r - 1) * wB.sum()) / r

@@ -10,15 +10,13 @@ stream_index + t; hunt structured candidates: stream_index; curvature base point
 0xC0DE + k; hill climb from s: s ^ 0x5EED; Nelder-Mead restart k: (stream_index + k) ^ 0x0D0A.
 
 midpoint_test and loewner_midpoint_test draw each trial on its stream as above and
-build LOEWNER_BLOCK trials' inputs as one stack, then judge them in stream order.
-midpoint_test evaluates them trial by trial and builds a block whose build raises
-again draw by draw; loewner_midpoint_test evaluates a block as one stack, again
-trial by trial if that raises.  Its Nelder-Mead restarts run _nelder_mead, which
-does scipy 1.17's arithmetic but evaluates a step's four candidate points in one
-stacked call, speculatively, so it ends where scipy's minimize does.  Its
-objective and the power-mean dominance blocks pass the pair (A, B) as one PosDef
-stack to power_mean_pair, then _loewner_excess; a PosDef builds its matrix only
-when a later step reads it.
+build LOEWNER_BLOCK trials' inputs as one stack, then judge them in stream order;
+midpoint_test evaluates them trial by trial, loewner_midpoint_test as one stack.
+Its Nelder-Mead restarts run _nelder_mead, which does scipy 1.17's arithmetic but
+evaluates a step's four candidate points in one stacked call, speculatively, so
+it ends where scipy's minimize does.  Its objective and the power-mean dominance
+blocks pass the pair (A, B) as one PosDef stack to power_mean_pair, then
+_loewner_excess; a PosDef builds its matrix only when a later step reads it.
 
 The hunt evaluates ahead in stacks and judges in order, so it draws, charges
 and certifies as one evaluation at a time does, on the stream layout above.
@@ -28,8 +26,12 @@ random phase's draws, built as midpoint_test's are, in blocks of 1, 2, 4, ... up
 HUNT_BLOCK draws.  The hill climb draws a block of steps as if each were rejected,
 evaluates them in one call and keeps the first accepted one, restoring the rng and
 step recorded after it; its blocks grow from 2 to HUNT_BLOCK steps and fall back
-to 2 on an acceptance.  A stack that raises is evaluated again candidate by
-candidate, or the climb's block step by step.
+to 2 on an acceptance.
+
+The stacks of trials, hunt values, climb steps and objective points keep one
+rule (_stacked): a stack that raises is evaluated again item by item, and an item
+that raises alone fails (a failed trial, a missing hunt value, a rejected climb
+step, an objective value of 1).  So each item's result is the one it has alone.
 """
 
 from __future__ import annotations
@@ -190,18 +192,40 @@ def _joined(Ps) -> PosDef:
                   np.concatenate([P.mat.reshape(-1, n, n) for P in Ps]))
 
 
-def _pair_values(family: FamilySpec, pairs, mixes) -> list[float]:
-    """eval_family, in one stacked call, at each pair (A, B) of pairs, then at
-    the pair lam (A1, B1) + (1 - lam) (A2, B2) of each mix (A1, B1, A2, B2, lam)
-    (B is None for a one-variable family).  Each value is the one its pair
-    has alone; the call raises when any pair would raise alone."""
-    A1, B1, A2, B2, lam = zip(*mixes)
-    lam = np.array(lam)[:, None, None]
-    A = _joined([*(A for A, _ in pairs), _mix(_joined(A1), _joined(A2), lam)])
-    B = None
-    if family.two_variable:
-        B = _joined([*(B for _, B in pairs), _mix(_joined(B1), _joined(B2), lam)])
-    return eval_family(family, A, B).tolist()
+def _stacked(evaluate, items, failed=None) -> list:
+    """evaluate(items), which gives one result per item, computed as one stack;
+    when that raises EvaluationError or MatrixError, each item evaluated alone,
+    and failed for an item that raises alone.  So each item gets the result it
+    has alone, whatever else the stack holds."""
+    if len(items) == 0:
+        return []
+    try:
+        return list(evaluate(items))
+    except (EvaluationError, MatrixError):
+        if len(items) == 1:
+            return [failed]
+    return [r for i in range(len(items)) for r in _stacked(evaluate, items[i:i + 1], failed)]
+
+
+def _pair_values(family: FamilySpec, pairs, mixes) -> list:
+    """eval_family at each pair (A, B) of pairs, then at the pair lam (A1, B1) +
+    (1 - lam) (A2, B2) of each mix (A1, B1, A2, B2, lam) (B is None for a
+    one-variable family), in one stacked call, or by _stacked's rule: None for a
+    pair or mix that raises alone.  Each value is the one its pair has alone."""
+    def values(items):  # a slice of [*pairs, *mixes]
+        paired = [item for item in items if len(item) == 2]
+        mixed = items[len(paired):]
+        lam = np.array([m[4] for m in mixed])[:, None, None]
+        stacks = []
+        for j in (0, 1) if family.two_variable else (0,):
+            Ps = [P[j] for P in paired]
+            if mixed:
+                Ps.append(_mix(_joined([m[j] for m in mixed]), _joined([m[2 + j] for m in mixed]),
+                               lam))
+            stacks.append(_joined(Ps))
+        return eval_family(family, *stacks).tolist()
+
+    return _stacked(values, [*pairs, *mixes])
 
 
 def _checked_direction(direction: str) -> str:
@@ -269,16 +293,12 @@ def _sample_inputs(family: FamilySpec, rng):
 
 def _built(block: list) -> list:
     """block's (stream, (input draws, x) or None) items as (stream, (inputs, x)), built
-    by _build_inputs, or (stream, None); a block whose build raises is built again
-    draw by draw, and a draw whose build raises alone gives None."""
-    drawn = [d for _, d in block if d is not None]
-    try:
-        inputs = iter(_build_inputs([draws for draws, _ in drawn]) if drawn else [])
-    except MatrixError:
-        if len(block) > 1:
-            return [item for b in block for item in _built([b])]
-        return [(block[0][0], None)]
-    return [(stream, None if d is None else (next(inputs), d[1])) for stream, d in block]
+    by _build_inputs, or (stream, None) for no draw or a draw whose build fails alone
+    (_stacked)."""
+    built = iter(_stacked(lambda drawn: zip(_build_inputs([d for d, _ in drawn]),
+                                            [x for _, x in drawn]),
+                          [d for _, d in block if d is not None]))
+    return [(stream, None if d is None else next(built)) for stream, d in block]
 
 
 def _verdict(failures: int, trials: int, violated: bool, worst_rel: float) -> str:
@@ -404,66 +424,46 @@ def _propose(state, lam: float, step: float, rng):
     return trial, idx // 2, float(np.clip(lam + step * rng.normal(0, 0.1), 0.02, 0.98)), step
 
 
-def _climb_step(family, direction, climb, rng):
-    """The hill climb (state, f, lam, best, step) after one step drawn from rng,
-    evaluated alone."""
-    state, f, lam, best, step = climb
-    trial, pair, lam2, step = _propose(state, lam, step, rng)
-    if trial is None:
-        return state, f, lam, best, step
-    trial_f = list(f)
-    try:
-        trial_f[pair] = eval_family(family, *trial[2 * pair:2 * pair + 2])
-        cand = midpoint_violation(family, direction, trial[0], trial[2], lam2,
-                                  trial[1], trial[3], *trial_f)
-    except (EvaluationError, MatrixError):
-        return state, f, lam, best, step * 0.9
-    if cand[0] / cand[3] > best[0] / best[3]:
-        return trial, trial_f, lam2, cand, step
-    return state, f, lam, best, step * 0.97
-
-
 def _hill_climb(family, direction, state, f, lam, best, rng, iters):
     """Local refinement: perturb inputs and weight to amplify the violation.
     f and best are the values at state = (A1, B1, A2, B2) and lam (f of each pair,
     then midpoint_violation); a step re-evaluates the pair whose input it moved.
 
     The steps run speculatively, in blocks that grow from 2 to HUNT_BLOCK steps
-    and fall back to 2 on an accepted step.  A block draws its steps as if each
-    were rejected, evaluates their moved and mixed pairs in one stacked call and
-    judges them in order; at the first accepted step it drops the rest and
-    restores the rng and step recorded after that one, so the climb draws and
-    ends as one step at a time does.  A block that raises runs again step by step.
+    and fall back to 2 on an accepted or failed step.  A block draws its steps as
+    if each were rejected, evaluates their moved and mixed pairs in one stacked
+    call (_pair_values) and judges them in order; at the first accepted step, or
+    the first whose moved or mixed pair fails alone (rejected, its step times
+    0.9), it drops the rest and restores the rng and step recorded after that
+    one, so the climb draws and ends as one step at a time does.
     """
     climb, done, size = (state, f, lam, best, 0.3), 0, 2
     while done < iters:
         state, f, lam, best, step = climb
-        start, end, block = rng.bit_generator.state, done, []
+        end, block = done, []
         while end < iters and len(block) < size:
             trial, pair, lam2, step = _propose(state, lam, step, rng)
             end += 1
             if trial is not None:  # what an acceptance would leave: state, steps, step
                 block.append((trial, pair, lam2, rng.bit_generator.state, end, step))
                 step *= 0.97
-        try:
-            values = _pair_values(family, [t[2 * p:2 * p + 2] for t, p, *_ in block],
-                                  [(*t, lam2) for t, _, lam2, *_ in block]) if block else []
-        except (EvaluationError, MatrixError):
-            rng.bit_generator.state = start
-            for _ in range(end - done):
-                climb = _climb_step(family, direction, climb, rng)
-            done, size = end, 2
-            continue
+        values = _pair_values(family, [t[2 * p:2 * p + 2] for t, p, *_ in block],
+                              [(*t, lam2) for t, _, lam2, *_ in block])
         climb, done, size = (state, f, lam, best, step), end, min(2 * size, HUNT_BLOCK)
         for (trial, pair, lam2, after, steps, kept), moved, lhs in zip(
                 block, values[:len(block)], values[len(block):]):
-            trial_f = list(f)
-            trial_f[pair] = moved
-            cand = _violation(direction, lam2, lhs, *trial_f)
-            if cand[0] / cand[3] > best[0] / best[3]:
-                rng.bit_generator.state = after
-                climb, done, size = (trial, trial_f, lam2, cand, kept), steps, 2
-                break
+            if moved is None or lhs is None:
+                climb = state, f, lam, best, kept * 0.9
+            else:
+                trial_f = list(f)
+                trial_f[pair] = moved
+                cand = _violation(direction, lam2, lhs, *trial_f)
+                if not cand[0] / cand[3] > best[0] / best[3]:
+                    continue
+                climb = trial, trial_f, lam2, cand, kept
+            rng.bit_generator.state = after
+            done, size = steps, 2
+            break
     state, _, lam, best, _ = climb
     return state, lam, best
 
@@ -514,7 +514,7 @@ def _curvature_direction(family, direction, rng):
     if not np.all(np.isfinite(hess)):
         return None  # overflowed values: this base point fails, the hunt goes on
 
-    eigs, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
+    eigs, vecs = eigh(0.5 * (hess + hess.T))
     scale_h = max(1.0, float(np.max(np.abs(eigs))))
     if direction == "convex":
         idx, curv = 0, eigs[0]  # need negative curvature
@@ -550,34 +550,15 @@ def _segment_endpoints(A0, B0, G1, G2):
 def _candidate_values(family: FamilySpec, cands) -> list:
     """(f, sides) of each candidate ((A1, B1, A2, B2), weights): f its endpoint
     values, sides (lam, f at the inputs mixed at lam) for each weight, all in
-    one stacked eval_family call.  A stack that raises is evaluated again
-    candidate by candidate, and a candidate that raises alone value by value:
-    no sides where an endpoint value raises, no side at a weight whose mix does."""
-    if not cands:
-        return []
-    try:
-        values = _pair_values(family, [pair for (A1, B1, A2, B2), _ in cands
-                                       for pair in ((A1, B1), (A2, B2))],
-                              [(*inputs, lam) for inputs, lams in cands for lam in lams])
-    except (EvaluationError, MatrixError):
-        if len(cands) > 1:
-            return [v for cand in cands for v in _candidate_values(family, [cand])]
-        (A1, B1, A2, B2), lams = cands[0]
-        try:
-            f = eval_family(family, A1, B1), eval_family(family, A2, B2)
-        except (EvaluationError, MatrixError):
-            return [(None, [])]
-        sides = []
-        for lam in lams:
-            try:
-                sides.append((lam, midpoint_violation(family, "concave", A1, A2, lam,
-                                                      B1, B2, *f)[1]))
-            except (EvaluationError, MatrixError):
-                pass
-        return [(f, sides)]
-    f = iter(zip(values[:2 * len(cands):2], values[1:2 * len(cands):2]))
+    one stacked eval_family call (_pair_values).  A candidate whose endpoint
+    value fails has f None and no sides; a weight whose mix fails has no side."""
+    values = _pair_values(family, [pair for (A1, B1, A2, B2), _ in cands
+                                   for pair in ((A1, B1), (A2, B2))],
+                          [(*inputs, lam) for inputs, lams in cands for lam in lams])
+    f = zip(values[:2 * len(cands):2], values[1:2 * len(cands):2])
     lhs = iter(values[2 * len(cands):])
-    return [(next(f), [(lam, next(lhs)) for lam in lams]) for _, lams in cands]
+    sides = [[(lam, v) for lam, v in zip(lams, lhs) if v is not None] for _, lams in cands]
+    return [(None, []) if None in fc else (fc, s) for fc, s in zip(f, sides)]
 
 
 def _candidates(family: FamilySpec, direction: str, budget: int, sampler: SamplerConfig):
@@ -761,32 +742,24 @@ def _loewner_evaluation(expr: str, params: dict, P: PosDef):
     return excess, witness
 
 
-def _loewner_block(expr: str, params: dict, draws) -> list:
-    """(excess, witness(stream)) of each trial of a block, or None for a trial
-    that fails, from the trials' draws (a draw_posdef pair per input): the block
-    is built and evaluated as one stack.  A block that raises is evaluated
-    again trial by trial, so each trial fails or not as it would alone."""
+def _loewner_trials(expr: str, params: dict, trials: int, sampler: SamplerConfig):
+    """Lazily yields (stream, (excess, witness(stream))) of each trial in stream
+    order, or (stream, None) for a trial that fails: LOEWNER_BLOCK trials drawn
+    (a draw_posdef pair per input), then built and evaluated as one stack
+    (_stacked)."""
+    dim = params["phi"].in_dim if expr == "hat-power" else sampler.dim
     names = LOEWNER_INPUTS[expr]
-    try:
-        P = build_posdef(*(np.array([[d[j][i] for d in draws] for j in range(len(names))])
+
+    def evaluated(block):
+        P = build_posdef(*(np.array([[d[j][i] for d in block] for j in range(len(names))])
                            for i in (0, 1)))
         excess, witness = _loewner_evaluation(expr, params, P)
-    except (EvaluationError, MatrixError):
-        if len(draws) == 1:
-            return [None]
-        return [r for d in draws for r in _loewner_block(expr, params, [d])]
-    return [(excess[t], partial(witness, t)) for t in range(len(draws))]
+        return [(excess[t], partial(witness, t)) for t in range(len(block))]
 
-
-def _loewner_trials(expr: str, params: dict, trials: int, sampler: SamplerConfig):
-    """Lazily yields (stream, _loewner_block result) of each trial in stream
-    order, LOEWNER_BLOCK trials drawn and evaluated at a time."""
-    dim = params["phi"].in_dim if expr == "hat-power" else sampler.dim
-    draws = _trials(sampler, trials,
-                    lambda rng: [draw_posdef(rng, dim) for _ in LOEWNER_INPUTS[expr]])
+    draws = _trials(sampler, trials, lambda rng: [draw_posdef(rng, dim) for _ in names])
     while block := list(islice(draws, LOEWNER_BLOCK)):
         yield from zip([stream for stream, _ in block],
-                       _loewner_block(expr, params, [d for _, d in block]))
+                       _stacked(evaluated, [d for _, d in block]))
 
 
 def _log_pairs(V: np.ndarray, dim: int) -> np.ndarray:
@@ -854,22 +827,17 @@ def _dominance_objective(p: float, q: float, dim: int):
 
     The bound on the parameter vector guards against overflow in the
     exponential; a point whose power means are not numerically positive
-    definite scores as one beyond that bound.  A stack that raises is
-    evaluated again point by point, so each point scores as it would alone.
+    definite scores as one beyond that bound (_stacked's failure value).
     """
-    def objective(V: np.ndarray) -> np.ndarray:
+    def scores(V: np.ndarray) -> np.ndarray:
         f = np.ones(len(V))
         inside = np.flatnonzero(~(np.max(np.abs(V), axis=1) > 10.0))
         if inside.size:
-            try:
-                P = matrix_exp_herm(_log_pairs(V[inside], dim))
-                f[inside] = -_loewner_excess(power_mean_pair(P, p).mat, power_mean_pair(P, q))
-            except MatrixError:  # alone, a point that raises scores 1
-                if len(V) > 1:
-                    return np.concatenate([objective(V[i:i + 1]) for i in range(len(V))])
+            P = matrix_exp_herm(_log_pairs(V[inside], dim))
+            f[inside] = -_loewner_excess(power_mean_pair(P, p).mat, power_mean_pair(P, q))
         return f
 
-    return objective
+    return lambda V: np.array(_stacked(scores, V, 1.0))
 
 
 def _nm_dominance_search(p, q, dim, rng) -> PosDef:

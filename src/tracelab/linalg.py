@@ -191,7 +191,7 @@ def loewner_leq(A: np.ndarray, B: np.ndarray, tol: float = 0.0) -> tuple[bool, f
     B = np.asarray(B, dtype=complex)
     if A.shape != B.shape:
         raise DimensionMismatchError(f"shape mismatch {A.shape} vs {B.shape}")
-    witness = float(np.linalg.eigvalsh(hermitize(B - A))[0])
+    witness = float(eigh(hermitize(B - A), vectors=False)[0])
     return witness >= -tol, witness
 
 

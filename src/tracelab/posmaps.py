@@ -63,7 +63,7 @@ class MapSpec:
         kraus.setflags(write=False)
         unit = _kraus_sum(kraus, np.eye(kraus.shape[1], dtype=complex))
         unit.setflags(write=False)
-        w = np.linalg.eigvalsh(hermitize(unit))
+        w = eigh(hermitize(unit), vectors=False)
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "strictly_positive",
@@ -195,7 +195,7 @@ def sample_kraus(in_dim: int, out_dim: int, rank: int, seed: int,
          + 1j * rng.standard_normal((in_dim, out_dim))) / np.sqrt(2)
         for _ in range(rank)
     ])
-    norm = float(np.linalg.eigvalsh(hermitize(_kraus_sum(pieces, eye)))[-1])
+    norm = float(eigh(hermitize(_kraus_sum(pieces, eye)), vectors=False)[-1])
     spec = kraus_map(pieces / np.sqrt(norm))
     if not spec.strictly_positive:
         raise RuntimeError("sampled Kraus map is not strictly positive")

@@ -156,6 +156,14 @@ class TestVerify:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "PASS"
 
+    @pytest.mark.parametrize("dims", ["-1", "2,0"])
+    def test_dims_below_one_are_refused(self, dims, capsys):
+        rc = main(["hunt", "--family", "lieb", "--direction", "concave", "--p", "0.5",
+                   "--q", "0.5", "--s", "1", "--dims", dims])
+        assert rc == 4
+        assert capsys.readouterr().err == (f"error: --dims expects n or n,m, each at least 1, "
+                                           f"got {dims!r}\n")
+
     def test_unknown_theorem(self, capsys):
         rc = main(["verify", "--theorem", "T7.7", "--p", "1"])
         assert rc == 4

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and only
+linalg calls numpy's Hermitian eigensolvers."""
 
 import ast
 import pathlib
@@ -30,3 +31,26 @@ def test_the_check_finds_an_unused_import():
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def direct_eigensolver_calls(source: str) -> list[int]:
+    """The lines of source that call np.linalg.eigh or np.linalg.eigvalsh."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("eigh", "eigvalsh")
+                  and isinstance(node.func.value, ast.Attribute)
+                  and node.func.value.attr == "linalg"
+                  and isinstance(node.func.value.value, ast.Name)
+                  and node.func.value.value.id in ("np", "numpy"))
+
+
+def test_the_check_finds_a_direct_eigensolver_call():
+    assert direct_eigensolver_calls("import numpy as np\nw = np.linalg.eigvalsh(H)\n"
+                                    "w, V = eigh(H)\nnumpy.linalg.eigh(H)\n") == [2, 4]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "linalg.py"))
+def test_eigensolvers_run_through_linalg_eigh(module):
+    # linalg.eigh turns a solver failure into a MatrixError
+    assert direct_eigensolver_calls((SRC / module).read_text()) == []

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from tracelab.linalg import (
     MatrixError,
     PosDef,
     SamplerConfig,
+    eigh,
     hermitize,
     loewner_leq,
     mat_to_json,
@@ -643,6 +645,87 @@ def test_a_hill_climb_block_that_raises_runs_step_by_step(monkeypatch):
     monkeypatch.setattr(lab, "eval_family", one_pair_only)
     fam, direction, inputs = _climb_start("lieb-kraus-n3")
     assert _climbs_agree(fam, direction, inputs, 0, 60)
+
+
+@pytest.mark.parametrize("chosen", [(), (0,), (3,), (1, 4, 6), tuple(range(7))])
+@pytest.mark.parametrize("kind", ["array", "list"])
+def test_a_stack_that_raises_gives_each_item_its_value_alone(chosen, kind):
+    # row k holds k in its first entry: a stack that holds a chosen row raises
+    V = rng_for(7, 0).normal(size=(7, 4))
+    V[:, 0] = np.arange(7)
+    calls = []
+
+    def evaluate(rows):
+        rows = np.array(rows)
+        calls.append(len(rows))
+        if set(rows[:, 0]) & set(chosen):
+            raise MatrixError("a chosen row")
+        return eigh(vec_to_herm(rows, 2), vectors=False)[:, -1]
+
+    items = V if kind == "array" else list(V)
+    got = lab._stacked(evaluate, items, failed="failed")
+    assert calls == ([7] if not chosen else [7] + [1] * 7)
+    for k, value in enumerate(got):
+        if k in chosen:
+            assert value == "failed"
+        else:
+            assert value.tobytes() == evaluate(V[k:k + 1])[0].tobytes()
+    assert lab._stacked(evaluate, items[:0]) == []
+
+
+def _values_raise(chosen, evaluate=eval_family):
+    """eval_family that raises on a call holding a pair whose value is chosen(value)."""
+    def raising(family, A, B=None):
+        values = evaluate(family, A, B)
+        if any(chosen(v) for v in np.atleast_1d(values)):
+            raising.raised.append(np.shape(values))
+            raise EvaluationError("a chosen pair")
+        return values
+
+    raising.raised = []
+    return raising
+
+
+def test_a_climb_step_that_fails_alone_is_rejected_inside_its_block(monkeypatch):
+    fam, direction, inputs = _climb_start("lieb-kraus-n3")
+    A1, B1, A2, B2 = inputs
+    f = eval_family(fam, A1, B1), eval_family(fam, A2, B2)
+    found = midpoint_violation(fam, direction, A1, A2, 0.5, B1, B2, *f)
+    # about one pair in six raises, alone or in any stack that holds it; the
+    # loop evaluates its moved pair through this module's eval_family
+    raising = _values_raise(lambda v: zlib.crc32(np.float64(v).tobytes()) % 6 == 0)
+    monkeypatch.setattr(lab, "eval_family", raising)
+    monkeypatch.setitem(globals(), "eval_family", raising)
+    for seed in range(3):
+        rng, ref_rng = rng_for(seed, 0x5EED), rng_for(seed, 0x5EED)
+        state, lam, best = lab._hill_climb(fam, direction, inputs, f, 0.5, found, rng, 120)
+        ref = _hill_climb_loop(fam, direction, inputs, f, 0.5, found, ref_rng, 120)
+        for P, Q in zip(state, ref[0]):
+            assert all(_same(x, y) for x, y in ((P.mat, Q.mat), (P.eigs, Q.eigs)))
+        assert lam == ref[1]
+        assert np.array(best).tobytes() == np.array(ref[2]).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # stacks of several steps raised, and so did single pairs
+    assert any(shape[0] > 2 for shape in raising.raised if shape)
+    assert () in raising.raised
+
+
+@pytest.mark.parametrize("row", ["mix", "endpoint"])
+def test_a_hunt_value_that_fails_alone_drops_only_its_part(row, monkeypatch):
+    monkeypatch.setattr(lab, "_curvature_direction", lambda *args: None)
+    fam, direction, budget, sampler = _hunt_case("random-phase")
+    # the certifying draw 32: its mix at 1/2, or its first endpoint, raises alone
+    A1, B1, A2, B2 = lab._sample_inputs(fam, rng_for(sampler.seed, 32))
+    value = (midpoint_violation(fam, direction, A1, A2, 0.5, B1, B2)[1] if row == "mix"
+             else eval_family(fam, A1, B1))
+    raising = _values_raise(lambda v: np.float64(v).tobytes() == np.float64(value).tobytes())
+    monkeypatch.setattr(lab, "eval_family", raising)
+    got = hunt_counterexample(fam, direction, budget, sampler)
+    assert (1,) in raising.raised  # the block raised, and the value raised alone
+    ref = _hunt_loop(fam, direction, budget, sampler)
+    assert () in raising.raised
+    assert _hunt_key(got) == _hunt_key(ref)
+    assert got.certificate is not None
 
 
 def _hunt_loop(family, direction, budget, sampler):

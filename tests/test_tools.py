@@ -29,4 +29,32 @@ def test_ab_compares_head_with_the_working_tree_and_writes_nothing():
     for name in ("ops_per_s", "setup_s", "passed_ratio", "peak_rss_mb"):
         assert sum(line.startswith(f"  {name} (") and line.endswith(" of 1")
                    for line in lines) == 1
+    verdicts = [line for line in lines if line.startswith("verdict ")]
+    assert [line.split(":")[0] for line in verdicts] == [
+        "verdict ops_per_s", "verdict setup_s", "verdict passed_ratio", "verdict peak_rss_mb"]
+    assert all(line.split(": ")[1].split(" (bound ")[0] in
+               ("gain", "regression", "unresolved", "no regression") for line in verdicts)
     assert _files(ROOT) == before
+
+
+def test_ab_verdicts():
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    try:
+        from ab import verdict
+    finally:
+        sys.path.pop(0)
+    rev = [10.0, 10.2, 10.4, 10.1, 10.3, 10.0, 10.2, 10.4, 10.1, 10.3]
+    # ahead in 9 of 10 pairs and by more than rev's quartile spread of 0.2
+    assert verdict(rev, [11.0] * 9 + [9.0], "higher", 0.2) == "gain"
+    assert verdict(rev, [9.0] * 9 + [11.0], "lower", 0.2) == "gain"
+    # ahead by as much, but in 8 of 10 pairs only
+    assert verdict(rev, [11.0] * 8 + [9.0] * 2, "higher", 0.2) == "no regression"
+    assert verdict(rev, [x + 0.1 for x in rev], "higher", 0.2) == "no regression"
+    assert verdict(rev, [7.9] * 10, "higher", 0.2) == "regression"
+    assert verdict(rev, [12.5] * 10, "lower", 0.2) == "regression"
+    assert verdict(rev, [12.0] * 10, "lower", 0.2) == "no regression"
+    # a spread of 0.2 on a median of 10.2 is wider than a bound of 0.01
+    assert verdict(rev, list(rev), "higher", 0.01) == "unresolved"
+    # unless every run of the working tree did better than every run of rev
+    rev = [10.0] * 4 + [10.1, 10.5] + [10.6] * 4
+    assert verdict(rev, [10.7] * 10, "higher", 0.01) == "no regression"

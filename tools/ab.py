@@ -11,7 +11,16 @@ runs ``perfbench/run.py --workload W --seed K --seconds S`` in each, one after
 the other, for N pairs; odd pairs run REV first, even pairs the working tree
 first.  It prints each run's metrics to standard error as it ends, then, for
 every end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles
-and in how many pairs the working tree did better.
+and in how many pairs the working tree did better, and last one verdict line per
+metric, its relative ``bound`` taken from ``BENCHMARK.json``:
+
+- gain: the working tree did better in at least 9 of 10 pairs, and its median
+  is better than REV's by more than REV's quartile spread;
+- regression: the working tree's median is worse than REV's by more than the bound;
+- unresolved: REV's quartile spread is wider than the bound, and not every run of
+  the working tree did better than every run of REV;
+- no regression: none of these.
+
 Nothing is written inside the checkout.
 """
 
@@ -51,12 +60,40 @@ def run(root: str, args) -> dict:
     return {name: m["value"] for name, m in metrics.items()}
 
 
+def quartiles(values: list) -> tuple:
+    """(first quartile, median, third quartile) of values."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def summary(values: list) -> str:
     """median [first quartile, third quartile] of values, or the one value."""
     if len(values) == 1:
         return f"{values[0]:.4g}"
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
+    q1, median, q3 = quartiles(values)
+    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def wins(rev: list, tree: list, better: str) -> int:
+    """The pairs in which the working tree did better; a tie counts for neither."""
+    return sum(b > a if better == "higher" else b < a for a, b in zip(rev, tree))
+
+
+def verdict(rev: list, tree: list, better: str, bound: float) -> str:
+    """gain, regression, unresolved or no regression of one metric, from the runs
+    of REV and of the working tree in pair order (see the module docstring)."""
+    sign = 1 if better == "higher" else -1
+    q1, median, q3 = quartiles(rev)
+    gap = sign * (statistics.median(tree) - median)  # > 0: the working tree is better
+    if gap < -bound * abs(median):
+        return "regression"
+    if 10 * wins(rev, tree, better) >= 9 * len(rev) and gap > q3 - q1:
+        return "gain"
+    if q3 - q1 > bound * abs(median) and not (min(sign * b for b in tree)
+                                              > max(sign * a for a in rev)):
+        return "unresolved"
+    return "no regression"
 
 
 def main(argv=None) -> int:
@@ -80,11 +117,14 @@ def main(argv=None) -> int:
                 print(f"pair {k + 1}, {name}: {runs[name][-1]}", file=sys.stderr, flush=True)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs: "
           f"median [quartiles] at {args.rev} -> working tree")
+    verdicts = []
     for m in end_to_end:
         rev, tree = ([r[m["name"]] for r in runs[name]] for name in sides)
-        won = sum(b > a if m["better"] == "higher" else b < a for a, b in zip(rev, tree))
         print(f"  {m['name']} ({m['unit']}): {summary(rev)} -> {summary(tree)}; "
-              f"working tree better in {won} of {args.pairs}")
+              f"working tree better in {wins(rev, tree, m['better'])} of {args.pairs}")
+        verdicts.append(f"verdict {m['name']}: {verdict(rev, tree, m['better'], m['bound'])} "
+                        f"(bound {m['bound']:g})")
+    print("\n".join(verdicts))
     return 0
 
 

@@ -77,6 +77,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
+        raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_list(path: str) -> list:

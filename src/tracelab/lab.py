@@ -12,11 +12,14 @@ stream_index + t; hunt structured candidates: stream_index; curvature base point
 midpoint_test and loewner_midpoint_test draw each trial on its stream as above and
 build LOEWNER_BLOCK trials' inputs as one stack, then judge them in stream order;
 midpoint_test evaluates them trial by trial, loewner_midpoint_test as one stack.
-Its Nelder-Mead restarts run _nelder_mead, which does scipy 1.17's arithmetic but
-evaluates a step's four candidate points in one stacked call, speculatively, so
-it ends where scipy's minimize does.  Its objective and the power-mean dominance
-blocks pass the pair (A, B) as one PosDef stack to power_mean_pair, then
-_loewner_excess; a PosDef builds its matrix only when a later step reads it.
+Its Nelder-Mead restarts are _simplex generators: each does scipy 1.17's arithmetic,
+so it ends where scipy's minimize does, but yields a step's four candidate points
+as one stack, speculatively, and receives their values.  _lockstep runs a block of
+them with one objective call per round (_nelder_mead runs one); the restarts go in
+blocks of 1, 2, 4, ..., judged in restart order up to the first witness.  Their
+objective and the power-mean dominance blocks pass the pair (A, B) as one PosDef
+stack to power_mean_pair, then _loewner_excess; a PosDef builds its matrix only
+when a later step reads it.
 
 The hunt evaluates ahead in stacks and judges in order, so it draws, charges
 and certifies as one evaluation at a time does, on the stream layout above.
@@ -768,17 +771,18 @@ def _log_pairs(V: np.ndarray, dim: int) -> np.ndarray:
     return vec_to_herm(V.reshape(len(V), 2, dim * dim).swapaxes(0, 1), dim)
 
 
-def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
+def _simplex(x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
     """scipy 1.17's Nelder-Mead (its default initial simplex, adaptive=False, no
-    bounds, maxfev unset) with the same arithmetic, so the same end point.
+    bounds, maxfev unset) with the same arithmetic, so the same end point, as a
+    generator: it yields each stack of points (m, N) it needs, is sent their m
+    values and returns its end point.
 
-    fun maps a stack of points (m, N) to their m values.  It evaluates the
-    initial simplex in one call, each shrink in one call, and each step's four
-    candidates (reflection, expansion, outside and inside contraction) in one
-    call before the step picks among them, so a step evaluates points scipy
-    would not; fun must give a point the value it has alone.
+    It asks for the initial simplex, each shrink and each step's four candidates
+    (reflection, expansion, outside and inside contraction) as one stack, before
+    the step picks among them; a step after a shrink asks for its candidates and
+    its shrink's points as one stack.  So it asks for points scipy would not, and
+    each point must get the value it has alone.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     N = len(x0)
     sim = np.empty((N + 1, N), dtype=x0.dtype)
     sim[0] = x0
@@ -786,38 +790,70 @@ def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) 
         y = np.array(x0, copy=True)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim[k + 1] = y
-    fsim = fun(sim)
+    # scipy's (1 + c) * xbar - c * worst, c = rho * (1, chi, psi) = (1, 2, 1/2), and
+    # (1 - psi) * xbar + psi * worst, which is bitwise xbar / 2 - (-1/2) * worst
+    centroid = np.array([[2.0], [3.0], [1.5], [0.5]])
+    worst = np.array([[1.0], [2.0], [0.5], [-0.5]])
+    fsim = yield sim
     for _ in range(2):  # scipy sorts the initial simplex twice
         ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = sim[ind], fsim[ind]
+    shrank = False
     for _ in range(1, maxiter):
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        if (np.abs(fsim[0] - fsim[1:]).max() <= fatol  # the cheaper test first
+                and np.abs(sim[1:] - sim[0]).max() <= xatol):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        cand = np.array([(1 + rho) * xbar - rho * sim[-1],
-                         (1 + rho * chi) * xbar - rho * chi * sim[-1],
-                         (1 + psi * rho) * xbar - psi * rho * sim[-1],
-                         (1 - psi) * xbar + psi * sim[-1]])
-        fxr, fxe, fxc, fxcc = fcand = fun(cand)
-        if fxr < fsim[0]:
+        cand = centroid * (np.add.reduce(sim[:-1], 0) / N) - worst * sim[-1]
+        if shrank:  # shrinks come in runs: ask for the next shrink's points too
+            shrink = sim[0] + 0.5 * (sim[1:] - sim[0])
+            fboth = yield np.concatenate([cand, shrink])
+            fcand, fshrink = fboth[:4], fboth[4:]
+        else:
+            fcand, fshrink = (yield cand), None
+        fxr, fxe, fxc, fxcc = fcand.tolist()
+        if fxr < float(fsim[0]):
             pick = 1 if fxe < fxr else 0
-        elif fxr < fsim[-2]:
+        elif fxr < float(fsim[-2]):
             pick = 0
-        elif fxr < fsim[-1]:
+        elif fxr < float(fsim[-1]):
             pick = 2 if fxc <= fxr else None
         else:
-            pick = 3 if fxcc < fsim[-1] else None
-        if pick is None:  # shrink towards the best vertex
-            sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-            fsim[1:] = fun(sim[1:])
+            pick = 3 if fxcc < float(fsim[-1]) else None
+        shrank = pick is None
+        if shrank:  # towards the best vertex (sigma = 1/2)
+            if fshrink is None:
+                shrink = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fshrink = yield shrink
+            sim[1:], fsim[1:] = shrink, fshrink
         else:
             sim[-1], fsim[-1] = cand[pick], fcand[pick]
         ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = sim[ind], fsim[ind]
     return sim[0]
+
+
+def _lockstep(fun, searches: list) -> list:
+    """Runs _simplex generators together and returns their end points in order:
+    each round evaluates the points every unfinished search asks for in one fun
+    call, fun mapping a stack (m, N) to its m values."""
+    ends = [None] * len(searches)
+    asks = {i: next(search) for i, search in enumerate(searches)}
+    while asks:
+        values = fun(np.concatenate(list(asks.values())))
+        start = 0
+        for i, points in list(asks.items()):
+            try:
+                asks[i] = searches[i].send(values[start:start + len(points)])
+            except StopIteration as end:
+                ends[i] = end.value
+                del asks[i]
+            start += len(points)
+    return ends
+
+
+def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
+    """The end point of one _simplex search, run by _lockstep."""
+    return _lockstep(fun, [_simplex(x0, maxiter, xatol, fatol)])[0]
 
 
 def _dominance_objective(p: float, q: float, dim: int):
@@ -830,27 +866,16 @@ def _dominance_objective(p: float, q: float, dim: int):
     definite scores as one beyond that bound (_stacked's failure value).
     """
     def scores(V: np.ndarray) -> np.ndarray:
+        inside = ~(np.abs(V).max(axis=1) > 10.0)
+        if inside.all():
+            P = matrix_exp_herm(_log_pairs(V, dim))
+            return -_loewner_excess(power_mean_pair(P, p).mat, power_mean_pair(P, q))
         f = np.ones(len(V))
-        inside = np.flatnonzero(~(np.max(np.abs(V), axis=1) > 10.0))
-        if inside.size:
-            P = matrix_exp_herm(_log_pairs(V[inside], dim))
-            f[inside] = -_loewner_excess(power_mean_pair(P, p).mat, power_mean_pair(P, q))
+        if inside.any():
+            f[inside] = scores(V[inside])
         return f
 
     return lambda V: np.array(_stacked(scores, V, 1.0))
-
-
-def _nm_dominance_search(p, q, dim, rng) -> PosDef:
-    """Simplex search for a dominance violation over log-parametrized inputs.
-
-    Violations for nearby exponent pairs need extreme anisotropy that random
-    sampling essentially never reaches, so minimize the negated excess over
-    A = exp(H1), B = exp(H2) directly.  Returns the end point's A and B as a
-    stack of two stacks of one.
-    """
-    x = _nelder_mead(_dominance_objective(p, q, dim), rng.normal(0.0, 1.5, 2 * dim * dim),
-                     maxiter=2000, xatol=1e-12, fatol=1e-16)
-    return matrix_exp_herm(_log_pairs(x[None], dim))
 
 
 def loewner_midpoint_test(
@@ -889,18 +914,28 @@ def loewner_midpoint_test(
             break
 
     if kept is None and refine and expr == "power-mean-dominance":
-        # simplex restarts: dominance failures for close exponent pairs sit in
-        # corners of the cone that the random phase cannot reach
-        p, q = params["p"], params["q"]
-        for k in range(24):
-            stream = (sampler.stream_index + k) ^ 0x0D0A
-            P = _nm_dominance_search(p, q, sampler.dim, rng_for(sampler.seed, stream))
-            try:
-                excess, witness = _loewner_evaluation(expr, params, P)
-            except MatrixError:
-                continue  # the search ended on a failed point: nothing to record
-            if record(excess[0], partial(witness, 0), stream):
-                break
+        # simplex restarts: dominance failures for close exponent pairs need extreme
+        # anisotropy that random sampling essentially never reaches, so minimize the
+        # negated excess over A = exp(H1), B = exp(H2) directly; the restarts run
+        # in lockstep blocks of 1, 2, 4, ..., judged in restart order
+        dim = sampler.dim
+        objective = _dominance_objective(params["p"], params["q"], dim)
+        streams = [(sampler.stream_index + k) ^ 0x0D0A for k in range(24)]
+        block = 1
+        while streams and kept is None:
+            run, streams = streams[:block], streams[block:]
+            starts = [rng_for(sampler.seed, s).normal(0.0, 1.5, 2 * dim * dim) for s in run]
+            ends = _lockstep(objective, [_simplex(x0, maxiter=2000, xatol=1e-12, fatol=1e-16)
+                                         for x0 in starts])
+            for stream, x in zip(run, ends):
+                P = matrix_exp_herm(_log_pairs(x[None], dim))
+                try:
+                    excess, witness = _loewner_evaluation(expr, params, P)
+                except MatrixError:
+                    continue  # the search ended on a failed point: nothing to record
+                if record(excess[0], partial(witness, 0), stream):
+                    break
+            block *= 2
 
     return TestReport(
         label=label or f"loewner:{expr}",

@@ -258,6 +258,22 @@ class TestBadInput:
         assert main(argv) == 4
         assert "internal error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["", "{not json", b"\xff\xfe"],
+                             ids=["empty", "syntax", "not-utf8"])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(_EVAL + ["--s", "1", "--a", "{file}"], id="matrix"),
+        pytest.param(["--config", "{file}"] + _ON_REGION, id="config"),
+        pytest.param(["hunt", "--replay", "{file}"], id="replay"),
+    ])
+    def test_a_file_that_is_not_json_is_named(self, content, argv, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        assert main([a.format(file=path) for a in argv]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: ")
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["verify", "--theorem", "T1.1-1", "--p", "x", "--q", "0.7",
                       "--s", "0.6"], id="usage-bad-float"),

@@ -876,7 +876,10 @@ class TestLoewnerTests:
     def test_simplex_point_without_positive_definite_means_is_a_failed_point(self):
         # restart k = 9 of verify L5.4 at (1, 2), seed 112, steps onto points
         # whose power mean is not numerically positive definite
-        A, B = lab._nm_dominance_search(1.0, 2.0, 2, rng_for(112, 9 ^ 0x0D0A))
+        x = lab._nelder_mead(lab._dominance_objective(1.0, 2.0, 2),
+                             rng_for(112, 9 ^ 0x0D0A).normal(0.0, 1.5, 8), maxiter=2000,
+                             xatol=1e-12, fatol=1e-16)
+        A, B = matrix_exp_herm(lab._log_pairs(x[None], 2))
         assert A.dim == B.dim == 2
 
     def test_dominance_violated_off_region(self):
@@ -1090,6 +1093,141 @@ def test_nelder_mead_ends_where_scipy_does(p, q, seed, k, dim):
     x = lab._nelder_mead(lab._dominance_objective(p, q, dim), x0, maxiter=2000, xatol=1e-12,
                          fatol=1e-16)
     assert x.tobytes() == ref.x.tobytes()
+
+
+def _nan_inf_objective(v):
+    """A quadratic whose minimum lies in a half-space where it is NaN, and which
+    is inf on a quadrant in between."""
+    if v[0] > 1.0:
+        return float("nan")
+    if v[1] < -1.0 and v[2] > 0.0:
+        return float("inf")
+    return float(((v - np.array([1.2, -1.3, 0.4, 0.7])) ** 2).sum())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nelder_mead_branches_on_nan_and_inf_as_scipy_does(seed):
+    import scipy.optimize
+
+    seen = []
+
+    def one(v):
+        seen.append(_nan_inf_objective(v))
+        return seen[-1]
+
+    x0 = rng_for(seed, 0).normal(0.0, 1.5, 4)
+    ref = scipy.optimize.minimize(one, x0, method="Nelder-Mead",
+                                  options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-16})
+    # seed 0 starts in the NaN half-space and stays there
+    assert np.isnan(seen).any() and (seed == 0 or np.isinf(seen).any())
+    x = lab._nelder_mead(lambda V: np.array([_nan_inf_objective(v) for v in V]), x0,
+                         maxiter=2000, xatol=1e-12, fatol=1e-16)
+    assert x.tobytes() == ref.x.tobytes()
+
+
+def _restart_x0(seed, k, dim):
+    return rng_for(seed, k ^ 0x0D0A).normal(0.0, 1.5, 2 * dim * dim)
+
+
+# (p, q, seed, restarts k, dim): criterion 6's restarts at (0.8, 0.9) through the
+# block that holds its witness, k = 10; verify L5.4's restart k = 9 at (1, 2), which
+# steps onto failed points, in its block; the n = 3 exponent cases of _NM_RUNS
+@pytest.mark.parametrize("p, q, seed, ks, dim", [
+    pytest.param(0.8, 0.9, 7, range(15), 2, id="0.8-0.9-7"),
+    pytest.param(1.0, 2.0, 112, range(7, 15), 2, id="1.0-2.0-112"),
+    *[pytest.param(p, q, 3, range(3), 3, id=f"{p}-{q}-3-n3")
+      for p, q in [(0.0, 0.5), (1.0, 2.0), (-1.0, 0.5), (0.5, 1.0), (0.6, 0.9)]]])
+def test_restarts_in_lockstep_end_where_each_ends_alone(p, q, seed, ks, dim):
+    fun = lab._dominance_objective(p, q, dim)
+    together = lab._lockstep(fun, [lab._simplex(_restart_x0(seed, k, dim), maxiter=2000,
+                                                xatol=1e-12, fatol=1e-16) for k in ks])
+    for k, x in zip(ks, together):
+        alone = lab._nelder_mead(fun, _restart_x0(seed, k, dim), maxiter=2000, xatol=1e-12,
+                                 fatol=1e-16)
+        assert x.tobytes() == alone.tobytes(), k
+
+
+def _refined_one_restart_at_a_time(params, trials, sampler):
+    """loewner_midpoint_test on power-mean-dominance with refine, its restarts run
+    one at a time in restart order: the reference of the lockstep blocks."""
+    import dataclasses
+
+    base = loewner_midpoint_test("power-mean-dominance", params, trials, sampler)
+    worst, kept, dim = base.worst_violation, base.witness, sampler.dim
+    for k in range(24 if kept is None else 0):
+        stream = (sampler.stream_index + k) ^ 0x0D0A
+        x = lab._nelder_mead(lab._dominance_objective(params["p"], params["q"], dim),
+                             rng_for(sampler.seed, stream).normal(0.0, 1.5, 2 * dim * dim),
+                             maxiter=2000, xatol=1e-12, fatol=1e-16)
+        P = matrix_exp_herm(lab._log_pairs(x[None], dim))
+        try:
+            excess, witness = lab._loewner_evaluation("power-mean-dominance", params, P)
+        except MatrixError:
+            continue
+        if excess[0] > worst:
+            worst = float(excess[0])
+            if worst > CLAIM_REL:
+                kept = witness(0, stream)
+                break
+    return dataclasses.replace(base, worst_violation=worst, witness=kept,
+                               verdict=lab._verdict(base.failures, trials, kept is not None,
+                                                    worst))
+
+
+@pytest.mark.parametrize("outcomes, blocks", [
+    # a witness at k = 9 inside the block k = 7..14, after two end points that
+    # raise; a larger witness later in that block is dropped
+    ({0: 0.1, 1: 0.3, 2: "raise", 3: 0.2, 5: "raise", 8: 0.5, 9: 3.0, 10: 9.0, 14: 9.0},
+     [1, 2, 4, 8]),
+    ({1: 2.0, 2: 5.0}, [1, 2]),  # the first of two witnesses in one block is kept
+    ({0: 2.0}, [1]),
+    ({3: 0.4, 6: "raise", 20: 0.9, 23: "raise"}, [1, 2, 4, 8, 9]),  # no witness
+])
+def test_refined_restarts_report_as_one_at_a_time(monkeypatch, outcomes, blocks):
+    """The restarts' end points get chosen outcomes (an excess in units of
+    CLAIM_REL, or an evaluation that raises) from a cheap objective whose end
+    points differ by restart; the report must be the reference loop's."""
+    params, trials, sampler = {"p": 0.8, "q": 0.9}, 4, SamplerConfig(dim=2, seed=7)
+    monkeypatch.setattr(lab, "_dominance_objective", lambda p, q, dim: lambda V: np.array(
+        [float(((v[:2] - 0.5) ** 2).sum()) for v in V]))
+    table = {}
+    for k in range(24):
+        x = lab._nelder_mead(lab._dominance_objective(0.8, 0.9, 2), _restart_x0(7, k, 2),
+                             maxiter=2000, xatol=1e-12, fatol=1e-16)
+        P = matrix_exp_herm(lab._log_pairs(x[None], 2))
+        table[P.vecs.tobytes() + P.eigs.tobytes()] = (k, outcomes.get(k, -1.0))
+    assert len(table) == 24
+    evaluation = lab._loewner_evaluation
+
+    def chosen(expr, params, P):
+        if (P.vecs.tobytes() + P.eigs.tobytes()) not in table:
+            return evaluation(expr, params, P)  # the random phase
+        k, outcome = table[P.vecs.tobytes() + P.eigs.tobytes()]
+        if outcome == "raise":
+            raise MatrixError("chosen to fail")
+        return np.array([outcome * CLAIM_REL]), lambda t, stream: {"k": k, "stream": stream}
+
+    monkeypatch.setattr(lab, "_loewner_evaluation", chosen)
+    sizes = []
+    lockstep = lab._lockstep
+    monkeypatch.setattr(lab, "_lockstep", lambda fun, searches: (
+        sizes.append(len(searches)) or lockstep(fun, searches)))
+    got = loewner_midpoint_test("power-mean-dominance", params, trials, sampler, refine=True)
+    assert sizes == blocks
+    ref = _refined_one_restart_at_a_time(params, trials, sampler)
+    assert got.to_json() == ref.to_json()
+    witnesses = sorted(k for k, o in outcomes.items() if o != "raise" and o > 1.0)
+    assert got.witness == ({"k": witnesses[0], "stream": witnesses[0] ^ 0x0D0A}
+                           if witnesses else None)
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_refined_restarts_report_as_one_at_a_time_on_the_real_objective(seed):
+    # perfbench's two refined dominance ops: their witness is restart k = 0
+    params, sampler = {"p": 0.6, "q": 0.9}, SamplerConfig(dim=2, seed=seed)
+    got = loewner_midpoint_test("power-mean-dominance", params, 3, sampler, refine=True)
+    assert got.witness is not None
+    assert got.to_json() == _refined_one_restart_at_a_time(params, 3, sampler).to_json()
 
 
 def test_the_stacked_objective_scores_each_point_as_alone():

@@ -37,6 +37,25 @@ def test_ab_compares_head_with_the_working_tree_and_writes_nothing():
     assert _files(ROOT) == before
 
 
+def test_ab_runs_a_comma_list_of_workloads_and_writes_nothing():
+    before = _files(ROOT)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "ab.py"), "HEAD",
+                           "--workload", "hunt,dominance", "--pairs", "1", "--seconds", "0.2"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    heads = [i for i, line in enumerate(lines) if not line.startswith(("  ", "verdict "))]
+    assert [lines[i].split(",")[0] for i in heads] == ["hunt", "dominance"]
+    for start, end in zip(heads, heads[1:] + [len(lines)]):
+        block = lines[start + 1:end]
+        names = ("ops_per_s", "setup_s", "passed_ratio", "peak_rss_mb")
+        assert [line.split(" (")[0] for line in block[:4]] == [f"  {n}" for n in names]
+        assert [line.split(":")[0] for line in block[4:]] == [f"verdict {n}" for n in names]
+        assert all(line.split(": ")[1].split(" (bound ")[0] in
+                   ("gain", "regression", "unresolved", "no regression") for line in block[4:])
+    assert _files(ROOT) == before
+
+
 def test_ab_verdicts():
     sys.path.insert(0, os.path.join(ROOT, "tools"))
     try:

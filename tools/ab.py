@@ -2,17 +2,18 @@
 
 Usage, from anywhere inside a checkout:
 
-    python3 tools/ab.py REV --workload verify --pairs 10 [--seconds 30] [--seed 2]
+    python3 tools/ab.py REV --workload verify[,hunt,...] --pairs 10 [--seconds 30] [--seed 2]
 
 builds two temporary checkouts, each holding this checkout's ``perfbench/`` and
 ``BENCHMARK.json``: one with ``src/`` of the git revision REV (extracted as
 ``tools/digests.py`` does) and one with the working tree's ``src/``.  It then
 runs ``perfbench/run.py --workload W --seed K --seconds S`` in each, one after
 the other, for N pairs; odd pairs run REV first, even pairs the working tree
-first.  It prints each run's metrics to standard error as it ends, then, for
-every end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles
-and in how many pairs the working tree did better, and last one verdict line per
-metric, its relative ``bound`` taken from ``BENCHMARK.json``:
+first.  A comma list of workloads runs them in turn.  It prints each run's
+metrics to standard error as it ends, then, for each workload after its pairs,
+one block: for every end-to-end metric of ``BENCHMARK.json``, each side's median
+and quartiles and in how many pairs the working tree did better, and last one
+verdict line per metric, its relative ``bound`` taken from ``BENCHMARK.json``:
 
 - gain: the working tree did better in at least 9 of 10 pairs, and its median
   is better than REV's by more than REV's quartile spread;
@@ -49,10 +50,11 @@ def checkout(dest: str, src: str) -> str:
     return dest
 
 
-def run(root: str, args) -> dict:
-    """The end-to-end metric values of one perfbench run in the checkout root."""
+def run(root: str, workload: str, args) -> dict:
+    """The end-to-end metric values of one perfbench run of workload in the
+    checkout root."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", args.workload,
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds)],
         cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True, text=True, check=True)
@@ -110,21 +112,24 @@ def main(argv=None) -> int:
         sides = {args.rev: checkout(os.path.join(tmp, "rev"),
                                     extract_src(args.rev, os.path.join(tmp, "archive"))),
                  "working tree": checkout(os.path.join(tmp, "tree"), os.path.join(ROOT, "src"))}
-        runs = {name: [] for name in sides}
-        for k in range(args.pairs):
-            for name in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
-                runs[name].append(run(sides[name], args))
-                print(f"pair {k + 1}, {name}: {runs[name][-1]}", file=sys.stderr, flush=True)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs: "
-          f"median [quartiles] at {args.rev} -> working tree")
-    verdicts = []
-    for m in end_to_end:
-        rev, tree = ([r[m["name"]] for r in runs[name]] for name in sides)
-        print(f"  {m['name']} ({m['unit']}): {summary(rev)} -> {summary(tree)}; "
-              f"working tree better in {wins(rev, tree, m['better'])} of {args.pairs}")
-        verdicts.append(f"verdict {m['name']}: {verdict(rev, tree, m['better'], m['bound'])} "
-                        f"(bound {m['bound']:g})")
-    print("\n".join(verdicts))
+        for workload in args.workload.split(","):
+            runs = {name: [] for name in sides}
+            for k in range(args.pairs):
+                for name in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
+                    runs[name].append(run(sides[name], workload, args))
+                    print(f"{workload} pair {k + 1}, {name}: {runs[name][-1]}",
+                          file=sys.stderr, flush=True)
+            print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s "
+                  f"runs: median [quartiles] at {args.rev} -> working tree")
+            verdicts = []
+            for m in end_to_end:
+                rev, tree = ([r[m["name"]] for r in runs[name]] for name in sides)
+                print(f"  {m['name']} ({m['unit']}): {summary(rev)} -> {summary(tree)}; "
+                      f"working tree better in {wins(rev, tree, m['better'])} of {args.pairs}")
+                verdicts.append(f"verdict {m['name']}: "
+                                f"{verdict(rev, tree, m['better'], m['bound'])} "
+                                f"(bound {m['bound']:g})")
+            print("\n".join(verdicts), flush=True)
     return 0
 
 

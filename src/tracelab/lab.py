@@ -679,7 +679,8 @@ def certificate_is_valid(cert: Certificate) -> bool:
     rtol = 1e-10
     lhs, rhs = replay_certificate(cert)
     scale = max(1.0, abs(lhs), abs(rhs))
-    if abs(lhs - cert.lhs) > rtol * scale or abs(rhs - cert.rhs) > rtol * scale:
+    if not (np.isfinite(scale) and abs(lhs - cert.lhs) <= rtol * scale
+            and abs(rhs - cert.rhs) <= rtol * scale):
         return False
     # direction duality: the violation is the mirrored one for -F
     expected = _signed_violation(cert.direction, cert.lhs, cert.rhs)

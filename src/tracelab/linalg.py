@@ -2,20 +2,24 @@
 
 All matrices are dense complex numpy arrays at desk scale (dim <= ~64).
 Every matrix produced by arithmetic is passed through :func:`hermitize`
-before decomposition to suppress floating-point drift.
+before decomposition to suppress floating-point drift, even one Hermitian by
+construction (matrix_exp_herm's): on exact zeros hermitize is not idempotent,
+and eigh reads one triangle.
 
 Shape rule: a matrix is (n, n), or (..., n, n) for a stack evaluated in one
 call; the spectral calculus here, the maps, means, norms and families take
-either, and a stack fails as its failing matrix would alone.  Hermiticity is
-checked only on one (n, n) matrix from outside the program, by check_hermitian
-and PosDef.from_matrix.  The means, families and lab build with
+either, and a stack fails as its failing matrix would alone.  Hermiticity and
+finite entries are checked only on one (n, n) matrix from outside the program,
+by check_hermitian and PosDef.from_matrix.  The means, families and lab build with
 PosDef.from_hermitian, PosDef.from_spectrum and matrix_exp_herm, which do not
 check, from matrices that are Hermitian.
 
 A PosDef holds its spectrum and builds its matrix on the first read of .mat,
 so a caller that reads only spectra, such as the power means of the Loewner
 tests, builds no matrix.  Every eigensolver run on a computed matrix goes
-through eigh, which turns a solver failure into a MatrixError.
+through eigh, which calls the LAPACK gufuncs of np.linalg.eigh and eigvalsh
+(numpy.linalg._umath_linalg) directly, for their bits without their wrappers'
+cost, and turns a solver failure into a MatrixError.
 
 A Hermitian n x n matrix is parametrized by a real vector of length n*n: the
 n diagonal entries, then the real and imaginary parts of each entry above the
@@ -31,6 +35,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 HERM_ATOL = 1e-12
 #: range of the sampled eigenvalues, drawn log-uniformly
@@ -60,12 +65,14 @@ def hermitize(M: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(M: np.ndarray) -> None:
-    """Raise unless M is one square matrix, Hermitian within HERM_ATOL times its
-    largest entry (floored at 1); M itself is left to the caller to hermitize."""
+    """Raise unless M is one finite square matrix, Hermitian within HERM_ATOL times
+    its largest entry (floored at 1); M itself is left to the caller to hermitize."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {M.shape}")
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
+    scale = float(np.max(np.abs(M), initial=1.0))
+    if not np.isfinite(scale):
+        raise MatrixError(f"matrix has a non-finite entry ({scale})")
     asym = float(np.max(np.abs(M - M.conj().T)))
     if asym > HERM_ATOL * scale:
         raise NotHermitianError(
@@ -75,12 +82,16 @@ def check_hermitian(M: np.ndarray) -> None:
 
 
 def eigh(H: np.ndarray, vectors: bool = True):
-    """np.linalg.eigh, or eigvalsh without vectors, of a computed Hermitian matrix or
-    stack; a solver failure (say on overflowed entries) raises MatrixError."""
+    """np.linalg.eigh's (w, V), or eigvalsh's w without vectors, of a computed float64
+    or complex128 Hermitian matrix or stack; a solver failure raises MatrixError."""
+    t = "D" if H.dtype.kind == "c" else "d"
     try:
-        return np.linalg.eigh(H) if vectors else np.linalg.eigvalsh(H)
-    except np.linalg.LinAlgError as exc:
-        raise MatrixError(f"eigensolver failed: {exc}") from exc
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            if vectors:
+                return _umath_linalg.eigh_lo(H, signature=f"{t}->d{t}")
+            return _umath_linalg.eigvalsh_lo(H, signature=f"{t}->d")
+    except FloatingPointError as exc:
+        raise MatrixError("eigensolver failed: Eigenvalues did not converge") from exc
 
 
 class PosDef:
@@ -197,19 +208,29 @@ def loewner_leq(A: np.ndarray, B: np.ndarray, tol: float = 0.0) -> tuple[bool, f
 
 @lru_cache(maxsize=None)
 def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(dim, 1), kept per dim: building them costs more than a
-    whole vec_to_herm, which the Nelder-Mead objective calls twice."""
+    """np.triu_indices(dim, 1), kept per dim."""
     return np.triu_indices(dim, 1)
 
 
-def vec_to_herm(v: np.ndarray, dim: int) -> np.ndarray:
-    """The Hermitian matrix of the real parameter vector v (length dim*dim)."""
-    M = np.zeros((*v.shape[:-1], dim, dim), dtype=complex)
-    M[(..., *np.diag_indices(dim))] = v[..., :dim]
+@lru_cache(maxsize=None)
+def _herm_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """vec_to_herm's gather table, kept per dim: the parameter index of each entry's
+    real and imaginary part, (2, dim, dim), and its imaginary part's sign."""
     i, j = _upper_indices(dim)
-    re, im = v[..., dim::2], v[..., dim + 1::2]
-    M[..., i, j] = re + 1j * im
-    M[..., j, i] = re - 1j * im
+    idx = np.diag(np.arange(dim)) + np.zeros((2, 1, 1), dtype=np.intp)
+    idx[:, i, j] = idx[:, j, i] = dim + 2 * np.arange(len(i)) + [[0], [1]]
+    return idx, np.triu(np.ones((dim, dim)), 1) - np.tril(np.ones((dim, dim)), -1)
+
+
+def vec_to_herm(v: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian matrix of the real parameter vector v (length dim*dim), with
+    the signed zeros of d + 0i on the diagonal and re +- 1j*im off it (v finite)."""
+    idx, sign = _herm_gather(dim)
+    parts = v[..., idx]
+    im = parts[..., 1, :, :] * sign
+    M = np.empty(im.shape, dtype=complex)
+    M.real = parts[..., 0, :, :] + 0.0 * im
+    M.imag = im + 0.0
     return M
 
 
@@ -254,7 +275,7 @@ def _haar_unitary(Z: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries via QR of complex Gaussians Z with phase fix."""
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R, axis1=-2, axis2=-1)
-    return Q * (d / np.abs(d))[..., None, :]
+    return np.multiply(Q, (d / np.abs(d))[..., None, :], out=Q)  # in place: one block less
 
 
 def sample_unitary(dim: int, seed: int, stream_index: int = 0) -> np.ndarray:

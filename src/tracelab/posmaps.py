@@ -33,9 +33,9 @@ STRICT_POS_RTOL = 1e-12
 HAT_FLOOR = 1e-13
 
 
-def _kraus_sum(kraus: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """sum_k X_k* src X_k over a stack of Kraus pieces of shape (r, n, m)."""
-    return (kraus.conj().transpose(0, 2, 1) @ src[..., None, :, :] @ kraus).sum(axis=-3)
+def _kraus_sum(adjoint: np.ndarray, src: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """sum_k X_k* src X_k over Kraus pieces X_k (r, n, m), adjoint their X_k* (r, m, n)."""
+    return (adjoint @ src[..., None, :, :] @ kraus).sum(axis=-3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +46,12 @@ class MapSpec:
     ``kind`` records how the map was spelled (identity, conjugation, kraus,
     pinching, transpose-kraus) so that it serializes as it was built; only
     ``transpose`` reads it.  ``unit`` is Phi(I) and ``strictly_positive``
-    whether it is positive definite, both computed at construction.
+    whether it is positive definite, computed at construction as the adjoints are.
     """
 
     kind: str
     kraus: np.ndarray
+    _adjoint: np.ndarray = field(init=False, repr=False)
     unit: np.ndarray = field(init=False, repr=False)
     strictly_positive: bool = field(init=False, repr=False)
 
@@ -61,10 +62,11 @@ class MapSpec:
         if kraus.ndim != 3 or 0 in kraus.shape:
             raise ValueError(f"{self.kind} map requires a non-empty stack of Kraus pieces")
         kraus.setflags(write=False)
-        unit = _kraus_sum(kraus, np.eye(kraus.shape[1], dtype=complex))
+        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "_adjoint", kraus.conj().transpose(0, 2, 1))
+        unit = _kraus_sum(self._adjoint, np.eye(kraus.shape[1], dtype=complex), kraus)
         unit.setflags(write=False)
         w = eigh(hermitize(unit), vectors=False)
-        object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "strictly_positive",
                            bool(w[0] > STRICT_POS_RTOL * max(w[-1], 0.0)))
@@ -157,7 +159,7 @@ def apply_map(spec: MapSpec, A: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"input shape {A.shape} does not match map in_dim {spec.in_dim}"
         )
-    return _kraus_sum(spec.kraus, A.swapaxes(-1, -2) if spec.transpose else A)
+    return _kraus_sum(spec._adjoint, A.swapaxes(-1, -2) if spec.transpose else A, spec.kraus)
 
 
 def is_strictly_positive(spec: MapSpec) -> bool:
@@ -189,13 +191,12 @@ def sample_kraus(in_dim: int, out_dim: int, rank: int, seed: int,
         raise ValueError(f"a rank-{rank} map from dimension {in_dim} cannot be strictly "
                          f"positive on dimension {out_dim}")
     rng = rng_for(seed, stream_index)
-    eye = np.eye(in_dim, dtype=complex)
     pieces = np.stack([
         (rng.standard_normal((in_dim, out_dim))
          + 1j * rng.standard_normal((in_dim, out_dim))) / np.sqrt(2)
         for _ in range(rank)
     ])
-    norm = float(eigh(hermitize(_kraus_sum(pieces, eye)), vectors=False)[-1])
+    norm = float(eigh(hermitize(kraus_map(pieces).unit), vectors=False)[-1])
     spec = kraus_map(pieces / np.sqrt(norm))
     if not spec.strictly_positive:
         raise RuntimeError("sampled Kraus map is not strictly positive")

@@ -249,6 +249,8 @@ class TestBadInput:
                      id="certificate-string-lhs"),
         pytest.param(_certificate(params={"p": "1"}), ["hunt", "--replay", "{file}"],
                      id="certificate-string-p"),
+        pytest.param(_certificate(a1=mat_to_json(np.full((2, 2), np.nan, dtype=complex))),
+                     ["hunt", "--replay", "{file}"], id="certificate-nan-matrix"),
     ])
     def test_exits_4(self, content, argv, tmp_path, capsys):
         path = tmp_path / "input.json"

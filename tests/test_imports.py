@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and only
-linalg calls numpy's Hermitian eigensolvers."""
+linalg calls numpy's Hermitian eigensolvers or imports the LAPACK gufuncs
+behind them."""
 
 import ast
 import pathlib
@@ -54,3 +55,35 @@ def test_the_check_finds_a_direct_eigensolver_call():
 def test_eigensolvers_run_through_linalg_eigh(module):
     # linalg.eigh turns a solver failure into a MatrixError
     assert direct_eigensolver_calls((SRC / module).read_text()) == []
+
+
+def lapack_gufunc_uses(source: str) -> list[int]:
+    """The lines of source that import numpy.linalg._umath_linalg (or a name from
+    it) or reach it as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.linalg._umath_linalg") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.linalg._umath_linalg") or (
+                node.module == "numpy.linalg"
+                and any(alias.name == "_umath_linalg" for alias in node.names))
+        else:
+            hit = isinstance(node, ast.Attribute) and node.attr == "_umath_linalg"
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_finds_each_way_to_the_lapack_gufuncs():
+    assert lapack_gufunc_uses(
+        "import numpy as np\nfrom numpy.linalg import _umath_linalg\n"
+        "from numpy.linalg._umath_linalg import eigh_lo\nimport numpy.linalg._umath_linalg\n"
+        "np.linalg._umath_linalg.eigvalsh_lo(H)\nfrom numpy.linalg import eigh\n") == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_linalg_reaches_numpys_lapack_gufuncs(module):
+    # linalg.eigh is the one place that calls them, with numpy's error handling
+    uses = lapack_gufunc_uses((SRC / module).read_text())
+    assert (uses != []) == (module == "linalg.py")

@@ -1,5 +1,6 @@
 """Randomized convexity testing, certificates, Loewner tests, and sweeps."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -230,6 +231,32 @@ class TestHuntAndCertificates:
             result = hunt_counterexample(epstein(500.0, 0.001), "convex", budget=20,
                                          sampler=SamplerConfig(dim=2, seed=0))
         assert result.certificate is None
+
+    def _lieb_certificate(self):
+        fam = FamilySpec(family="lieb", phi=identity_map(2), psi=identity_map(2),
+                         norm=TRACE, params=ParameterPoint(0.7, 0.7, 1 / 1.4))
+        A1, A2, B1, B2 = (sample_posdef(SamplerConfig(dim=2, seed=110, stream_index=k))
+                          for k in range(4))
+        viol, lhs, rhs, _ = midpoint_violation(fam, "concave", A1, A2, 0.5, B1, B2)
+        return Certificate(fam, A1.mat, A2.mat, 0.5, lhs, rhs, viol, "concave", 110, 0,
+                           B1.mat, B2.mat)
+
+    def test_a_certificate_with_a_nan_matrix_does_not_replay(self):
+        cert = self._lieb_certificate()
+        assert certificate_is_valid(cert)
+        nan = dataclasses.replace(cert, a1=np.full((2, 2), np.nan, dtype=complex))
+        with pytest.raises(MatrixError, match="non-finite"):
+            certificate_is_valid(nan)
+
+    @pytest.mark.parametrize("sides", [(np.nan, np.nan), (np.nan, 0.0), (0.0, np.nan),
+                                       (np.inf, np.inf), (0.0, -np.inf)])
+    def test_non_finite_replayed_sides_are_not_valid(self, sides, monkeypatch):
+        cert = self._lieb_certificate()
+        lhs, rhs = (cert.lhs if s == 0.0 else s for s in sides)
+        monkeypatch.setattr(lab, "replay_certificate", lambda c: (lhs, rhs))
+        assert not certificate_is_valid(cert)
+        monkeypatch.setattr(lab, "replay_certificate", lambda c: (cert.lhs, cert.rhs))
+        assert certificate_is_valid(cert)
 
     def test_certificate_serialization_roundtrip(self):
         rng = rng_for(109, 0)
@@ -1150,8 +1177,6 @@ def test_restarts_in_lockstep_end_where_each_ends_alone(p, q, seed, ks, dim):
 def _refined_one_restart_at_a_time(params, trials, sampler):
     """loewner_midpoint_test on power-mean-dominance with refine, its restarts run
     one at a time in restart order: the reference of the lockstep blocks."""
-    import dataclasses
-
     base = loewner_midpoint_test("power-mean-dominance", params, trials, sampler)
     worst, kept, dim = base.worst_violation, base.witness, sampler.dim
     for k in range(24 if kept is None else 0):

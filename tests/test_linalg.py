@@ -39,6 +39,15 @@ class TestHermiticityChecks:
             PosDef.from_matrix(M)
         assert np.array_equal(PosDef.from_hermitian(M).mat, 0.5 * (M + M.conj().T))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(1.0, np.nan)])
+    def test_a_non_finite_entry_is_refused(self, bad):
+        M = np.eye(2, dtype=complex)
+        M[0, 1] = M[1, 0] = bad
+        with pytest.raises(MatrixError, match="non-finite"):
+            linalg.check_hermitian(M)
+        with pytest.raises(MatrixError, match="non-finite"):
+            PosDef.from_matrix(np.full((2, 2), bad))
+
     @pytest.mark.parametrize("name", ["matrix_exp_herm", "power_mean_at_0", "logexp"])
     def test_internal_constructions_run_no_hermiticity_check(self, name, monkeypatch):
         H = random_hermitian(rng_for(12, 0), 3)
@@ -375,6 +384,93 @@ class TestHermitianParametrization:
             K.real = _with_signed_zeros(rng, (dim, dim))
             K.imag = _with_signed_zeros(rng, (dim, dim))
             assert _bitwise_equal(linalg.herm_grad_to_vec(K), _herm_grad_to_vec_loops(K))
+
+
+def _vec_to_herm_assign(v, dim):
+    """vec_to_herm by index assignment (zeros, then the diagonal and the two
+    triangles), kept as the reference of its gather table."""
+    M = np.zeros((*v.shape[:-1], dim, dim), dtype=complex)
+    M[(..., *np.diag_indices(dim))] = v[..., :dim]
+    i, j = np.triu_indices(dim, 1)
+    re, im = v[..., dim::2], v[..., dim + 1::2]
+    M[..., i, j] = re + 1j * im
+    M[..., j, i] = re - 1j * im
+    return M
+
+
+def _same_outcome(fn, reference):
+    """fn() and reference() give the same arrays byte for byte, or fn raises the
+    MatrixError that wraps reference's LinAlgError."""
+    try:
+        expected = reference()
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(MatrixError, match=f"^eigensolver failed: {exc}$"):
+            fn()
+        return
+    got = fn()
+    expected = tuple(expected) if isinstance(expected, tuple) else (expected,)
+    got = got if isinstance(got, tuple) else (got,)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLeanSpectralCore:
+    """Each trim of the spectral core against the code it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2), (5, 3, 3), (2, 4, 2, 2)])
+    @pytest.mark.parametrize("special", [None, np.nan, np.inf, -np.inf, 1e300])
+    def test_eigh_equals_numpy(self, dtype, shape, special):
+        rng = rng_for(140, len(shape))
+        for _ in range(10):
+            M = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
+            H = (M + M.conj().swapaxes(-1, -2)).astype(dtype)
+            if special is not None:
+                H[..., -1, 0] = special
+            with np.errstate(all="ignore"):
+                _same_outcome(lambda: linalg.eigh(H), lambda: np.linalg.eigh(H))
+                _same_outcome(lambda: linalg.eigh(H, vectors=False),
+                              lambda: np.linalg.eigvalsh(H))
+
+    def test_eigh_of_an_all_nan_matrix_is_what_numpy_gives(self):
+        H = np.full((3, 3), np.nan, dtype=complex)
+        _same_outcome(lambda: linalg.eigh(H), lambda: np.linalg.eigh(H))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_vec_to_herm_equals_index_assignment(self, dim):
+        rng = rng_for(142, dim)
+        V = _with_signed_zeros(rng, (7, 2, dim * dim))
+        assert linalg.vec_to_herm(V, dim).tobytes() == _vec_to_herm_assign(V, dim).tobytes()
+        W = V.swapaxes(0, 1)  # not contiguous, as lab._log_pairs passes it
+        assert linalg.vec_to_herm(W, dim).tobytes() == _vec_to_herm_assign(W, dim).tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_matrix_exp_herm_reprojects_because_hermitize_is_not_idempotent(self, dim):
+        # with exact zeros, some outputs of hermitize and of vec_to_herm are moved by
+        # hermitize (a zero's sign changes triangle), and eigh's eigenvalues can
+        # follow; so matrix_exp_herm keeps hermitizing what it is given
+        rng = rng_for(143, dim)
+        moved = {"hermitize": 0, "vec_to_herm": 0}
+        for _ in range(300):
+            M = np.empty((dim, dim), dtype=complex)
+            M.real = _with_signed_zeros(rng, (dim, dim))
+            M.imag = _with_signed_zeros(rng, (dim, dim))
+            for source, H in (
+                    ("hermitize", linalg.hermitize(M)),
+                    ("vec_to_herm", linalg.vec_to_herm(_with_signed_zeros(rng, dim * dim), dim))):
+                w = linalg.eigh(linalg.hermitize(H))[0]
+                moved[source] += w.tobytes() != linalg.eigh(H)[0].tobytes()
+                assert matrix_exp_herm(H).eigs.tobytes() == np.exp(w).tobytes()
+        assert moved["hermitize"] > 0 and moved["vec_to_herm"] > 0
+
+    def test_haar_unitary_fixes_phases_in_place_as_the_two_array_formula(self):
+        Z = np.stack([linalg._complex_gaussian(8, rng_for(145, t)) for t in range(60)])
+        Q, R = np.linalg.qr(Z)
+        d = np.diagonal(R, axis1=-2, axis2=-1)
+        expected = Q * (d / np.abs(d))[..., None, :]
+        assert linalg._haar_unitary(Z).tobytes() == expected.tobytes()
+        assert linalg._haar_unitary(Z[0]).tobytes() == expected[0].tobytes()
 
 
 class TestSerialization:

@@ -78,6 +78,22 @@ class TestApplyMap:
             expected += X.conj().T @ src @ X
         assert np.array_equal(apply_map(build(pieces), A), expected)
 
+    @pytest.mark.parametrize("build", ["identity", "conjugation", "kraus", "pinching",
+                                       "transpose-kraus"])
+    def test_the_kept_adjoints_give_the_per_call_adjoints_bits(self, build):
+        rng = rng_for(71, 0)
+        spec = {"identity": lambda: identity_map(3),
+                "conjugation": lambda: conjugation(_gaussian(rng, 3, 2)),
+                "kraus": lambda: kraus_map([_gaussian(rng, 3, 4) for _ in range(3)]),
+                "pinching": lambda: pinching([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]),
+                "transpose-kraus": lambda: transpose_then_kraus([_gaussian(rng, 3, 3)
+                                                                 for _ in range(2)])}[build]()
+        for A in (_sample(71, 0).mat, np.stack([_sample(71, t).mat for t in range(5)])[None]):
+            src = A.swapaxes(-1, -2) if spec.transpose else A
+            adjoint = spec.kraus.conj().transpose(0, 2, 1)
+            expected = (adjoint @ src[..., None, :, :] @ spec.kraus).sum(axis=-3)
+            assert apply_map(spec, A).tobytes() == expected.tobytes()
+
     def test_dimension_mismatch(self):
         spec = identity_map(2)
         with pytest.raises(DimensionMismatchError):

@@ -77,3 +77,19 @@ def test_ab_verdicts():
     # unless every run of the working tree did better than every run of rev
     rev = [10.0] * 4 + [10.1, 10.5] + [10.6] * 4
     assert verdict(rev, [10.7] * 10, "higher", 0.01) == "no regression"
+
+
+def test_bench_file_times_the_layers_and_writes_nothing():
+    path = list(sys.path)
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    try:
+        from bench_file import layers
+        before = _files(ROOT)  # after the import, which may cache its bytecode
+        timings = layers(repeats=2, calls=2)
+    finally:
+        sys.path[:] = path
+    assert sorted(timings) == ["families.eval_family_lieb_kraus_n3_us",
+                               "lab.dominance_objective_4_rows_n2_us",
+                               "linalg.eigh_3x3_us", "linalg.from_hermitian_3x3_us"]
+    assert all(t > 0 for t in timings.values())
+    assert _files(ROOT) == before

@@ -11,7 +11,8 @@ stream_index + t; hunt structured candidates: stream_index; curvature base point
 
 midpoint_test and loewner_midpoint_test draw each trial on its stream as above and
 build LOEWNER_BLOCK trials' inputs as one stack, then judge them in stream order;
-midpoint_test evaluates them trial by trial, loewner_midpoint_test as one stack.
+midpoint_test mixes MIX_CHUNK trials' inputs at all their weights in one checked
+stack and evaluates each pair alone, loewner_midpoint_test evaluates one stack.
 Its Nelder-Mead restarts are _simplex generators: each does scipy 1.17's arithmetic,
 so it ends where scipy's minimize does, but yields a step's four candidate points
 as one stack, speculatively, and receives their values.  _lockstep runs a block of
@@ -75,6 +76,9 @@ DEFAULT_LAMBDAS = (0.5, 0.25, 0.9)
 CERT_EPS = 1e-8
 #: trials per stacked build in midpoint_test and loewner_midpoint_test
 LOEWNER_BLOCK = 100
+#: midpoint trials whose mixes are built in one stack; 20 or 100 run no faster
+#: and hold more memory
+MIX_CHUNK = 10
 #: curvature rows per eval_family call: the 2 * 32**2 + 1 rows of n = 4 with B
 CURVATURE_BLOCK = 2049
 #: most hill-climb steps, and hunt random-phase draws, per eval_family call
@@ -180,10 +184,7 @@ def json_number(x: float) -> float | None:
 
 def _mix(P1: PosDef, P2: PosDef, lam) -> PosDef:
     """lam P1 + (1 - lam) P2; for stacks, lam may hold one weight per row."""
-    M = lam * P1.mat + (1 - lam) * P2.mat
-    # one matrix is checked, unlike the other internal sums: perfbench's tracer
-    # test needs one here; a stack is not (check_hermitian takes one matrix)
-    return PosDef.from_matrix(M) if M.ndim == 2 else PosDef.from_hermitian(M)
+    return PosDef.from_hermitian(lam * P1.mat + (1 - lam) * P2.mat)
 
 
 def _joined(Ps) -> PosDef:
@@ -223,8 +224,10 @@ def _pair_values(family: FamilySpec, pairs, mixes) -> list:
         for j in (0, 1) if family.two_variable else (0,):
             Ps = [P[j] for P in paired]
             if mixed:
-                Ps.append(_mix(_joined([m[j] for m in mixed]), _joined([m[2 + j] for m in mixed]),
-                               lam))
+                n = mixed[0][j].dim
+                M1, M2 = (np.concatenate([m[k].mat.reshape(-1, n, n) for m in mixed])
+                          for k in (j, 2 + j))
+                Ps.append(PosDef.from_hermitian(lam * M1 + (1 - lam) * M2))
             stacks.append(_joined(Ps))
         return eval_family(family, *stacks).tolist()
 
@@ -304,6 +307,23 @@ def _built(block: list) -> list:
     return [(stream, None if d is None else next(built)) for stream, d in block]
 
 
+def _trial_mixes(trials: list) -> list:
+    """The mixed pairs of each midpoint trial ((A1, B1, A2, B2), x): (lam A1 + (1 - lam)
+    A2, the same of B or None) at each weight lam of (*DEFAULT_LAMBDAS, x), built by
+    one checked PosDef.from_matrix call per input over all the trials."""
+    lam = np.array([(*DEFAULT_LAMBDAS, x) for _, x in trials])[..., None, None]
+
+    def mixed(j):  # input j's mixes, a stack (trials, weights, n, n)
+        if trials[0][0][j] is None:
+            return None
+        M1, M2 = (np.stack([inputs[k].mat for inputs, _ in trials])[:, None] for k in (j, 2 + j))
+        return PosDef.from_matrix(lam * M1 + (1 - lam) * M2)
+
+    A, B = mixed(0), mixed(1)
+    return [[(A[t, k], None if B is None else B[t, k]) for k in range(lam.shape[1])]
+            for t in range(len(trials))]
+
+
 def _verdict(failures: int, trials: int, violated: bool, worst_rel: float) -> str:
     """INCONCLUSIVE above 1% failed trials, else VIOLATED on a claimed
     violation, else PASS within numerical slack, else INCONCLUSIVE."""
@@ -341,13 +361,17 @@ def _midpoint_reports(family: FamilySpec, directions, trials: int, sampler: Samp
                       label: str | None = None) -> dict[str, TestReport]:
     """Randomized joint midpoint tests of each direction on one pass of trials.  A trial
     evaluates every weight before any is judged, so it counts as whole or failed; a
-    trial with a non-finite lhs or rhs fails.  Inputs are built LOEWNER_BLOCK at a time."""
-    def evaluated(inputs, extra):  # (inputs, (lam, lhs, rhs, scale) at each weight), or None
+    trial with a non-finite lhs or rhs fails.  Inputs are built LOEWNER_BLOCK at a time,
+    their mixes MIX_CHUNK trials at a time (_trial_mixes, by _stacked's rule), and each
+    pair is evaluated alone."""
+    def evaluated(inputs, extra, mixes):  # (inputs, (lam, lhs, rhs, scale) at each weight)
+        if mixes is None:  # its mixes failed
+            return None
         A1, B1, A2, B2 = inputs
         try:
             f = eval_family(family, A1, B1), eval_family(family, A2, B2)
-            sides = [(lam, *midpoint_violation(family, "concave", A1, A2, lam, B1, B2, *f)[1:])
-                     for lam in (*DEFAULT_LAMBDAS, extra)]
+            sides = [(lam, *_violation("concave", lam, eval_family(family, *mix), *f)[1:])
+                     for lam, mix in zip((*DEFAULT_LAMBDAS, extra), mixes)]
         except (EvaluationError, MatrixError):
             return None
         return (inputs, sides) if np.isfinite([side[1:3] for side in sides]).all() else None
@@ -357,8 +381,12 @@ def _midpoint_reports(family: FamilySpec, directions, trials: int, sampler: Samp
     failures = 0
     draws = _trials(sampler, trials, lambda rng: (_draw_inputs(family, rng), float(rng.uniform())))
     while block := list(islice(draws, LOEWNER_BLOCK)):
-        for stream, trial in _built(block):
-            if trial is None or (trial := evaluated(*trial)) is None:
+        block = _built(block)
+        built = [trial for _, trial in block if trial is not None]
+        mixes = (m for c in range(0, len(built), MIX_CHUNK)
+                 for m in _stacked(_trial_mixes, built[c:c + MIX_CHUNK]))
+        for stream, trial in block:
+            if trial is None or (trial := evaluated(*trial, next(mixes))) is None:
                 failures += 1
                 continue
             inputs, sides = trial
@@ -424,7 +452,7 @@ def _propose(state, lam: float, step: float, rng):
         return None, None, None, step * 0.9
     trial = list(state)
     trial[idx] = P2
-    return trial, idx // 2, float(np.clip(lam + step * rng.normal(0, 0.1), 0.02, 0.98)), step
+    return trial, idx // 2, min(max(lam + step * rng.normal(0, 0.1), 0.02), 0.98), step
 
 
 def _hill_climb(family, direction, state, f, lam, best, rng, iters):

@@ -9,8 +9,10 @@ and eigh reads one triangle.
 Shape rule: a matrix is (n, n), or (..., n, n) for a stack evaluated in one
 call; the spectral calculus here, the maps, means, norms and families take
 either, and a stack fails as its failing matrix would alone.  Hermiticity and
-finite entries are checked only on one (n, n) matrix from outside the program,
-by check_hermitian and PosDef.from_matrix.  The means, families and lab build with
+finite entries are checked only by check_hermitian and PosDef.from_matrix, which
+also take either and judge each matrix of a stack against its own scale: on
+matrices from outside the program, and on the stacked mixes of lab's midpoint
+trials.  Everywhere else the means, families and lab build with
 PosDef.from_hermitian, PosDef.from_spectrum and matrix_exp_herm, which do not
 check, from matrices that are Hermitian.
 
@@ -65,20 +67,28 @@ def hermitize(M: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(M: np.ndarray) -> None:
-    """Raise unless M is one finite square matrix, Hermitian within HERM_ATOL times
-    its largest entry (floored at 1); M itself is left to the caller to hermitize."""
+    """Raise unless M is a finite square matrix, or a stack (..., n, n) of them, each
+    Hermitian within HERM_ATOL times its own largest entry (floored at 1); the error
+    names the first failing matrix of a stack.  M itself is left to the caller to
+    hermitize."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {M.shape}")
-    scale = float(np.max(np.abs(M), initial=1.0))
+    scale = np.max(np.abs(M), axis=(-2, -1), initial=1.0)
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
+        asym = np.max(np.abs(M - M.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(~np.isfinite(scale) | (asym > HERM_ATOL * scale))
+    if bad.size == 0:
+        return
+    at = np.unravel_index(bad[0], scale.shape)
+    scale, asym = float(scale[at]), float(asym[at])
+    which = "matrix" if M.ndim == 2 else f"matrix {list(map(int, at))} of the stack"
     if not np.isfinite(scale):
-        raise MatrixError(f"matrix has a non-finite entry ({scale})")
-    asym = float(np.max(np.abs(M - M.conj().T)))
-    if asym > HERM_ATOL * scale:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
-            f"{HERM_ATOL * scale:.3e}"
-        )
+        raise MatrixError(f"{which} has a non-finite entry ({scale})")
+    raise NotHermitianError(
+        f"{which} is not Hermitian: max asymmetry {asym:.3e} exceeds "
+        f"{HERM_ATOL * scale:.3e}"
+    )
 
 
 def eigh(H: np.ndarray, vectors: bool = True):

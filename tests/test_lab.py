@@ -499,7 +499,8 @@ def _midpoint_block_case(name):
     }[name]()
 
 
-@pytest.mark.parametrize("setting", ["block-100", "block-7", "one-draw-builds"])
+@pytest.mark.parametrize("setting", ["block-100", "block-7", "one-draw-builds",
+                                     "one-trial-mixes"])
 @pytest.mark.parametrize("name", ["lieb-kraus-n3", "epstein-n2", "geometric-n2",
                                   "lieb-psi-n3", "overflow-n2"])
 def test_midpoint_blocks_equal_the_per_trial_loop(name, setting, monkeypatch):
@@ -514,6 +515,15 @@ def test_midpoint_blocks_equal_the_per_trial_loop(name, setting, monkeypatch):
             return build(logs, Z)
 
         monkeypatch.setattr(lab, "build_posdef", one_draw_only)
+    if setting == "one-trial-mixes":  # a checked stack of several trials' mixes raises
+        check = PosDef.from_matrix
+
+        def one_trial_only(M):
+            if M.ndim > 2 and len(M) > 1:
+                raise MatrixError("a stack of trials")
+            return check(M)
+
+        monkeypatch.setattr(PosDef, "from_matrix", one_trial_only)
     sampler = SamplerConfig(dim=fam.phi.in_dim, seed=3, stream_index=40)
     with np.errstate(all="ignore"):
         for direction in ("concave", "convex"):
@@ -539,6 +549,21 @@ def test_a_trial_whose_build_raises_fails(monkeypatch):
     # each draw is charged 1, as are the two curvature base points
     found = hunt_counterexample(fam, "concave", 20, SamplerConfig(dim=3, seed=0))
     assert (found.certificate, found.trials_used, found.best_violation) == (None, 22, -np.inf)
+
+
+def test_a_trial_whose_mixes_raise_alone_fails_alone(monkeypatch):
+    fam, sampler = epstein(1.5, 0.8), SamplerConfig(dim=2, seed=0)
+    assert midpoint_test(fam, "concave", 30, sampler).failures == 0
+    mixes, refused = lab._trial_mixes, []
+
+    def refuse_the_third(trials):  # the third trial's mixes raise, alone or stacked
+        refused[:] = refused or [trials[2][0]]
+        if any(inputs is refused[0] for inputs, _ in trials):
+            raise MatrixError("refused")
+        return mixes(trials)
+
+    monkeypatch.setattr(lab, "_trial_mixes", refuse_the_third)
+    assert midpoint_test(fam, "concave", 30, sampler).failures == 1
 
 
 def test_stacked_scans_make_one_call_per_block(monkeypatch):

@@ -48,6 +48,40 @@ class TestHermiticityChecks:
         with pytest.raises(MatrixError, match="non-finite"):
             PosDef.from_matrix(np.full((2, 2), bad))
 
+    def test_single_matrix_messages(self):
+        with pytest.raises(NotHermitianError) as exc:
+            linalg.check_hermitian(np.array([[2.0, 1e-6], [0.0, 2.0]]))
+        assert str(exc.value) == ("matrix is not Hermitian: max asymmetry 1.000e-06 "
+                                  "exceeds 2.000e-12")
+        with pytest.raises(MatrixError) as exc:
+            linalg.check_hermitian(np.full((2, 2), np.inf))
+        assert str(exc.value) == "matrix has a non-finite entry (inf)"
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_a_non_square_input_is_refused(self, shape):
+        with pytest.raises(DimensionMismatchError, match="expected a square matrix"):
+            linalg.check_hermitian(np.zeros(shape))
+
+    def test_each_matrix_of_a_stack_is_checked_against_its_own_scale(self):
+        small = np.array([[1.0, 1e-9], [0.0, 1.0]])  # asymmetry 1e-9 > 1e-12 x 1
+        stack = np.stack([np.eye(2), 1e6 * np.eye(2), small, small])
+        linalg.check_hermitian(stack[:2])
+        with pytest.raises(NotHermitianError) as exc:
+            linalg.check_hermitian(stack)
+        assert str(exc.value) == ("matrix [2] of the stack is not Hermitian: max asymmetry "
+                                  "1.000e-09 exceeds 1.000e-12")
+        with pytest.raises(NotHermitianError, match=r"matrix \[1, 0\] of the stack"):
+            linalg.check_hermitian(stack.reshape(2, 2, 2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_a_non_finite_entry_anywhere_in_a_stack_is_refused(self, bad):
+        stack = np.stack([np.eye(2, dtype=complex)] * 3)
+        stack[1, 1, 1] = bad
+        with pytest.raises(MatrixError, match=r"matrix \[1\] of the stack has a non-finite"):
+            linalg.check_hermitian(stack)
+        with pytest.raises(MatrixError, match="non-finite"):
+            PosDef.from_matrix(stack)
+
     @pytest.mark.parametrize("name", ["matrix_exp_herm", "power_mean_at_0", "logexp"])
     def test_internal_constructions_run_no_hermiticity_check(self, name, monkeypatch):
         H = random_hermitian(rng_for(12, 0), 3)

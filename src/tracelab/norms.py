@@ -78,12 +78,26 @@ class NormSpec:
 
 
 def _check_psd_eigs(eigs: np.ndarray) -> np.ndarray:
-    """Clip tiny negatives (numerical PSD) to zero; reject genuine negatives."""
+    """Sort a spectrum (n,), or each of a stack (..., n), and clip tiny negatives
+    (numerical PSD) to zero; reject genuine negatives.
+
+    A spectrum fails when its smallest value is below -1e-10 times its largest
+    |eigenvalue| floored at 1.  That threshold is at most -1e-10, so it is computed
+    only when some smallest value is negative.  The error names the first failing
+    spectrum of a stack, with its smallest eigenvalue and its threshold."""
     eigs = np.sort(np.asarray(eigs, dtype=float), axis=-1)
-    scale = np.fmax(1.0, np.abs(eigs).max(axis=-1, keepdims=True))
-    if (eigs[..., :1] < -1e-10 * scale).any():
-        raise ValueError(f"input is not PSD: smallest eigenvalue {eigs[..., 0].min():.3e}")
-    return np.clip(eigs, 0.0, None)
+    if (eigs[..., :1] < 0).any():
+        low = eigs[..., 0]
+        threshold = -1e-10 * np.fmax(1.0, np.abs(eigs).max(axis=-1))
+        bad = np.flatnonzero(low < threshold)
+        if bad.size:
+            if eigs.ndim == 1:
+                raise ValueError(f"input is not PSD: smallest eigenvalue {low:.3e}")
+            at = np.unravel_index(bad[0], low.shape)
+            raise ValueError(
+                f"input is not PSD: spectrum {list(map(int, at))} of the stack has "
+                f"smallest eigenvalue {low[at]:.3e}, below {threshold[at]:.3e}")
+    return np.maximum(eigs, 0.0)
 
 
 def _rank_deficient(lam: np.ndarray) -> np.ndarray:

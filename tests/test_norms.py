@@ -1,11 +1,18 @@
 """Symmetric norm / anti-norm catalog: frozen values and axioms."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tracelab import norms
 from tracelab.linalg import PosDef, SamplerConfig, rng_for, sample_posdef, sample_unitary
 from tracelab.norms import (
     NormSpec,
+    _check_psd_eigs,
     catalog_antinorms,
     eval_norm_from_eigs,
 )
@@ -165,3 +172,78 @@ def test_a_stack_of_spectra_evaluates_row_by_row(spec):
     assert np.array_equal(eval_norm_from_eigs(spec, eigs), rows)
     assert np.array_equal(eval_norm_from_eigs(spec, eigs.reshape(20, 10, 3)),
                           np.reshape(rows, (20, 10)))
+
+
+def _check_psd_eigs_eager(eigs):
+    """The PSD check as it was with its tolerance computed on every call: the
+    reference that the lazy check must match byte for byte."""
+    eigs = np.sort(np.asarray(eigs, dtype=float), axis=-1)
+    scale = np.fmax(1.0, np.abs(eigs).max(axis=-1, keepdims=True))
+    if (eigs[..., :1] < -1e-10 * scale).any():
+        raise ValueError(f"input is not PSD: smallest eigenvalue {eigs[..., 0].min():.3e}")
+    return np.clip(eigs, 0.0, None)
+
+
+#: positive values, both zeros, negatives inside and outside the tolerance of
+#: spectra whose largest |eigenvalue| is up to 1e6, NaN and +-inf
+_EIGENVALUES = st.one_of(st.floats(1e-300, 1e6), st.sampled_from([0.0, -0.0]),
+                         st.floats(-1e-4, -1e-300), st.floats(-1e3, -1e-12),
+                         st.sampled_from([np.nan, np.inf, -np.inf]))
+#: a spectrum (n,) or a stack (k, n) of them
+_SPECTRA = st.one_of(st.integers(1, 4).map(lambda n: (n,)),
+                     st.tuples(st.integers(0, 5), st.integers(1, 4))).flatmap(
+    lambda shape: arrays(float, shape, elements=_EIGENVALUES))
+
+
+class TestLazyTolerance:
+    """The PSD tolerance is computed only for a spectrum with a negative value."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(eigs=_SPECTRA)
+    def test_the_check_matches_the_eager_one_byte_for_byte(self, eigs):
+        try:
+            want = _check_psd_eigs_eager(eigs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _check_psd_eigs(eigs)
+            if eigs.ndim == 1:
+                assert str(got.value) == str(exc)
+            return
+        got = _check_psd_eigs(eigs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(eigs=_SPECTRA)
+    def test_every_kind_evaluates_as_with_the_eager_check(self, eigs):
+        n = eigs.shape[-1]
+        specs = [*catalog_antinorms(n), NormSpec("operator"),
+                 *(NormSpec("kyfan", k=k) for k in range(1, n + 1))]
+        for spec in specs:
+            with np.errstate(all="ignore"):
+                with mock.patch.object(norms, "_check_psd_eigs", _check_psd_eigs_eager):
+                    try:
+                        want = eval_norm_from_eigs(spec, eigs)
+                    except ValueError:
+                        want = ValueError
+                if want is ValueError:
+                    with pytest.raises(ValueError):
+                        eval_norm_from_eigs(spec, eigs)
+                    continue
+                got = eval_norm_from_eigs(spec, eigs)
+            assert type(got) is type(want), spec.label()
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), spec.label()
+
+    def test_the_error_names_the_first_failing_spectrum_of_a_stack(self):
+        # row 0's -1e-9 is inside its threshold of -1e-7; row 1's -5e-10 is not
+        # inside -1e-10, although it is the larger of the two smallest values
+        stack = np.array([[-1e-9, 1e3], [-5e-10, 1.0]])
+        with pytest.raises(ValueError, match=r"^input is not PSD: spectrum \[1\] of the stack "
+                           r"has smallest eigenvalue -5\.000e-10, below -1\.000e-10$"):
+            _check_psd_eigs(stack)
+        with pytest.raises(ValueError, match=r"spectrum \[1, 0\] of the stack"):
+            _check_psd_eigs(np.stack([stack[:1], stack[1:]]))
+        with pytest.raises(ValueError, match=r"^input is not PSD: smallest eigenvalue "
+                           r"-5\.000e-10$"):
+            _check_psd_eigs(stack[1])
+        assert np.array_equal(_check_psd_eigs(stack[0]), [0.0, 1e3])

@@ -56,6 +56,24 @@ def test_ab_runs_a_comma_list_of_workloads_and_writes_nothing():
     assert _files(ROOT) == before
 
 
+def test_hotspots_profiles_a_workload_and_writes_nothing():
+    before = _files(ROOT)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "hotspots.py"), "verify",
+                           "--passes", "1", "--top", "5"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("verify, seed 2, 1 profiled passes after one warm-up: ")
+    tables = [i for i, line in enumerate(lines) if line.startswith("top 5 by ")]
+    assert [lines[i] for i in tables] == ["top 5 by self time", "top 5 by cumulative time"]
+    for i in tables:
+        assert lines[i + 1].split() == ["self_s", "cum_s", "calls", "function"]
+        assert len(lines[i + 2:i + 7]) == 5 and all(line.strip() for line in lines[i + 2:i + 7])
+    assert any("src/tracelab/families.py" in line and "(eval_family)" in line
+               for line in lines[tables[1]:])
+    assert _files(ROOT) == before
+
+
 def test_ab_verdicts():
     sys.path.insert(0, os.path.join(ROOT, "tools"))
     try:

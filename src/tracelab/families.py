@@ -143,7 +143,7 @@ def _floored_eigs(M: np.ndarray) -> np.ndarray:
     w = eigh(hermitize(M), vectors=False)
     floor = INNER_FLOOR * np.maximum(w[..., -1:], 1e-300)
     low = w[..., :1] < -floor
-    if low.any():
+    if np.logical_or.reduce(low, axis=None):
         i = low.argmax()  # the first failing matrix of a stack
         raise EvaluationError(f"inner matrix is indefinite: eigenvalue "
                               f"{w[..., 0].flat[i]:.3e} below floor {-floor.flat[i]:.3e}")

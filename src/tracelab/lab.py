@@ -829,8 +829,8 @@ def _simplex(x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
         sim, fsim = sim[ind], fsim[ind]
     shrank = False
     for _ in range(1, maxiter):
-        if (np.abs(fsim[0] - fsim[1:]).max() <= fatol  # the cheaper test first
-                and np.abs(sim[1:] - sim[0]).max() <= xatol):
+        if (np.maximum.reduce(np.abs(fsim[0] - fsim[1:]), axis=None) <= fatol  # cheaper first
+                and np.maximum.reduce(np.abs(sim[1:] - sim[0]), axis=None) <= xatol):
             break
         cand = centroid * (np.add.reduce(sim[:-1], 0) / N) - worst * sim[-1]
         if shrank:  # shrinks come in runs: ask for the next shrink's points too
@@ -895,14 +895,16 @@ def _dominance_objective(p: float, q: float, dim: int):
     definite scores as one beyond that bound (_stacked's failure value).
     """
     def scores(V: np.ndarray) -> np.ndarray:
-        inside = ~(np.abs(V).max(axis=1) > 10.0)
-        if inside.all():
-            P = matrix_exp_herm(_log_pairs(V, dim))
-            return -_loewner_excess(power_mean_pair(P, p).mat, power_mean_pair(P, q))
-        f = np.ones(len(V))
-        if inside.any():
-            f[inside] = scores(V[inside])
-        return f
+        # the whole stack's test is False on NaN, which the rows' test lets in
+        if not np.maximum.reduce(np.abs(V), axis=None, initial=0.0) <= 10.0:
+            inside = ~(np.abs(V).max(axis=1) > 10.0)
+            if not inside.all():
+                f = np.ones(len(V))
+                if inside.any():
+                    f[inside] = scores(V[inside])
+                return f
+        P = matrix_exp_herm(_log_pairs(V, dim))
+        return -_loewner_excess(power_mean_pair(P, p).mat, power_mean_pair(P, q))
 
     return lambda V: np.array(_stacked(scores, V, 1.0))
 

@@ -21,7 +21,12 @@ so a caller that reads only spectra, such as the power means of the Loewner
 tests, builds no matrix.  Every eigensolver run on a computed matrix goes
 through eigh, which calls the LAPACK gufuncs of np.linalg.eigh and eigvalsh
 (numpy.linalg._umath_linalg) directly, for their bits without their wrappers'
-cost, and turns a solver failure into a MatrixError.
+cost, and turns a solver failure into a MatrixError; its error state is set by
+np.errstate used as a decorator, which builds no context object per call.
+PosDef.from_spectrum checks positivity and order with one ufunc reduction each
+over the whole stack (np.fmin.reduce, np.logical_and.reduce): the ndarray
+methods .min(), .all() reach the same reductions through an extra Python
+frame.  The other modules' hot paths call reductions the same way.
 
 A Hermitian n x n matrix is parametrized by a real vector of length n*n: the
 n diagonal entries, then the real and imaginary parts of each entry above the
@@ -91,15 +96,15 @@ def check_hermitian(M: np.ndarray) -> None:
     )
 
 
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
 def eigh(H: np.ndarray, vectors: bool = True):
     """np.linalg.eigh's (w, V), or eigvalsh's w without vectors, of a computed float64
     or complex128 Hermitian matrix or stack; a solver failure raises MatrixError."""
     t = "D" if H.dtype.kind == "c" else "d"
     try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            if vectors:
-                return _umath_linalg.eigh_lo(H, signature=f"{t}->d{t}")
-            return _umath_linalg.eigvalsh_lo(H, signature=f"{t}->d")
+        if vectors:
+            return _umath_linalg.eigh_lo(H, signature=f"{t}->d{t}")
+        return _umath_linalg.eigvalsh_lo(H, signature=f"{t}->d")
     except FloatingPointError as exc:
         raise MatrixError("eigensolver failed: Eigenvalues did not converge") from exc
 
@@ -151,14 +156,16 @@ class PosDef:
     @classmethod
     def from_spectrum(cls, eigs: np.ndarray, vecs: np.ndarray) -> "PosDef":
         eigs = np.asarray(eigs, dtype=float)
-        if (eigs <= 0).any():
-            raise NotPositiveDefiniteError(
-                f"spectrum contains a non-positive value: {eigs.min():.3e}"
-            )
+        low = np.fmin.reduce(eigs, axis=None, initial=np.inf)  # NaN ignored, as by <= 0
+        if low <= 0:
+            # min's value, whose zero can be -0.0 where fmin's is 0.0, unless min is NaN
+            shown = eigs.min()
+            shown = low if np.isnan(shown) else shown
+            raise NotPositiveDefiniteError(f"spectrum contains a non-positive value: {shown:.3e}")
         vecs = np.asarray(vecs, dtype=complex)
         # strictly ascending needs no sort, strictly descending (a negative power) a reversal
-        if not (eigs[..., 1:] > eigs[..., :-1]).all():
-            if (eigs[..., 1:] < eigs[..., :-1]).all():
+        if not np.logical_and.reduce(eigs[..., 1:] > eigs[..., :-1], axis=None):
+            if np.logical_and.reduce(eigs[..., 1:] < eigs[..., :-1], axis=None):
                 eigs, vecs = eigs[..., ::-1].copy(), vecs[..., ::-1].copy()
             else:
                 vecs = np.take_along_axis(vecs, eigs.argsort(axis=-1)[..., None, :], axis=-1)

@@ -86,7 +86,7 @@ def _check_psd_eigs(eigs: np.ndarray) -> np.ndarray:
     only when some smallest value is negative.  The error names the first failing
     spectrum of a stack, with its smallest eigenvalue and its threshold."""
     eigs = np.sort(np.asarray(eigs, dtype=float), axis=-1)
-    if (eigs[..., :1] < 0).any():
+    if np.fmin.reduce(eigs[..., :1], axis=None, initial=np.inf) < 0:
         low = eigs[..., 0]
         threshold = -1e-10 * np.fmax(1.0, np.abs(eigs).max(axis=-1))
         bad = np.flatnonzero(low < threshold)
@@ -118,15 +118,15 @@ def eval_norm_from_eigs(spec: NormSpec, eigs: np.ndarray):
     if spec.k is not None and spec.k > n:
         raise ValueError(f"k = {spec.k} out of range for dimension {n}")
     if spec.kind == "trace":
-        value = lam.sum(axis=-1)
+        value = np.add.reduce(lam, axis=-1)
     elif spec.kind == "operator":
         value = lam[..., -1]
     elif spec.kind == "lambda-min":
         value = lam[..., 0]
     elif spec.kind == "kyfan":
-        value = lam[..., n - spec.k :].sum(axis=-1)
+        value = np.add.reduce(lam[..., n - spec.k :], axis=-1)
     elif spec.kind == "kyfan-anti":
-        value = lam[..., : spec.k].sum(axis=-1)
+        value = np.add.reduce(lam[..., : spec.k], axis=-1)
     elif spec.kind == "schatten-quasi":
         value = _pow(np.sum(lam ** spec.p, axis=-1), 1.0 / spec.p)
     else:

@@ -35,7 +35,7 @@ HAT_FLOOR = 1e-13
 
 def _kraus_sum(adjoint: np.ndarray, src: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     """sum_k X_k* src X_k over Kraus pieces X_k (r, n, m), adjoint their X_k* (r, m, n)."""
-    return (adjoint @ src[..., None, :, :] @ kraus).sum(axis=-3)
+    return np.add.reduce(adjoint @ src[..., None, :, :] @ kraus, axis=-3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,13 +167,20 @@ def is_strictly_positive(spec: MapSpec) -> bool:
 
 
 def hat_map(spec: MapSpec, A: PosDef) -> PosDef:
-    """The nonlinear transform Phi(A^{-1})^{-1} on positive definite inputs."""
+    """The nonlinear transform Phi(A^{-1})^{-1} on positive definite inputs.  An image
+    whose smallest eigenvalue is not above HAT_FLOOR times its largest (floored at 1)
+    raises MatrixError; the error names the first such image of a stack."""
     img = hermitize(apply_map(spec, A.inv().mat))
     w, V = eigh(img)
-    if (w[..., :1] <= HAT_FLOOR * np.maximum(w[..., -1:], 1.0)).any():
+    low, threshold = w[..., 0], HAT_FLOOR * np.maximum(w[..., -1], 1.0)
+    singular = low <= threshold
+    if np.logical_or.reduce(singular, axis=None):
+        if w.ndim == 1:
+            raise MatrixError(f"hat-map image is numerically singular: eigenvalue {low:.3e}")
+        at = np.unravel_index(np.flatnonzero(singular)[0], low.shape)
         raise MatrixError(
-            f"hat-map image is numerically singular: eigenvalue {w[..., 0].min():.3e}"
-        )
+            f"hat-map image is numerically singular: matrix {list(map(int, at))} of the "
+            f"stack has smallest eigenvalue {low[at]:.3e}, not above {threshold[at]:.3e}")
     return PosDef.from_spectrum(1.0 / w, V)
 
 

@@ -1300,6 +1300,30 @@ def test_the_stacked_objective_scores_each_point_as_alone():
                 assert 1.0 in ref[np.max(np.abs(V), axis=1) <= 10.0]
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_stacked_objective_scores_nan_and_out_of_bound_rows_as_alone(dim):
+    # the whole-stack bound test is False on NaN, so these stacks take the
+    # row-by-row path, where a NaN row is inside the bound as it is alone
+    V = rng_for(146, dim).normal(0.0, 1.5, (8, 2 * dim * dim))
+    V[2, 3] = np.nan
+    V[5, 0] = 10.5
+    V[6, -1] = -np.inf
+    one = _dominance_objective_one(0.8, 0.9, dim)
+    objective = lab._dominance_objective(0.8, 0.9, dim)
+
+    def alone(v):  # at n = 3 the NaN row's eigensolve fails: a failed point scores 1
+        try:
+            return one(v)
+        except MatrixError:
+            return 1.0
+
+    with np.errstate(all="ignore"):
+        for rows in ([0, 1, 3], [2], [5], [0, 2, 4], [0, 5, 7], [2, 5], list(range(8))):
+            got = objective(V[rows])
+            ref = np.array([alone(v) for v in V[rows]])
+            assert got.tobytes() == ref.tobytes(), rows
+
+
 def test_scipy_optimize_is_not_imported():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys\n"

@@ -1,14 +1,17 @@
 """Spectral calculus, Loewner comparisons, and seeded sampling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from tracelab import families, linalg
+from tracelab import families, linalg, norms, posmaps
 from tracelab.families import FamilySpec, ParameterPoint, eval_family
 from tracelab.linalg import (
     DimensionMismatchError,
     MatrixError,
     NotHermitianError,
+    NotPositiveDefiniteError,
     PosDef,
     SamplerConfig,
     loewner_leq,
@@ -449,6 +452,102 @@ def _same_outcome(fn, reference):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _from_spectrum_methods(eigs, vecs):
+    """PosDef.from_spectrum's checks and ordering written with the ndarray methods,
+    as they were: the reference of its ufunc reductions."""
+    eigs = np.asarray(eigs, dtype=float)
+    if (eigs <= 0).any():
+        raise NotPositiveDefiniteError(f"spectrum contains a non-positive value: {eigs.min():.3e}")
+    vecs = np.asarray(vecs, dtype=complex)
+    if not (eigs[..., 1:] > eigs[..., :-1]).all():
+        if (eigs[..., 1:] < eigs[..., :-1]).all():
+            eigs, vecs = eigs[..., ::-1].copy(), vecs[..., ::-1].copy()
+        else:
+            vecs = np.take_along_axis(vecs, eigs.argsort(axis=-1)[..., None, :], axis=-1)
+            eigs = np.sort(eigs, axis=-1)
+    return eigs, vecs
+
+
+def _check_psd_eigs_methods(eigs):
+    """norms._check_psd_eigs with its negative test written as ``.any()``."""
+    eigs = np.sort(np.asarray(eigs, dtype=float), axis=-1)
+    if (eigs[..., :1] < 0).any():
+        low = eigs[..., 0]
+        threshold = -1e-10 * np.fmax(1.0, np.abs(eigs).max(axis=-1))
+        bad = np.flatnonzero(low < threshold)
+        if bad.size:
+            if eigs.ndim == 1:
+                raise ValueError(f"input is not PSD: smallest eigenvalue {low:.3e}")
+            at = np.unravel_index(bad[0], low.shape)
+            raise ValueError(
+                f"input is not PSD: spectrum {list(map(int, at))} of the stack has "
+                f"smallest eigenvalue {low[at]:.3e}, below {threshold[at]:.3e}")
+    return np.maximum(eigs, 0.0)
+
+
+def _norm_methods(spec, eigs):
+    """eval_norm_from_eigs with _check_psd_eigs_methods, and the sums of trace and
+    the Ky Fan kinds written as ``.sum(axis=-1)``."""
+    if spec.kind not in ("trace", "kyfan", "kyfan-anti"):
+        with mock.patch.object(norms, "_check_psd_eigs", _check_psd_eigs_methods):
+            return norms.eval_norm_from_eigs(spec, eigs)
+    lam = _check_psd_eigs_methods(eigs)
+    n = lam.shape[-1]
+    if spec.k is not None and spec.k > n:
+        raise ValueError(f"k = {spec.k} out of range for dimension {n}")
+    part = {"trace": lambda: lam, "kyfan": lambda: lam[..., n - spec.k:],
+            "kyfan-anti": lambda: lam[..., :spec.k]}[spec.kind]()
+    value = part.sum(axis=-1)
+    return float(value) if value.ndim == 0 else value
+
+
+def _same_result(fn, reference, message=True):
+    """fn() raises what reference() raises, with its message unless message is
+    False, or returns the same values byte for byte (a tuple of arrays, an array
+    or a float)."""
+    try:
+        expected = reference()
+    except Exception as exc:  # the reference's exception, whichever it is
+        with pytest.raises(type(exc)) as got:
+            fn()
+        assert type(got.value) is type(exc)
+        if message:
+            assert str(got.value) == str(exc)
+        return
+    got = fn()
+    assert type(got) is type(expected)
+    for a, b in zip(*(x if isinstance(x, tuple) else (x,) for x in (got, expected))):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: the values of the edge-value spectra: both zeros, a subnormal, huge, +-inf, NaN
+_EDGE_VALUES = np.array([np.nan, 0.0, -0.0, 5e-324, 1e-310, 1.0, 2.0, 3.0, 1e308, np.inf,
+                         -1.0, -np.inf, -1e-11])
+#: shapes of spectra (n,) and stacks (..., n), n = 0 and empty stacks among them
+_EDGE_SHAPES = [(0,), (1,), (3,), (0, 0), (0, 3), (4, 0), (1, 1), (5, 2), (6, 3), (2, 0, 3),
+                (2, 3, 0), (2, 4, 3)]
+
+
+def _edge_spectra(seed):
+    """Spectra of every shape in _EDGE_SHAPES: drawn from _EDGE_VALUES, from its
+    positive values, ascending and descending rows with ties among them, and stacks
+    of ascending and descending rows mixed."""
+    rng = rng_for(seed, 0)
+    positive = _EDGE_VALUES[(_EDGE_VALUES > 0) | np.isnan(_EDGE_VALUES)]
+    for shape in _EDGE_SHAPES:
+        for _ in range(40):
+            yield rng.choice(_EDGE_VALUES, size=shape)
+            yield rng.choice(positive, size=shape)
+            up = np.sort(rng.choice(positive[1:], size=shape), axis=-1)
+            yield up
+            yield up[..., ::-1].copy()
+            mixed = up.copy()
+            if mixed.ndim > 1:
+                mixed[..., ::2, :] = mixed[..., ::2, ::-1]
+            yield mixed
+
+
 class TestLeanSpectralCore:
     """Each trim of the spectral core against the code it replaced, byte for byte."""
 
@@ -497,6 +596,70 @@ class TestLeanSpectralCore:
                 moved[source] += w.tobytes() != linalg.eigh(H)[0].tobytes()
                 assert matrix_exp_herm(H).eigs.tobytes() == np.exp(w).tobytes()
         assert moved["hermitize"] > 0 and moved["vec_to_herm"] > 0
+
+    def test_from_spectrum_reduces_as_the_methods_did(self):
+        rng = rng_for(146, 0)
+        for eigs in _edge_spectra(146):
+            n = eigs.shape[-1]
+            vecs = rng.normal(size=(*eigs.shape, n)) + 1j * rng.normal(size=(*eigs.shape, n))
+            # with NaN in a failing stack, the error now names the smallest other value
+            message = not (np.isnan(eigs).any() and (eigs <= 0).any())
+            _same_result(lambda: (lambda P: (P.eigs, P.vecs))(PosDef.from_spectrum(eigs, vecs)),
+                         lambda: _from_spectrum_methods(eigs, vecs), message)
+
+    def test_from_spectrum_names_the_non_positive_value_next_to_nan(self):
+        vecs = np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2))
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"^spectrum contains a non-positive value: -1\.000e\+00$"):
+            PosDef.from_spectrum(np.array([[np.nan, 1.0], [-1.0, 2.0]]), vecs)
+        with pytest.raises(NotPositiveDefiniteError, match=r": -0\.000e\+00$"):
+            PosDef.from_spectrum(np.array([0.0, -0.0]), vecs[0])  # min's zero, as before
+
+    def test_the_psd_check_and_every_norm_kind_reduce_as_the_methods_did(self):
+        for eigs in _edge_spectra(147):
+            n = eigs.shape[-1]
+            specs = [*norms.catalog_antinorms(max(n, 2)), NormSpec("operator"),
+                     NormSpec("schatten-quasi", p=0.3), NormSpec("neg-schatten", p=2.5),
+                     *(NormSpec("kyfan", k=k) for k in range(1, max(n, 2) + 1))]
+            with np.errstate(all="ignore"):
+                _same_result(lambda: norms._check_psd_eigs(eigs),
+                             lambda: _check_psd_eigs_methods(eigs))
+                for spec in specs:
+                    _same_result(lambda: norms.eval_norm_from_eigs(spec, eigs),
+                                 lambda: _norm_methods(spec, eigs))
+
+    @pytest.mark.parametrize("n,m,rank", [(1, 1, 1), (3, 3, 1), (3, 2, 2), (2, 4, 3)])
+    def test_kraus_sum_of_a_stack_is_the_method_sum(self, n, m, rank):
+        rng = rng_for(148, rank)
+        values = _EDGE_VALUES[~np.isin(_EDGE_VALUES, [5e-324, 1e-310])]
+        kraus = rng.normal(size=(rank, n, m)) + 1j * rng.normal(size=(rank, n, m))
+        adjoint = kraus.conj().transpose(0, 2, 1)
+        for shape in [(n, n), (5, n, n), (2, 3, n, n), (0, n, n)]:
+            src = np.empty(shape, dtype=complex)
+            src.real, src.imag = rng.choice(values, size=(2, *shape))
+            with np.errstate(all="ignore"):
+                expected = (adjoint @ src[..., None, :, :] @ kraus).sum(axis=-3)
+                got = posmaps._kraus_sum(adjoint, src, kraus)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("outer", ["ignore", "warn", "raise"])
+    @pytest.mark.parametrize("special", [None, np.nan, np.inf, 1e300])
+    @pytest.mark.filterwarnings("error")  # eigh warns of nothing, as np.linalg.eigh
+    def test_eigh_ignores_the_callers_error_state_and_restores_it(self, outer, special):
+        rng = rng_for(149, 0)
+        for shape in [(3, 3), (4, 2, 2)]:
+            M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            H = M + M.conj().swapaxes(-1, -2)
+            if special is not None:
+                H[..., -1, 0] = special
+            for dtype in (complex, float):
+                A = H.astype(dtype) if dtype is complex else H.real.copy()
+                with np.errstate(all=outer):
+                    before = np.geterr()
+                    _same_outcome(lambda: linalg.eigh(A), lambda: np.linalg.eigh(A))
+                    _same_outcome(lambda: linalg.eigh(A, vectors=False),
+                                  lambda: np.linalg.eigvalsh(A))
+                    assert np.geterr() == before
 
     def test_haar_unitary_fixes_phases_in_place_as_the_two_array_formula(self):
         Z = np.stack([linalg._complex_gaussian(8, rng_for(145, t)) for t in range(60)])

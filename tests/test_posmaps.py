@@ -5,6 +5,7 @@ import pytest
 
 from tracelab.linalg import (
     DimensionMismatchError,
+    MatrixError,
     PosDef,
     SamplerConfig,
     loewner_leq,
@@ -139,6 +140,23 @@ class TestHatMap:
             scaled = PosDef.from_matrix(t * A.mat)
             assert np.allclose(hat_map(spec, scaled).mat,
                                t * hat_map(spec, A).mat, rtol=1e-10)
+
+    def test_a_singular_image_is_named_by_its_own_matrix(self):
+        # the identity's image is A^-1: row 0's [1e-12, 2e-12] is above its floor of
+        # 1e-13, row 1's [1e-11, 1e3] is not above its floor of 1e-10
+        images = np.array([[1e-12, 2e-12], [1e-11, 1e3]])
+        A = PosDef.from_spectrum(1.0 / images, np.broadcast_to(np.eye(2, dtype=complex),
+                                                               (2, 2, 2)))
+        hat_map(identity_map(2), A[0])
+        with pytest.raises(MatrixError, match=r"^hat-map image is numerically singular: "
+                                              r"eigenvalue 1\.000e-11$"):
+            hat_map(identity_map(2), A[1])
+        with pytest.raises(MatrixError, match=r"^hat-map image is numerically singular: "
+                                              r"matrix \[1\] of the stack has smallest "
+                                              r"eigenvalue 1\.000e-11, not above 1\.000e-10$"):
+            hat_map(identity_map(2), A)
+        with pytest.raises(MatrixError, match=r"matrix \[0, 1\] of the stack"):
+            hat_map(identity_map(2), A[None])
 
 
 class TestSampleKraus:

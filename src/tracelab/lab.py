@@ -16,11 +16,11 @@ stack and evaluates each pair alone, loewner_midpoint_test evaluates one stack.
 Its Nelder-Mead restarts are _simplex generators: each does scipy 1.17's arithmetic,
 so it ends where scipy's minimize does, but yields a step's four candidate points
 as one stack, speculatively, and receives their values.  _lockstep runs a block of
-them with one objective call per round (_nelder_mead runs one); the restarts go in
-blocks of 1, 2, 4, ..., judged in restart order up to the first witness.  Their
-objective and the power-mean dominance blocks pass the pair (A, B) as one PosDef
-stack to power_mean_pair, then _loewner_excess; a PosDef builds its matrix only
-when a later step reads it.
+them with one objective call per round; the restarts go in blocks of 1, 2, 4, ...,
+judged in restart order up to the first witness.  Their objective and the
+power-mean dominance blocks pass the pair (A, B) as one PosDef stack to
+_loewner_sides, then _loewner_excess; a PosDef builds its matrix only when a
+later step reads it.
 
 The hunt evaluates ahead in stacks and judges in order, so it draws, charges
 and certifies as one evaluation at a time does, on the stream layout above.
@@ -30,7 +30,8 @@ random phase's draws, built as midpoint_test's are, in blocks of 1, 2, 4, ... up
 HUNT_BLOCK draws.  The hill climb draws a block of steps as if each were rejected,
 evaluates them in one call and keeps the first accepted one, restoring the rng and
 step recorded after it; its blocks grow from 2 to HUNT_BLOCK steps and fall back
-to 2 on an acceptance.
+to 2 on an acceptance.  The stability re-check and replay_certificate evaluate
+with the same evaluator (_evaluated_pairs), each in one call.
 
 The stacks of trials, hunt values, climb steps and objective points keep one
 rule (_stacked): a stack that raises is evaluated again item by item, and an item
@@ -123,20 +124,18 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
-        return cls(
-            family=FamilySpec.from_dict(d["family"]),
-            a1=mat_from_json(d["a1"]),
-            a2=mat_from_json(d["a2"]),
-            lam=real_field(d, "lambda"),
-            lhs=real_field(d, "lhs"),
-            rhs=real_field(d, "rhs"),
-            violation=real_field(d, "violation"),
-            direction=_checked_direction(d["direction"]),
-            seed=real_field(d, "seed"),
-            stream=real_field(d, "stream"),
-            b1=mat_from_json(d["b1"]) if "b1" in d else None,
-            b2=mat_from_json(d["b2"]) if "b2" in d else None,
-        )
+        family = FamilySpec.from_dict(d["family"])
+        a1, a2 = mat_from_json(d["a1"]), mat_from_json(d["a2"])
+        b1, b2 = (mat_from_json(d[k]) if family.two_variable else None for k in ("b1", "b2"))
+        if a1.shape != a2.shape or np.shape(b1) != np.shape(b2):
+            raise ValueError("a certificate's two inputs of one variable differ in shape")
+        if not 0.0 <= (lam := real_field(d, "lambda")) <= 1.0:  # refuses NaN too
+            raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
+        return cls(family=family, a1=a1, a2=a2, lam=lam, b1=b1, b2=b2,
+                   lhs=real_field(d, "lhs"), rhs=real_field(d, "rhs"),
+                   violation=real_field(d, "violation"),
+                   direction=_checked_direction(d["direction"]),
+                   seed=real_field(d, "seed"), stream=real_field(d, "stream"))
 
 
 @dataclass
@@ -211,27 +210,29 @@ def _stacked(evaluate, items, failed=None) -> list:
     return [r for i in range(len(items)) for r in _stacked(evaluate, items[i:i + 1], failed)]
 
 
-def _pair_values(family: FamilySpec, pairs, mixes) -> list:
-    """eval_family at each pair (A, B) of pairs, then at the pair lam (A1, B1) +
-    (1 - lam) (A2, B2) of each mix (A1, B1, A2, B2, lam) (B is None for a
-    one-variable family), in one stacked call, or by _stacked's rule: None for a
-    pair or mix that raises alone.  Each value is the one its pair has alone."""
-    def values(items):  # a slice of [*pairs, *mixes]
-        paired = [item for item in items if len(item) == 2]
-        mixed = items[len(paired):]
-        lam = np.array([m[4] for m in mixed])[:, None, None]
-        stacks = []
-        for j in (0, 1) if family.two_variable else (0,):
-            Ps = [P[j] for P in paired]
-            if mixed:
-                n = mixed[0][j].dim
-                M1, M2 = (np.concatenate([m[k].mat.reshape(-1, n, n) for m in mixed])
-                          for k in (j, 2 + j))
-                Ps.append(PosDef.from_hermitian(lam * M1 + (1 - lam) * M2))
-            stacks.append(_joined(Ps))
-        return eval_family(family, *stacks).tolist()
+def _evaluated_pairs(family: FamilySpec, items) -> list:
+    """eval_family at each pair (A, B) of items, then at the pair lam (A1, B1) +
+    (1 - lam) (A2, B2) of each mix (A1, B1, A2, B2, lam) after them (B is None
+    for a one-variable family), in one stacked call, which raises as the stack
+    raises.  Each value is the one its pair has alone."""
+    paired = [item for item in items if len(item) == 2]
+    mixed = items[len(paired):]
+    lam = np.array([m[4] for m in mixed])[:, None, None]
+    stacks = []
+    for j in (0, 1) if family.two_variable else (0,):
+        Ps = [P[j] for P in paired]
+        if mixed:
+            n = mixed[0][j].dim
+            M1, M2 = (np.concatenate([m[k].mat.reshape(-1, n, n) for m in mixed])
+                      for k in (j, 2 + j))
+            Ps.append(PosDef.from_hermitian(lam * M1 + (1 - lam) * M2))
+        stacks.append(_joined(Ps))
+    return eval_family(family, *stacks).tolist()
 
-    return _stacked(values, [*pairs, *mixes])
+
+def _pair_values(family: FamilySpec, pairs, mixes) -> list:
+    """_evaluated_pairs of [*pairs, *mixes] by _stacked's rule: None for one that raises alone."""
+    return _stacked(partial(_evaluated_pairs, family), [*pairs, *mixes])
 
 
 def _checked_direction(direction: str) -> str:
@@ -245,28 +246,9 @@ def _signed_violation(direction: str, lhs: float, rhs: float) -> float:
     return rhs - lhs if direction == "concave" else lhs - rhs
 
 
-def midpoint_violation(
-    family: FamilySpec,
-    direction: str,
-    A1: PosDef,
-    A2: PosDef,
-    lam: float,
-    B1: PosDef | None = None,
-    B2: PosDef | None = None,
-    f1: float | None = None,
-    f2: float | None = None,
-) -> tuple[float, float, float, float]:
-    """Returns (raw signed violation, lhs, rhs, scale) for one convex combination."""
-    if f1 is None:
-        f1 = eval_family(family, A1, B1)
-    if f2 is None:
-        f2 = eval_family(family, A2, B2)
-    Bmix = _mix(B1, B2, lam) if B1 is not None else None
-    return _violation(direction, lam, eval_family(family, _mix(A1, A2, lam), Bmix), f1, f2)
-
-
 def _violation(direction: str, lam: float, lhs: float, f1: float, f2: float):
-    """midpoint_violation's (raw signed violation, lhs, rhs, scale) from its values."""
+    """(raw signed violation, lhs, rhs, scale) of one convex combination, from the
+    value lhs at the pair mixed at lam and the values f1, f2 at its endpoints."""
     rhs = lam * f1 + (1 - lam) * f2
     scale = max(1.0, abs(lhs), abs(rhs))
     return _signed_violation(direction, lhs, rhs), lhs, rhs, scale
@@ -291,10 +273,6 @@ def _build_inputs(draws: list) -> list:
         for k, j in enumerate(js):
             P[(0, 2, 1, 3)[j]] = built[k]
     return [tuple(None if S is None else S[t] for S in P) for t in range(len(draws))]
-
-
-def _sample_inputs(family: FamilySpec, rng):
-    return _build_inputs([_draw_inputs(family, rng)])[0]
 
 
 def _built(block: list) -> list:
@@ -458,7 +436,7 @@ def _propose(state, lam: float, step: float, rng):
 def _hill_climb(family, direction, state, f, lam, best, rng, iters):
     """Local refinement: perturb inputs and weight to amplify the violation.
     f and best are the values at state = (A1, B1, A2, B2) and lam (f of each pair,
-    then midpoint_violation); a step re-evaluates the pair whose input it moved.
+    then _violation); a step re-evaluates the pair whose input it moved.
 
     The steps run speculatively, in blocks that grow from 2 to HUNT_BLOCK steps
     and fall back to 2 on an accepted or failed step.  A block draws its steps as
@@ -518,7 +496,7 @@ def _curvature_direction(family, direction, rng):
     yields a segment whose midpoint test violates the claim at second order.
     Returns (base inputs, perturbation matrices, evaluation count) or None.
     """
-    A0, B0, _, _ = _sample_inputs(family, rng)
+    A0, B0, _, _ = _build_inputs([_draw_inputs(family, rng)])[0]
     n1 = A0.dim
     k1 = n1 * n1
     nparams = k1 + (B0.dim * B0.dim if B0 is not None else 0)
@@ -651,8 +629,9 @@ def hunt_counterexample(
 
         The violation must clear the claim threshold and survive a re-check on
         the inputs regularized by eps * lambda_max, at eps = CERT_EPS and
-        CERT_EPS / 10, which guards against conditioning artifacts; a numerical
-        failure in the re-check counts as not stable, and so does a NaN.
+        CERT_EPS / 10, which guards against conditioning artifacts.  Both
+        regularizations' pairs and mixes go in one _evaluated_pairs call, judged
+        eps first; a numerical failure in it counts as not stable, and so does a NaN.
         """
         rng = rng_for(sampler.seed, stream ^ 0x5EED)
         (A1, B1, A2, B2), lam, (viol, lhs, rhs, scale) = _hill_climb(
@@ -660,14 +639,16 @@ def hunt_counterexample(
         rel = viol / scale
         if not viol > CLAIM_REL * scale:
             return None, rel
-        for eps in (CERT_EPS, CERT_EPS / 10):
-            reg = lambda P: (PosDef.from_hermitian(P.mat + eps * P.eigs[-1] * np.eye(P.dim))
-                             if P is not None else None)
-            try:
-                again = midpoint_violation(family, direction, reg(A1), reg(A2), lam,
-                                           reg(B1), reg(B2))
-            except (EvaluationError, MatrixError):
-                return None, rel
+        reg = lambda P, eps: (PosDef.from_hermitian(P.mat + eps * P.eigs[-1] * np.eye(P.dim))
+                              if P is not None else None)
+        try:
+            regs = [[reg(P, eps) for P in (A1, B1, A2, B2)] for eps in (CERT_EPS, CERT_EPS / 10)]
+            values = _evaluated_pairs(family, [R[k:k + 2] for R in regs for k in (0, 2)]
+                                      + [(*R, lam) for R in regs])
+        except (EvaluationError, MatrixError):
+            return None, rel
+        for k, mixed in enumerate(values[4:]):  # eps, then eps / 10
+            again = _violation(direction, lam, mixed, *values[2 * k:2 * k + 2])
             if not again[0] / again[3] > 0.5 * CLAIM_REL:
                 return None, rel
         return _make_certificate(family, direction, A1, B1, A2, B2, lam, lhs, rhs,
@@ -692,15 +673,12 @@ def hunt_counterexample(
 
 
 def replay_certificate(cert: Certificate) -> tuple[float, float]:
-    """Re-evaluate both sides of a certificate from its embedded inputs."""
-    A1 = PosDef.from_matrix(cert.a1)
-    A2 = PosDef.from_matrix(cert.a2)
-    B1 = PosDef.from_matrix(cert.b1) if cert.b1 is not None else None
-    B2 = PosDef.from_matrix(cert.b2) if cert.b2 is not None else None
-    _, lhs, rhs, _ = midpoint_violation(
-        cert.family, cert.direction, A1, A2, cert.lam, B1, B2
-    )
-    return lhs, rhs
+    """Re-evaluate both sides of a certificate from its embedded inputs, with the
+    evaluator that found it: its two pairs and its mix in one call."""
+    A1, A2, B1, B2 = (None if M is None else PosDef.from_matrix(M)
+                      for M in (cert.a1, cert.a2, cert.b1, cert.b2))
+    f1, f2, lhs = _evaluated_pairs(cert.family, [(A1, B1), (A2, B2), (A1, B1, A2, B2, cert.lam)])
+    return _violation(cert.direction, cert.lam, lhs, f1, f2)[1:3]
 
 
 def certificate_is_valid(cert: Certificate) -> bool:
@@ -880,11 +858,6 @@ def _lockstep(fun, searches: list) -> list:
     return ends
 
 
-def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
-    """The end point of one _simplex search, run by _lockstep."""
-    return _lockstep(fun, [_simplex(x0, maxiter, xatol, fatol)])[0]
-
-
 def _dominance_objective(p: float, q: float, dim: int):
     """The negated dominance excess at each row of a stack of parameter vectors
     (those of H1, then H2, with A = exp(H1) and B = exp(H2)), computed on the
@@ -904,7 +877,7 @@ def _dominance_objective(p: float, q: float, dim: int):
                     f[inside] = scores(V[inside])
                 return f
         P = matrix_exp_herm(_log_pairs(V, dim))
-        return -_loewner_excess(power_mean_pair(P, p).mat, power_mean_pair(P, q))
+        return -_loewner_excess(*_loewner_sides("power-mean-dominance", {"p": p, "q": q}, P))
 
     return lambda V: np.array(_stacked(scores, V, 1.0))
 

@@ -205,6 +205,31 @@ def _certificate(params=None, **fields) -> str:
     return json.dumps({**cert, **fields})
 
 
+#: Tr A^{1/2}, which is concave, at diag(4, 4) and diag(1, 6) "mixed" at lambda = 2, with
+#: the sides replay gives it: a violation of 0.49 at a weight outside [0, 1]
+_LAMBDA_2_LHS = np.sqrt(7.0) + np.sqrt(2.0)  # Tr (2 A1 - A2)^{1/2}
+_LAMBDA_2_RHS = 2 * 4.0 - (1.0 + np.sqrt(6.0))  # 2 Tr A1^{1/2} - Tr A2^{1/2}
+_CERTIFICATE_LAMBDA_2 = _certificate(
+    params={"p": 0.5}, a1=mat_to_json(4 * np.eye(2, dtype=complex)),
+    a2=mat_to_json(np.diag([1.0, 6.0]).astype(complex)), direction="concave",
+    lhs=_LAMBDA_2_LHS, rhs=_LAMBDA_2_RHS, violation=_LAMBDA_2_RHS - _LAMBDA_2_LHS,
+    **{"lambda": 2.0})
+#: logexp with identity maps, Phi(I) + Psi(I) = 2I: it parses, and raises when evaluated
+_CERTIFICATE_LOGEXP = _certificate(
+    family={"family": "logexp", "phi": identity_map(2).to_dict(),
+            "psi": identity_map(2).to_dict(), "norm": {"kind": "trace"},
+            "params": {"p": 1.0, "q": 1.0, "s": 1.0}},
+    b1=mat_to_json(np.eye(2, dtype=complex)), b2=mat_to_json(3 * np.eye(2, dtype=complex)))
+#: a two-variable family (lieb) whose certificate has no b1 and b2
+_CERTIFICATE_WITHOUT_B = _certificate(family={**json.loads(_CERTIFICATE_LOGEXP)["family"],
+                                              "family": "lieb"})
+#: what stderr names, for the test_exits_4 cases that are checked for it
+_EXIT_4_ERRORS = {"certificate-lambda-outside": "lambda must lie in [0, 1]",
+                  "certificate-evaluation-raises": "Phi(I) + Psi(I) = I",
+                  "certificate-shapes-differ": "differ in shape",
+                  "certificate-without-b": "'b1'"}
+
+
 class TestBadInput:
     """Bad input exits 4: never 1, nor 2 (the code of a violated claim), nor a
     verdict."""
@@ -251,14 +276,26 @@ class TestBadInput:
                      id="certificate-string-p"),
         pytest.param(_certificate(a1=mat_to_json(np.full((2, 2), np.nan, dtype=complex))),
                      ["hunt", "--replay", "{file}"], id="certificate-nan-matrix"),
+        pytest.param(_CERTIFICATE_LAMBDA_2, ["hunt", "--replay", "{file}"],
+                     id="certificate-lambda-outside"),
+        pytest.param(_certificate(**{"lambda": float("nan")}), ["hunt", "--replay", "{file}"],
+                     id="certificate-nan-lambda"),
+        pytest.param(_CERTIFICATE_LOGEXP, ["hunt", "--replay", "{file}"],
+                     id="certificate-evaluation-raises"),
+        pytest.param(_certificate(a2=mat_to_json(3 * np.eye(3, dtype=complex))),
+                     ["hunt", "--replay", "{file}"], id="certificate-shapes-differ"),
+        pytest.param(_CERTIFICATE_WITHOUT_B, ["hunt", "--replay", "{file}"],
+                     id="certificate-without-b"),
     ])
-    def test_exits_4(self, content, argv, tmp_path, capsys):
+    def test_exits_4(self, content, argv, tmp_path, capsys, request):
         path = tmp_path / "input.json"
         if content is not None:
             path.write_text(content)
         argv = [a.format(file=path, missing=tmp_path / "missing.json") for a in argv]
         assert main(argv) == 4
-        assert "internal error" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert _EXIT_4_ERRORS.get(request.node.callspec.id, "") in err
 
     @pytest.mark.parametrize("content", ["", "{not json", b"\xff\xfe"],
                              ids=["empty", "syntax", "not-utf8"])

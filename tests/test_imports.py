@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module, and only
+"""Every name a module of the package imports is used in that module, only
 linalg calls numpy's Hermitian eigensolvers or imports the LAPACK gufuncs
-behind them."""
+behind them, and lab reaches eval_family from three functions only."""
 
 import ast
 import pathlib
@@ -87,3 +87,33 @@ def test_only_linalg_reaches_numpys_lapack_gufuncs(module):
     # linalg.eigh is the one place that calls them, with numpy's error handling
     uses = lapack_gufunc_uses((SRC / module).read_text())
     assert (uses != []) == (module == "linalg.py")
+
+
+def eval_family_holders(source: str) -> list[str]:
+    """The top-level functions of source that read the name eval_family, or an
+    attribute of that name, anywhere inside them, sorted; "<module>" for a read
+    outside any function."""
+    holders = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == "eval_family")
+                    or (isinstance(node, ast.Attribute) and node.attr == "eval_family")):
+                holders.add(top.name if isinstance(top, ast.FunctionDef) else "<module>")
+    return sorted(holders)
+
+
+def test_the_check_finds_each_function_that_reaches_eval_family():
+    assert eval_family_holders(
+        "from .families import eval_family\n"
+        "def f(A):\n    def g(B):\n        return eval_family(s, B)\n    return g(A)\n"
+        "def h(A):\n    return families.eval_family(s, A)\n"
+        "def k():\n    return partial(eval_family, s)\n"
+        "def m(A):\n    return evaluate(s, A)\n"
+        "x = eval_family(s, A)\n") == ["<module>", "f", "h", "k"]
+
+
+def test_lab_evaluates_families_in_three_functions():
+    # the hunt, its stability re-check and replay_certificate share _evaluated_pairs;
+    # midpoint trials still evaluate one pair per call, and the curvature scan its rows
+    assert eval_family_holders((SRC / "lab.py").read_text()) == [
+        "_curvature_direction", "_evaluated_pairs", "_midpoint_reports"]

@@ -21,7 +21,6 @@ from tracelab.lab import (
     hunt_counterexample,
     loewner_midpoint_test,
     midpoint_test,
-    midpoint_violation,
     replay_certificate,
     sweep,
 )
@@ -61,6 +60,29 @@ def carlen_lieb(p):
     return FamilySpec(family="mean", phi=identity_map(2), psi=identity_map(2),
                       norm=TRACE, mean=MeanSpec(kind="sum"),
                       params=ParameterPoint(p, p, 1.0 / p))
+
+
+def midpoint_violation(family, direction, A1, A2, lam, B1=None, B2=None, f1=None, f2=None):
+    """(raw signed violation, lhs, rhs, scale) of one convex combination, one
+    lab.eval_family call per pair (so a patched lab.eval_family reaches it): the
+    scalar reference of the hunt's stacked evaluator."""
+    if f1 is None:
+        f1 = lab.eval_family(family, A1, B1)
+    if f2 is None:
+        f2 = lab.eval_family(family, A2, B2)
+    Bmix = lab._mix(B1, B2, lam) if B1 is not None else None
+    return lab._violation(direction, lam, lab.eval_family(family, lab._mix(A1, A2, lam), Bmix),
+                          f1, f2)
+
+
+def _sample_inputs(family, rng):
+    """The inputs (A1, B1, A2, B2) of one trial drawn from rng, as a block of one."""
+    return lab._build_inputs([lab._draw_inputs(family, rng)])[0]
+
+
+def _nelder_mead(fun, x0, maxiter, xatol, fatol):
+    """The end point of one _simplex search, run by _lockstep."""
+    return lab._lockstep(fun, [lab._simplex(x0, maxiter, xatol, fatol)])[0]
 
 
 class TestMidpointTest:
@@ -294,7 +316,7 @@ def test_curvature_steps_equal_the_list(k):
 def _curvature_direction_loop(family, direction, rng):
     """The curvature search as it was with one eval_family call per row, kept
     as the reference of _curvature_direction."""
-    A0, B0, _, _ = lab._sample_inputs(family, rng)
+    A0, B0, _, _ = _sample_inputs(family, rng)
     n1 = A0.dim
     k1 = n1 * n1
     nparams = k1 + (B0.dim * B0.dim if B0 is not None else 0)
@@ -336,7 +358,7 @@ def _curvature_direction_loop(family, direction, rng):
 
 
 def _sample_inputs_loop(family, rng):
-    """lab._sample_inputs as it was: A1, A2, then B1, B2, each sampled alone."""
+    """_sample_inputs as it was: A1, A2, then B1, B2, each sampled alone."""
     A1, A2 = (sample_posdef_rng(rng, family.phi.in_dim) for _ in range(2))
     if not family.two_variable:
         return A1, None, A2, None
@@ -650,10 +672,10 @@ def _climb_start(name):
     if name == "lieb-kraus-n3":
         fam = FamilySpec("lieb", kraus, TRACE, ParameterPoint(0.7, 0.7, 1 / 1.4),
                          psi=transpose_then_kraus(kraus.kraus))
-        return fam, "concave", lab._sample_inputs(fam, rng_for(5, 0))
+        return fam, "concave", _sample_inputs(fam, rng_for(5, 0))
     if name == "epstein-n2":  # B is None: a step that picks it moves nothing
         fam = epstein(1.0, 1.2, phi=conjugation(X))
-        return fam, "concave", lab._sample_inputs(fam, rng_for(5, 1))
+        return fam, "concave", _sample_inputs(fam, rng_for(5, 1))
     fam = carlen_lieb(3.0)  # cube-sum, from near-singular structured inputs
     return fam, "concave", next(lab._structured_candidates(fam))
 
@@ -767,7 +789,7 @@ def test_a_hunt_value_that_fails_alone_drops_only_its_part(row, monkeypatch):
     monkeypatch.setattr(lab, "_curvature_direction", lambda *args: None)
     fam, direction, budget, sampler = _hunt_case("random-phase")
     # the certifying draw 32: its mix at 1/2, or its first endpoint, raises alone
-    A1, B1, A2, B2 = lab._sample_inputs(fam, rng_for(sampler.seed, 32))
+    A1, B1, A2, B2 = _sample_inputs(fam, rng_for(sampler.seed, 32))
     value = (midpoint_violation(fam, direction, A1, A2, 0.5, B1, B2)[1] if row == "mix"
              else eval_family(fam, A1, B1))
     raising = _values_raise(lambda v: np.float64(v).tobytes() == np.float64(value).tobytes())
@@ -849,8 +871,9 @@ def _hunt_loop(family, direction, budget, sampler):
 def _hunt_case(name):
     """(family, direction, budget, sampler) of a hunt compared with the loop: the
     on-region hunt, the roundtrip test's off-region one (a structured
-    certificate) and one that certifies on random draw 32, inside the block of
-    draws 31 to 62, once the curvature phase finds nothing."""
+    certificate), one that certifies on random draw 32, inside the block of
+    draws 31 to 62, once the curvature phase finds nothing, and one whose Phi
+    takes 2 x 2 inputs and Psi 3 x 3 (a curvature certificate)."""
     if name == "on-region":
         fam = FamilySpec(family="lieb", phi=identity_map(2), psi=identity_map(2),
                          norm=TRACE, params=ParameterPoint(0.7, 0.7, 1 / 1.4))
@@ -859,6 +882,8 @@ def _hunt_case(name):
         fam = FamilySpec(family="lieb", phi=identity_map(3), psi=identity_map(3),
                          norm=TRACE, params=ParameterPoint(0.5, 0.5, 1.1))
         return fam, "concave", 300, SamplerConfig(dim=3, seed=0)
+    if name == "mixed-dims":
+        return _midpoint_block_case("lieb-psi-n3"), "concave", 300, SamplerConfig(dim=2, seed=0)
     rng = rng_for(109, 0)
     X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return epstein(1.0, 1.2, phi=conjugation(X)), "concave", 5_000, SamplerConfig(2, 109)
@@ -870,7 +895,7 @@ def _hunt_key(result):
             result.trials_used, np.float64(result.best_violation).tobytes())
 
 
-@pytest.mark.parametrize("name", ["on-region", "off-region", "random-phase"])
+@pytest.mark.parametrize("name", ["on-region", "off-region", "random-phase", "mixed-dims"])
 def test_hunt_equals_the_one_draw_loop(name, monkeypatch):
     rows = {"blocks": 0, "loop": 0, "climb": 0}
     counting, climb = ["blocks"], lab._hill_climb
@@ -902,6 +927,12 @@ def test_hunt_equals_the_one_draw_loop(name, monkeypatch):
         assert got.certificate.stream == 32 and rows["blocks"] > rows["loop"]
     if name == "on-region":
         assert rows["blocks"] == rows["loop"]
+    if name == "mixed-dims":  # replay joins A and B stacks of different n in one call
+        cert = got.certificate
+        A1, A2, B1, B2 = (PosDef.from_matrix(M) for M in (cert.a1, cert.a2, cert.b1, cert.b2))
+        ref = midpoint_violation(fam, direction, A1, A2, cert.lam, B1, B2)[1:3]
+        assert (A1.dim, B1.dim) == (2, 3)
+        assert np.array(replay_certificate(cert)).tobytes() == np.array(ref).tobytes()
 
 
 class TestLoewnerTests:
@@ -928,9 +959,9 @@ class TestLoewnerTests:
     def test_simplex_point_without_positive_definite_means_is_a_failed_point(self):
         # restart k = 9 of verify L5.4 at (1, 2), seed 112, steps onto points
         # whose power mean is not numerically positive definite
-        x = lab._nelder_mead(lab._dominance_objective(1.0, 2.0, 2),
-                             rng_for(112, 9 ^ 0x0D0A).normal(0.0, 1.5, 8), maxiter=2000,
-                             xatol=1e-12, fatol=1e-16)
+        x = _nelder_mead(lab._dominance_objective(1.0, 2.0, 2),
+                         rng_for(112, 9 ^ 0x0D0A).normal(0.0, 1.5, 8), maxiter=2000,
+                         xatol=1e-12, fatol=1e-16)
         A, B = matrix_exp_herm(lab._log_pairs(x[None], 2))
         assert A.dim == B.dim == 2
 
@@ -1142,8 +1173,8 @@ def test_nelder_mead_ends_where_scipy_does(p, q, seed, k, dim):
     x0 = rng_for(seed, k ^ 0x0D0A).normal(0.0, 1.5, 2 * dim * dim)
     ref = scipy.optimize.minimize(_dominance_objective_one(p, q, dim), x0, method="Nelder-Mead",
                                   options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-16})
-    x = lab._nelder_mead(lab._dominance_objective(p, q, dim), x0, maxiter=2000, xatol=1e-12,
-                         fatol=1e-16)
+    x = _nelder_mead(lab._dominance_objective(p, q, dim), x0, maxiter=2000, xatol=1e-12,
+                     fatol=1e-16)
     assert x.tobytes() == ref.x.tobytes()
 
 
@@ -1172,8 +1203,8 @@ def test_nelder_mead_branches_on_nan_and_inf_as_scipy_does(seed):
                                   options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-16})
     # seed 0 starts in the NaN half-space and stays there
     assert np.isnan(seen).any() and (seed == 0 or np.isinf(seen).any())
-    x = lab._nelder_mead(lambda V: np.array([_nan_inf_objective(v) for v in V]), x0,
-                         maxiter=2000, xatol=1e-12, fatol=1e-16)
+    x = _nelder_mead(lambda V: np.array([_nan_inf_objective(v) for v in V]), x0,
+                     maxiter=2000, xatol=1e-12, fatol=1e-16)
     assert x.tobytes() == ref.x.tobytes()
 
 
@@ -1194,8 +1225,8 @@ def test_restarts_in_lockstep_end_where_each_ends_alone(p, q, seed, ks, dim):
     together = lab._lockstep(fun, [lab._simplex(_restart_x0(seed, k, dim), maxiter=2000,
                                                 xatol=1e-12, fatol=1e-16) for k in ks])
     for k, x in zip(ks, together):
-        alone = lab._nelder_mead(fun, _restart_x0(seed, k, dim), maxiter=2000, xatol=1e-12,
-                                 fatol=1e-16)
+        alone = _nelder_mead(fun, _restart_x0(seed, k, dim), maxiter=2000, xatol=1e-12,
+                             fatol=1e-16)
         assert x.tobytes() == alone.tobytes(), k
 
 
@@ -1206,9 +1237,9 @@ def _refined_one_restart_at_a_time(params, trials, sampler):
     worst, kept, dim = base.worst_violation, base.witness, sampler.dim
     for k in range(24 if kept is None else 0):
         stream = (sampler.stream_index + k) ^ 0x0D0A
-        x = lab._nelder_mead(lab._dominance_objective(params["p"], params["q"], dim),
-                             rng_for(sampler.seed, stream).normal(0.0, 1.5, 2 * dim * dim),
-                             maxiter=2000, xatol=1e-12, fatol=1e-16)
+        x = _nelder_mead(lab._dominance_objective(params["p"], params["q"], dim),
+                         rng_for(sampler.seed, stream).normal(0.0, 1.5, 2 * dim * dim),
+                         maxiter=2000, xatol=1e-12, fatol=1e-16)
         P = matrix_exp_herm(lab._log_pairs(x[None], dim))
         try:
             excess, witness = lab._loewner_evaluation("power-mean-dominance", params, P)
@@ -1242,8 +1273,8 @@ def test_refined_restarts_report_as_one_at_a_time(monkeypatch, outcomes, blocks)
         [float(((v[:2] - 0.5) ** 2).sum()) for v in V]))
     table = {}
     for k in range(24):
-        x = lab._nelder_mead(lab._dominance_objective(0.8, 0.9, 2), _restart_x0(7, k, 2),
-                             maxiter=2000, xatol=1e-12, fatol=1e-16)
+        x = _nelder_mead(lab._dominance_objective(0.8, 0.9, 2), _restart_x0(7, k, 2),
+                         maxiter=2000, xatol=1e-12, fatol=1e-16)
         P = matrix_exp_herm(lab._log_pairs(x[None], 2))
         table[P.vecs.tobytes() + P.eigs.tobytes()] = (k, outcomes.get(k, -1.0))
     assert len(table) == 24

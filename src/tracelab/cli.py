@@ -170,17 +170,12 @@ def _point(args) -> ParameterPoint:
 
 def _build_family(args, dims, params: ParameterPoint | None = None) -> FamilySpec:
     n, m = dims[:2]
-    params = _point(args) if params is None else params
-    phi = _parse_map(args.phi, n)
-    norm = NormSpec.parse(args.antinorm or args.norm or "trace")
-    if args.family in ("lieb", "mean", "logexp"):
-        psi = _parse_map(args.psi, m)
-        mean = MeanSpec.parse(args.mean) if args.family == "mean" else None
-        return FamilySpec(family=args.family, phi=phi, psi=psi, norm=norm,
-                          mean=mean, params=params)
-    if args.family == "epstein":
-        return FamilySpec(family="epstein", phi=phi, norm=norm, params=params)
-    raise CliError(f"unknown family {args.family!r}")
+    mean = args.mean if args.family == "mean" else None  # FamilySpec refuses a missing one
+    return FamilySpec(family=args.family, params=_point(args) if params is None else params,
+                      phi=_parse_map(args.phi, n),
+                      norm=NormSpec.parse(args.antinorm or args.norm or "trace"),
+                      psi=None if args.family == "epstein" else _parse_map(args.psi, m),
+                      mean=None if mean is None else MeanSpec.parse(mean))
 
 
 def _emit(payload: dict, out: str | None) -> None:

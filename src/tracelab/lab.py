@@ -11,8 +11,8 @@ stream_index + t; hunt structured candidates: stream_index; curvature base point
 
 midpoint_test and loewner_midpoint_test draw each trial on its stream as above and
 build LOEWNER_BLOCK trials' inputs as one stack, then judge them in stream order;
-midpoint_test mixes MIX_CHUNK trials' inputs at all their weights in one checked
-stack and evaluates each pair alone, loewner_midpoint_test evaluates one stack.
+midpoint_test mixes MIX_CHUNK built trials at all their weights in one checked stack
+and evaluates each pair alone, loewner_midpoint_test evaluates one stack per block.
 Its Nelder-Mead restarts are _simplex generators: each does scipy 1.17's arithmetic,
 so it ends where scipy's minimize does, but yields a step's four candidate points
 as one stack, speculatively, and receives their values.  _lockstep runs a block of
@@ -26,8 +26,8 @@ The hunt evaluates ahead in stacks and judges in order, so it draws, charges
 and certifies as one evaluation at a time does, on the stream layout above.
 Each candidate's endpoint pairs and mixed pairs at all its weights go in one
 eval_family call, a curvature base point's segment endpoints in one call, and the
-random phase's draws, built as midpoint_test's are, in blocks of 1, 2, 4, ... up to
-HUNT_BLOCK draws.  The hill climb draws a block of steps as if each were rejected,
+random phase's draws, built and evaluated by _blocks in blocks of 1, 2, 4, ... up
+to HUNT_BLOCK draws.  The hill climb draws a block of steps as if each were rejected,
 evaluates them in one call and keeps the first accepted one, restoring the rng and
 step recorded after it; its blocks grow from 2 to HUNT_BLOCK steps and fall back
 to 2 on an acceptance.  The stability re-check and replay_certificate evaluate
@@ -37,6 +37,7 @@ The stacks of trials, hunt values, climb steps and objective points keep one
 rule (_stacked): a stack that raises is evaluated again item by item, and an item
 that raises alone fails (a failed trial, a missing hunt value, a rejected climb
 step, an objective value of 1).  So each item's result is the one it has alone.
+The trial loops (builds, mixes, Loewner blocks, random draws) run through _blocks.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -210,6 +211,17 @@ def _stacked(evaluate, items, failed=None) -> list:
     return [r for i in range(len(items)) for r in _stacked(evaluate, items[i:i + 1], failed)]
 
 
+def _blocks(items, sizes, evaluate):
+    """Lazily yields (stream, result) of each (stream, item) of the iterator items, in
+    order, taking a block of each size in sizes in turn and evaluating its items that
+    are not None by _stacked: None for an item that is None or raises alone."""
+    for size in sizes:
+        if not (block := list(islice(items, size))):
+            return
+        results = iter(_stacked(evaluate, [item for _, item in block if item is not None]))
+        yield from ((stream, None if item is None else next(results)) for stream, item in block)
+
+
 def _evaluated_pairs(family: FamilySpec, items) -> list:
     """eval_family at each pair (A, B) of items, then at the pair lam (A1, B1) +
     (1 - lam) (A2, B2) of each mix (A1, B1, A2, B2, lam) after them (B is None
@@ -228,11 +240,6 @@ def _evaluated_pairs(family: FamilySpec, items) -> list:
             Ps.append(PosDef.from_hermitian(lam * M1 + (1 - lam) * M2))
         stacks.append(_joined(Ps))
     return eval_family(family, *stacks).tolist()
-
-
-def _pair_values(family: FamilySpec, pairs, mixes) -> list:
-    """_evaluated_pairs of [*pairs, *mixes] by _stacked's rule: None for one that raises alone."""
-    return _stacked(partial(_evaluated_pairs, family), [*pairs, *mixes])
 
 
 def _checked_direction(direction: str) -> str:
@@ -263,7 +270,8 @@ def _draw_inputs(family: FamilySpec, rng) -> list:
 
 def _build_inputs(draws: list) -> list:
     """The inputs (A1, B1, A2, B2) of each trial's _draw_inputs draws, one build_posdef
-    call per input dimension, matrices built (_mix reads them); bytes as if alone."""
+    call per input dimension, matrices built (_trial_mixes and _evaluated_pairs read
+    them); bytes as if alone."""
     P = [None] * 4  # the stacks of A1, B1, A2, B2 over the trials; drawn A1, A2, B1, B2
     for n in dict.fromkeys(logs.size for logs, _ in draws[0]):
         js = [j for j, (logs, _) in enumerate(draws[0]) if logs.size == n]
@@ -275,14 +283,9 @@ def _build_inputs(draws: list) -> list:
     return [tuple(None if S is None else S[t] for S in P) for t in range(len(draws))]
 
 
-def _built(block: list) -> list:
-    """block's (stream, (input draws, x) or None) items as (stream, (inputs, x)), built
-    by _build_inputs, or (stream, None) for no draw or a draw whose build fails alone
-    (_stacked)."""
-    built = iter(_stacked(lambda drawn: zip(_build_inputs([d for d, _ in drawn]),
-                                            [x for _, x in drawn]),
-                          [d for _, d in block if d is not None]))
-    return [(stream, None if d is None else next(built)) for stream, d in block]
+def _built(drawn: list) -> list:
+    """The (input draws, x) items of drawn as (inputs, x), built by _build_inputs."""
+    return list(zip(_build_inputs([d for d, _ in drawn]), [x for _, x in drawn]))
 
 
 def _trial_mixes(trials: list) -> list:
@@ -340,43 +343,37 @@ def _midpoint_reports(family: FamilySpec, directions, trials: int, sampler: Samp
     """Randomized joint midpoint tests of each direction on one pass of trials.  A trial
     evaluates every weight before any is judged, so it counts as whole or failed; a
     trial with a non-finite lhs or rhs fails.  Inputs are built LOEWNER_BLOCK at a time,
-    their mixes MIX_CHUNK trials at a time (_trial_mixes, by _stacked's rule), and each
+    their mixes MIX_CHUNK trials at a time (_trial_mixes), both by _blocks, and each
     pair is evaluated alone."""
-    def evaluated(inputs, extra, mixes):  # (inputs, (lam, lhs, rhs, scale) at each weight)
-        if mixes is None:  # its mixes failed
-            return None
-        A1, B1, A2, B2 = inputs
+    def evaluated(trial, mixes):  # (inputs, (lam, lhs, rhs, scale) at each weight)
+        (A1, B1, A2, B2), extra = trial
         try:
             f = eval_family(family, A1, B1), eval_family(family, A2, B2)
             sides = [(lam, *_violation("concave", lam, eval_family(family, *mix), *f)[1:])
                      for lam, mix in zip((*DEFAULT_LAMBDAS, extra), mixes)]
         except (EvaluationError, MatrixError):
             return None
-        return (inputs, sides) if np.isfinite([side[1:3] for side in sides]).all() else None
+        return (trial[0], sides) if np.isfinite([side[1:3] for side in sides]).all() else None
 
     worst = dict.fromkeys(directions, -np.inf)
     best = dict.fromkeys(directions, (0.0, None))  # (relative violation, certificate)
     failures = 0
     draws = _trials(sampler, trials, lambda rng: (_draw_inputs(family, rng), float(rng.uniform())))
-    while block := list(islice(draws, LOEWNER_BLOCK)):
-        block = _built(block)
-        built = [trial for _, trial in block if trial is not None]
-        mixes = (m for c in range(0, len(built), MIX_CHUNK)
-                 for m in _stacked(_trial_mixes, built[c:c + MIX_CHUNK]))
-        for stream, trial in block:
-            if trial is None or (trial := evaluated(*trial, next(mixes))) is None:
-                failures += 1
-                continue
-            inputs, sides = trial
-            for direction in directions:
-                for lam, lhs, rhs, scale in sides:
-                    viol = _signed_violation(direction, lhs, rhs)
-                    rel = viol / scale
-                    worst[direction] = max(worst[direction], rel)
-                    if viol > CLAIM_REL * scale and rel > best[direction][0]:
-                        best[direction] = rel, _make_certificate(
-                            family, direction, *inputs, lam, lhs, rhs, viol, sampler.seed,
-                            stream)
+    built = _blocks(draws, repeat(LOEWNER_BLOCK), _built)
+    mixed = _blocks(built, repeat(MIX_CHUNK), lambda chunk: zip(chunk, _trial_mixes(chunk)))
+    for stream, trial in mixed:
+        if trial is None or (trial := evaluated(*trial)) is None:
+            failures += 1
+            continue
+        inputs, sides = trial
+        for direction in directions:
+            for lam, lhs, rhs, scale in sides:
+                viol = _signed_violation(direction, lhs, rhs)
+                rel = viol / scale
+                worst[direction] = max(worst[direction], rel)
+                if viol > CLAIM_REL * scale and rel > best[direction][0]:
+                    best[direction] = rel, _make_certificate(
+                        family, direction, *inputs, lam, lhs, rhs, viol, sampler.seed, stream)
     return {d: TestReport(label=label or family.label(), direction=d, trials=trials,
                           worst_violation=float(worst[d]), failures=failures,
                           verdict=_verdict(failures, trials, best[d][1] is not None, worst[d]),
@@ -441,10 +438,11 @@ def _hill_climb(family, direction, state, f, lam, best, rng, iters):
     The steps run speculatively, in blocks that grow from 2 to HUNT_BLOCK steps
     and fall back to 2 on an accepted or failed step.  A block draws its steps as
     if each were rejected, evaluates their moved and mixed pairs in one stacked
-    call (_pair_values) and judges them in order; at the first accepted step, or
-    the first whose moved or mixed pair fails alone (rejected, its step times
-    0.9), it drops the rest and restores the rng and step recorded after that
-    one, so the climb draws and ends as one step at a time does.
+    _evaluated_pairs call by _stacked's rule and judges them in order; at the
+    first accepted step, or the first whose moved or mixed pair fails alone
+    (rejected, its step times 0.9), it drops the rest and restores the rng and
+    step recorded after that one, so the climb draws and ends as one step at a
+    time does.
     """
     climb, done, size = (state, f, lam, best, 0.3), 0, 2
     while done < iters:
@@ -456,8 +454,9 @@ def _hill_climb(family, direction, state, f, lam, best, rng, iters):
             if trial is not None:  # what an acceptance would leave: state, steps, step
                 block.append((trial, pair, lam2, rng.bit_generator.state, end, step))
                 step *= 0.97
-        values = _pair_values(family, [t[2 * p:2 * p + 2] for t, p, *_ in block],
-                              [(*t, lam2) for t, _, lam2, *_ in block])
+        values = _stacked(partial(_evaluated_pairs, family),
+                          [t[2 * p:2 * p + 2] for t, p, *_ in block]
+                          + [(*t, lam2) for t, _, lam2, *_ in block])
         climb, done, size = (state, f, lam, best, step), end, min(2 * size, HUNT_BLOCK)
         for (trial, pair, lam2, after, steps, kept), moved, lhs in zip(
                 block, values[:len(block)], values[len(block):]):
@@ -557,52 +556,50 @@ def _segment_endpoints(A0, B0, G1, G2):
 
 
 def _candidate_values(family: FamilySpec, cands) -> list:
-    """(f, sides) of each candidate ((A1, B1, A2, B2), weights): f its endpoint
-    values, sides (lam, f at the inputs mixed at lam) for each weight, all in
-    one stacked eval_family call (_pair_values).  A candidate whose endpoint
-    value fails has f None and no sides; a weight whose mix fails has no side."""
-    values = _pair_values(family, [pair for (A1, B1, A2, B2), _ in cands
-                                   for pair in ((A1, B1), (A2, B2))],
-                          [(*inputs, lam) for inputs, lams in cands for lam in lams])
+    """(inputs, f, sides) of each candidate (inputs, weights), inputs (A1, B1, A2,
+    B2): f its endpoint values, sides (lam, f at the inputs mixed at lam) for each
+    weight, all in one stacked _evaluated_pairs call by _stacked's rule.  A
+    candidate whose endpoint value fails has f None and no sides; a weight whose
+    mix fails has no side."""
+    values = _stacked(partial(_evaluated_pairs, family),
+                      [pair for (A1, B1, A2, B2), _ in cands for pair in ((A1, B1), (A2, B2))]
+                      + [(*inputs, lam) for inputs, lams in cands for lam in lams])
     f = zip(values[:2 * len(cands):2], values[1:2 * len(cands):2])
     lhs = iter(values[2 * len(cands):])
     sides = [[(lam, v) for lam, v in zip(lams, lhs) if v is not None] for _, lams in cands]
-    return [(None, []) if None in fc else (fc, s) for fc, s in zip(f, sides)]
+    return [(inputs, None, []) if None in fc else (inputs, fc, s)
+            for (inputs, _), fc, s in zip(cands, f, sides)]
 
 
 def _candidates(family: FamilySpec, direction: str, budget: int, sampler: SamplerConfig):
     """The hunt's candidates, phase by phase: structured, curvature, random.
 
-    Yields (trials charged, stream, (A1, B1, A2, B2), f, sides), f and sides as
+    Yields (trials charged, stream, inputs, f, sides), inputs, f and sides as
     _candidate_values gives them.  A curvature base point is charged on an item
     of its own, with no inputs and no sides: 1 if it fails, else a third of its
     evaluations; its segment endpoints follow, charged 0 and evaluated as one
     stack.  A random draw that fails is charged 1 the same way.  The random
-    draws are evaluated in blocks of 1, 2, 4, ... up to HUNT_BLOCK draws, so
-    that a certificate among the first draws leaves little evaluated past it.
+    draws are built and evaluated by _blocks in blocks of 1, 2, 4, ... up to
+    HUNT_BLOCK draws, so that a certificate among the first draws leaves little
+    evaluated past it; a block whose build raises is built and evaluated draw by
+    draw.
     """
-    def evaluated(items):  # (charge, stream, (inputs, weights) or None) of each item
-        values = iter(_candidate_values(family, [c for _, _, c in items if c is not None]))
-        for charge, stream, cand in items:
-            yield charge, stream, *((cand[0], *next(values)) if cand else (None, None, []))
-
     for inputs in _structured_candidates(family):
-        yield from evaluated([(1, sampler.stream_index, (inputs, (0.5, 0.25, 0.75)))])
+        yield 1, sampler.stream_index, *_candidate_values(family,
+                                                          [(inputs, (0.5, 0.25, 0.75))])[0]
     # curvature-directed phase: Hessian eigendirections at random base points
     for k in range(int(min(10, max(2, budget // 100)))):
         stream = 0xC0DE + k
         found = _curvature_direction(family, direction, rng_for(sampler.seed, stream))
-        if found is None:
-            yield 1, stream, None, None, []
-        else:
-            yield from evaluated([(max(1, found[-1] // 3), stream, None)]
-                                 + [(0, stream, (inputs, (0.5,)))
-                                    for inputs in _segment_endpoints(*found[:4])])
+        yield 1 if found is None else max(1, found[-1] // 3), stream, None, None, []
+        if found is not None:
+            segments = [(inputs, (0.5,)) for inputs in _segment_endpoints(*found[:4])]
+            yield from ((0, stream, *values) for values in _candidate_values(family, segments))
     draw = lambda rng: (_draw_inputs(family, rng), (0.5, float(rng.uniform(0.05, 0.95))))
-    draws, size = _trials(sampler, budget, draw), 1
-    while block := list(islice(draws, size)):
-        yield from evaluated([(1, stream, drawn) for stream, drawn in _built(block)])
-        size = min(2 * size, HUNT_BLOCK)
+    for stream, values in _blocks(_trials(sampler, budget, draw),
+                                  (min(2 ** k, HUNT_BLOCK) for k in count()),
+                                  lambda drawn: _candidate_values(family, _built(drawn))):
+        yield 1, stream, *(values or (None, None, []))
 
 
 def hunt_counterexample(
@@ -733,7 +730,7 @@ def _loewner_sides(expr: str, params: dict, P: PosDef):
         A1, A2, B1, B2 = P
         mid = eval_mean(mean, _mix(A1, A2, 0.5), _mix(B1, B2, 0.5))
         avg = 0.5 * (eval_mean(mean, A1, B1).mat + eval_mean(mean, A2, B2).mat)
-    return PosDef.from_hermitian(avg).mat, mid
+    return hermitize(avg), mid
 
 
 def _loewner_evaluation(expr: str, params: dict, P: PosDef):
@@ -756,7 +753,7 @@ def _loewner_trials(expr: str, params: dict, trials: int, sampler: SamplerConfig
     """Lazily yields (stream, (excess, witness(stream))) of each trial in stream
     order, or (stream, None) for a trial that fails: LOEWNER_BLOCK trials drawn
     (a draw_posdef pair per input), then built and evaluated as one stack
-    (_stacked)."""
+    (_blocks)."""
     dim = params["phi"].in_dim if expr == "hat-power" else sampler.dim
     names = LOEWNER_INPUTS[expr]
 
@@ -767,9 +764,7 @@ def _loewner_trials(expr: str, params: dict, trials: int, sampler: SamplerConfig
         return [(excess[t], partial(witness, t)) for t in range(len(block))]
 
     draws = _trials(sampler, trials, lambda rng: [draw_posdef(rng, dim) for _ in names])
-    while block := list(islice(draws, LOEWNER_BLOCK)):
-        yield from zip([stream for stream, _ in block],
-                       _stacked(evaluated, [d for _, d in block]))
+    return _blocks(draws, repeat(LOEWNER_BLOCK), evaluated)
 
 
 def _log_pairs(V: np.ndarray, dim: int) -> np.ndarray:

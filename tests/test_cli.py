@@ -227,7 +227,9 @@ _CERTIFICATE_WITHOUT_B = _certificate(family={**json.loads(_CERTIFICATE_LOGEXP)[
 _EXIT_4_ERRORS = {"certificate-lambda-outside": "lambda must lie in [0, 1]",
                   "certificate-evaluation-raises": "Phi(I) + Psi(I) = I",
                   "certificate-shapes-differ": "differ in shape",
-                  "certificate-without-b": "'b1'"}
+                  "certificate-without-b": "'b1'",
+                  "eval-mean-without-spec": "mean family requires a mean spec",
+                  "config-unknown-family": "unknown family"}
 
 
 class TestBadInput:
@@ -257,6 +259,12 @@ class TestBadInput:
                                        "--p", "0.5", "--q", "0.5", "--s", "0.8",
                                        "--direction", "concave"],
                      id="config-zero-budget"),
+        pytest.param('{"family": "bogus"}', ["--config", "{file}", "hunt", "--p", "0.5",
+                                             "--direction", "concave"],
+                     id="config-unknown-family"),
+        pytest.param(json.dumps(mat_to_json(np.eye(2, dtype=complex))),
+                     ["eval", "--family", "mean", "--p", "0.5", "--q", "0.5", "--a", "{file}",
+                      "--b", "{file}"], id="eval-mean-without-spec"),
         pytest.param('{"dim": 2}', _EVAL + ["--a", "{file}"], id="matrix-without-entries"),
         pytest.param("[[1, 2]]", _EVAL + ["--a", "{file}"], id="matrix-list"),
         pytest.param(_PIECE, _ON_REGION + ["--phi", "kraus:{file}"], id="kraus-object"),

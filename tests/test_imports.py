@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, only
 linalg calls numpy's Hermitian eigensolvers or imports the LAPACK gufuncs
-behind them, and lab reaches eval_family from three functions only."""
+behind them, lab reaches eval_family from three functions only, and only
+lab._blocks reads islice."""
 
 import ast
 import pathlib
@@ -89,31 +90,36 @@ def test_only_linalg_reaches_numpys_lapack_gufuncs(module):
     assert (uses != []) == (module == "linalg.py")
 
 
-def eval_family_holders(source: str) -> list[str]:
-    """The top-level functions of source that read the name eval_family, or an
-    attribute of that name, anywhere inside them, sorted; "<module>" for a read
-    outside any function."""
-    holders = set()
+def holders(source: str, name: str) -> list[str]:
+    """The top-level functions of source that read name, or an attribute of that
+    name, anywhere inside them, sorted; "<module>" for a read outside any
+    function."""
+    found = set()
     for top in ast.parse(source).body:
         for node in ast.walk(top):
-            if ((isinstance(node, ast.Name) and node.id == "eval_family")
-                    or (isinstance(node, ast.Attribute) and node.attr == "eval_family")):
-                holders.add(top.name if isinstance(top, ast.FunctionDef) else "<module>")
-    return sorted(holders)
+            if ((isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name)):
+                found.add(top.name if isinstance(top, ast.FunctionDef) else "<module>")
+    return sorted(found)
 
 
 def test_the_check_finds_each_function_that_reaches_eval_family():
-    assert eval_family_holders(
+    assert holders(
         "from .families import eval_family\n"
         "def f(A):\n    def g(B):\n        return eval_family(s, B)\n    return g(A)\n"
         "def h(A):\n    return families.eval_family(s, A)\n"
         "def k():\n    return partial(eval_family, s)\n"
         "def m(A):\n    return evaluate(s, A)\n"
-        "x = eval_family(s, A)\n") == ["<module>", "f", "h", "k"]
+        "x = eval_family(s, A)\n", "eval_family") == ["<module>", "f", "h", "k"]
 
 
 def test_lab_evaluates_families_in_three_functions():
     # the hunt, its stability re-check and replay_certificate share _evaluated_pairs;
     # midpoint trials still evaluate one pair per call, and the curvature scan its rows
-    assert eval_family_holders((SRC / "lab.py").read_text()) == [
+    assert holders((SRC / "lab.py").read_text(), "eval_family") == [
         "_curvature_direction", "_evaluated_pairs", "_midpoint_reports"]
+
+
+def test_lab_takes_trial_blocks_in_one_function():
+    # every randomized trial loop takes its blocks through _blocks
+    assert holders((SRC / "lab.py").read_text(), "islice") == ["_blocks"]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import zlib
+from itertools import count, repeat
 
 import numpy as np
 import pytest
@@ -745,6 +746,52 @@ def test_a_stack_that_raises_gives_each_item_its_value_alone(chosen, kind):
         else:
             assert value.tobytes() == evaluate(V[k:k + 1])[0].tobytes()
     assert lab._stacked(evaluate, items[:0]) == []
+
+
+def test_blocks_take_one_block_per_size_and_give_results_in_order():
+    seen = []
+
+    def evaluate(items):
+        seen.append(list(items))
+        return [10 * x for x in items]
+
+    got = list(lab._blocks(iter([(k, k) for k in range(7)]), (1, 2, 4), evaluate))
+    assert seen == [[0], [1, 2], [3, 4, 5, 6]]
+    assert got == [(k, 10 * k) for k in range(7)]
+
+
+def test_blocks_pass_none_through_and_fail_an_item_that_raises_alone():
+    seen = []
+
+    def evaluate(items):
+        seen.append(list(items))
+        if 3 in items:
+            raise EvaluationError("item 3")
+        return [10 * x for x in items]
+
+    items = [(k, None if k == 1 else k) for k in range(5)]
+    got = list(lab._blocks(iter(items), repeat(5), evaluate))
+    assert got == [(0, 0), (1, None), (2, 20), (3, None), (4, 40)]
+    assert seen == [[0, 2, 3, 4], [0], [2], [3], [4]]  # None never reaches evaluate
+
+
+def test_blocks_pull_a_block_only_when_it_is_read_through_two_stages():
+    pulled = []
+
+    def source():
+        for k in count():
+            pulled.append(k)
+            yield k, k
+
+    first = lab._blocks(source(), repeat(4), lambda items: [x + 1 for x in items])
+    assert next(first) == (0, 1) and pulled == [0, 1, 2, 3]
+    pulled.clear()
+    second = lab._blocks(lab._blocks(source(), repeat(4), lambda items: [x + 1 for x in items]),
+                         repeat(2), lambda items: [2 * x for x in items])
+    assert next(second) == (0, 2) and pulled == [0, 1, 2, 3]
+    assert [next(second) for _ in range(3)] == [(1, 4), (2, 6), (3, 8)]
+    assert pulled == [0, 1, 2, 3]
+    assert next(second) == (4, 10) and pulled == list(range(8))
 
 
 def _values_raise(chosen, evaluate=eval_family):

@@ -79,6 +79,8 @@ def _load_json(path: str):
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested deeper than the decoder goes
+        raise CliError(f"{path} is nested too deeply to decode: {exc}") from exc
 
 
 def _load_list(path: str) -> list:

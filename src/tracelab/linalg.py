@@ -21,8 +21,9 @@ so a caller that reads only spectra, such as the power means of the Loewner
 tests, builds no matrix.  Every eigensolver run on a computed matrix goes
 through eigh, which calls the LAPACK gufuncs of np.linalg.eigh and eigvalsh
 (numpy.linalg._umath_linalg) directly, for their bits without their wrappers'
-cost, and turns a solver failure into a MatrixError; its error state is set by
-np.errstate used as a decorator, which builds no context object per call.
+cost, and turns a solver failure into a MatrixError; its error state is built
+once at import and set and reset around each call, as np.errstate's decorator
+does but without building numpy's error-state object on every call.
 PosDef.from_spectrum checks positivity and order with one ufunc reduction each
 over the whole stack (np.fmin.reduce, np.logical_and.reduce): the ndarray
 methods .min(), .all() reach the same reductions through an extra Python
@@ -33,6 +34,13 @@ n diagonal entries, then the real and imaginary parts of each entry above the
 diagonal, row by row (vec_to_herm).  herm_grad_to_vec maps the gradient of a
 real function with respect to the matrix to its gradient with respect to that
 vector.
+
+Sampling: draw_posdef takes a matrix's raw draws from its generator, its
+log-eigenvalues and a (2, n, n) block of standard normals, and build_posdef
+builds a stack of such draws with one complex Gaussian (re + 1j*im)/sqrt(2),
+QR, phase fix and from_spectrum for the whole stack.  The Gaussian is
+elementwise and the QR runs matrix by matrix, so each matrix of the stack has
+the bytes it has built alone.
 """
 
 from __future__ import annotations
@@ -42,11 +50,13 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 HERM_ATOL = 1e-12
 #: range of the sampled eigenvalues, drawn log-uniformly
 EIG_LOW, EIG_HIGH = 0.1, 10.0
+_LOG_LOW, _LOG_HIGH = np.log(EIG_LOW), np.log(EIG_HIGH)
 
 
 class MatrixError(ValueError):
@@ -96,17 +106,28 @@ def check_hermitian(M: np.ndarray) -> None:
     )
 
 
-@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+#: eigh's error state: np.errstate(invalid="raise", over, divide and under ignored)
+_EIGH_ERRSTATE = _make_extobj(invalid="raise", over="ignore", divide="ignore", under="ignore")
+
+
 def eigh(H: np.ndarray, vectors: bool = True):
     """np.linalg.eigh's (w, V), or eigvalsh's w without vectors, of a computed float64
-    or complex128 Hermitian matrix or stack; a solver failure raises MatrixError."""
+    or complex128 Hermitian matrix or stack; a solver failure raises MatrixError.
+
+    Whatever the caller's error state, the solver runs under one built at import:
+    invalid raises; over, divide and under are ignored.  It also fixes numpy's
+    buffer size and error callback as they were at import; no category uses
+    "call" or "log", and the gufunc's values do not depend on the buffer size."""
     t = "D" if H.dtype.kind == "c" else "d"
+    token = _extobj_contextvar.set(_EIGH_ERRSTATE)
     try:
         if vectors:
             return _umath_linalg.eigh_lo(H, signature=f"{t}->d{t}")
         return _umath_linalg.eigvalsh_lo(H, signature=f"{t}->d")
     except FloatingPointError as exc:
         raise MatrixError("eigensolver failed: Eigenvalues did not converge") from exc
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 class PosDef:
@@ -280,12 +301,18 @@ class SamplerConfig:
 
 
 def rng_for(seed: int, stream_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_index,)))
+    """The generator of stream stream_index of seed: default_rng's, built directly."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(stream_index,))))
+
+
+def _complex(G: np.ndarray) -> np.ndarray:
+    """The complex Gaussians (re + 1j*im) / sqrt(2) of standard normals G, (..., 2, n, n)."""
+    return (G[..., 0, :, :] + 1j * G[..., 1, :, :]) / np.sqrt(2)
 
 
 def _complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    re, im = rng.standard_normal((2, dim, dim))
-    return (re + 1j * im) / np.sqrt(2)
+    return _complex(rng.standard_normal((2, dim, dim)))
 
 
 def _haar_unitary(Z: np.ndarray) -> np.ndarray:
@@ -300,15 +327,16 @@ def sample_unitary(dim: int, seed: int, stream_index: int = 0) -> np.ndarray:
 
 
 def draw_posdef(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """What sample_posdef_rng draws from rng: log-eigenvalues, then the complex
-    Gaussian of its unitary."""
-    return rng.uniform(np.log(EIG_LOW), np.log(EIG_HIGH), size=dim), _complex_gaussian(dim, rng)
+    """What sample_posdef_rng draws from rng, raw: log-eigenvalues, then the
+    standard normals (2, n, n) of its unitary's complex Gaussian."""
+    return rng.uniform(_LOG_LOW, _LOG_HIGH, dim), rng.standard_normal((2, dim, dim))
 
 
-def build_posdef(logs: np.ndarray, Z: np.ndarray) -> PosDef:
+def build_posdef(logs: np.ndarray, G: np.ndarray) -> PosDef:
     """The matrix of draw_posdef's draws, or the stack of a stack of draws
-    ((..., n) and (..., n, n)): one QR, phase fix and from_spectrum for all."""
-    return PosDef.from_spectrum(np.exp(logs), _haar_unitary(Z))
+    ((..., n) and (..., 2, n, n)): one complex Gaussian, QR, phase fix and
+    from_spectrum for all."""
+    return PosDef.from_spectrum(np.exp(logs), _haar_unitary(_complex(G)))
 
 
 def sample_posdef_rng(rng: np.random.Generator, dim: int) -> PosDef:

@@ -38,8 +38,8 @@ class NormSpec:
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.kind in ("kyfan", "kyfan-anti", "minkowski"):
-            if self.k is None or self.k < 1:
-                raise ValueError(f"{self.kind} requires k >= 1, got {self.k}")
+            if type(self.k) is not int or self.k < 1:  # bool, float and None refused
+                raise ValueError(f"{self.kind} requires an integer k >= 1, got {self.k!r}")
         if self.kind == "schatten-quasi":
             if self.p is None or not (0 < self.p < 1):
                 raise ValueError(f"schatten-quasi requires 0 < p < 1, got {self.p}")

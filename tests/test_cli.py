@@ -223,8 +223,14 @@ _CERTIFICATE_LOGEXP = _certificate(
 #: a two-variable family (lieb) whose certificate has no b1 and b2
 _CERTIFICATE_WITHOUT_B = _certificate(family={**json.loads(_CERTIFICATE_LOGEXP)["family"],
                                               "family": "lieb"})
+#: epstein with the Ky Fan norm at a fractional k, on 3 x 3 inputs (k < n)
+_CERTIFICATE_FRACTIONAL_K = _certificate(
+    family={**json.loads(_certificate())["family"], "phi": identity_map(3).to_dict(),
+            "norm": {"kind": "kyfan", "k": 2.5}},
+    a1=mat_to_json(np.eye(3, dtype=complex)), a2=mat_to_json(3 * np.eye(3, dtype=complex)))
 #: what stderr names, for the test_exits_4 cases that are checked for it
 _EXIT_4_ERRORS = {"certificate-lambda-outside": "lambda must lie in [0, 1]",
+                  "certificate-fractional-k": "kyfan requires an integer k >= 1, got 2.5",
                   "certificate-evaluation-raises": "Phi(I) + Psi(I) = I",
                   "certificate-shapes-differ": "differ in shape",
                   "certificate-without-b": "'b1'",
@@ -294,6 +300,8 @@ class TestBadInput:
                      ["hunt", "--replay", "{file}"], id="certificate-shapes-differ"),
         pytest.param(_CERTIFICATE_WITHOUT_B, ["hunt", "--replay", "{file}"],
                      id="certificate-without-b"),
+        pytest.param(_CERTIFICATE_FRACTIONAL_K, ["hunt", "--replay", "{file}"],
+                     id="certificate-fractional-k"),
     ])
     def test_exits_4(self, content, argv, tmp_path, capsys, request):
         path = tmp_path / "input.json"
@@ -305,21 +313,25 @@ class TestBadInput:
         assert "internal error" not in err
         assert _EXIT_4_ERRORS.get(request.node.callspec.id, "") in err
 
-    @pytest.mark.parametrize("content", ["", "{not json", b"\xff\xfe"],
-                             ids=["empty", "syntax", "not-utf8"])
+    @pytest.mark.parametrize("content,error", [
+        pytest.param("", "is not valid JSON: ", id="empty"),
+        pytest.param("{not json", "is not valid JSON: ", id="syntax"),
+        pytest.param(b"\xff\xfe", "is not valid JSON: ", id="not-utf8"),
+        pytest.param("[" * 100_000, "is nested too deeply to decode: ", id="nested"),
+    ])
     @pytest.mark.parametrize("argv", [
         pytest.param(_EVAL + ["--s", "1", "--a", "{file}"], id="matrix"),
         pytest.param(["--config", "{file}"] + _ON_REGION, id="config"),
         pytest.param(["hunt", "--replay", "{file}"], id="replay"),
     ])
-    def test_a_file_that_is_not_json_is_named(self, content, argv, tmp_path, capsys):
+    def test_a_file_that_is_not_json_is_named(self, content, error, argv, tmp_path, capsys):
         path = tmp_path / "input.json"
         if isinstance(content, bytes):
             path.write_bytes(content)
         else:
             path.write_text(content)
         assert main([a.format(file=path) for a in argv]) == 4
-        assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: ")
+        assert capsys.readouterr().err.startswith(f"error: {path} {error}")
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["verify", "--theorem", "T1.1-1", "--p", "x", "--q", "0.7",

@@ -352,6 +352,25 @@ class TestSampling:
                     == (linalg.hermitize(re + 1j * im) * 0.7).tobytes())
             assert one.bit_generator.state == two.bit_generator.state
 
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_a_block_of_raw_draws_builds_each_matrix_as_alone(self, dim):
+        # draw_posdef keeps its draws raw; build_posdef forms the complex Gaussians of a
+        # whole block, whose rows are the matrices built one by one from the same stream
+        log_low, log_high = np.log(linalg.EIG_LOW), np.log(linalg.EIG_HIGH)
+        for seed, stream in ((0, 0), (7, 3), (2**40 + 1, 12345), (99, 2**20)):
+            one, two = rng_for(seed, stream), rng_for(seed, stream)
+            draws = [linalg.draw_posdef(one, dim) for _ in range(5)]
+            block = linalg.build_posdef(*(np.array([d[i] for d in draws]) for i in (0, 1)))
+            for t in range(5):
+                u = two.uniform(log_low, log_high, dim)
+                re, im = two.standard_normal((dim, dim)), two.standard_normal((dim, dim))
+                alone = PosDef.from_spectrum(
+                    np.exp(u), linalg._haar_unitary((re + 1j * im) / np.sqrt(2)))
+                assert block.eigs[t].tobytes() == alone.eigs.tobytes()
+                assert block.vecs[t].tobytes() == alone.vecs.tobytes()
+                assert block.mat[t].tobytes() == alone.mat.tobytes()
+            assert one.bit_generator.state == two.bit_generator.state
+
 
 def _vec_to_herm_loops(v, dim):
     """The entry-by-entry vec_to_herm, kept as its reference."""

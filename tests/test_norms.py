@@ -154,6 +154,13 @@ class TestSpecPlumbing:
         with pytest.raises(ValueError):
             NormSpec(kind="no-such-kind")
 
+    @pytest.mark.parametrize("kind", ["kyfan", "kyfan-anti", "minkowski"])
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_k_must_be_an_int(self, kind, k):
+        with pytest.raises(ValueError, match=f"{kind} requires an integer k >= 1"):
+            NormSpec(kind=kind, k=k)
+        assert NormSpec(kind=kind, k=2).k == 2
+
     def test_k_out_of_range_at_eval(self):
         with pytest.raises(ValueError):
             eval_norm_from_eigs(NormSpec(kind="kyfan", k=5), _diag(1.0, 2.0).eigs)

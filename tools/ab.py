@@ -5,8 +5,11 @@ Usage, from anywhere inside a checkout:
     python3 tools/ab.py REV --workload verify[,hunt,...] --pairs 10 [--seconds 30] [--seed 2]
 
 builds two temporary checkouts, each holding this checkout's ``perfbench/`` and
-``BENCHMARK.json``: one with ``src/`` of the git revision REV (extracted as
-``tools/digests.py`` does) and one with the working tree's ``src/``.  It then
+``BENCHMARK.json``: one with ``src/`` of the git revision REV and one with the
+working tree's ``src/``.  Both are built the same way, so that only their
+``src/`` differs: each ``src/`` is a tar (``git archive`` for REV, the working
+tree's files without bytecode for the other) unpacked as ``tools/digests.py``
+unpacks one, into sibling directories whose names have the same length.  It then
 runs ``perfbench/run.py --workload W --seed K --seconds S`` in each, one after
 the other, for N pairs; odd pairs run REV first, even pairs the working tree
 first.  A comma list of workloads runs them in turn.  It prints each run's
@@ -28,22 +31,32 @@ Nothing is written inside the checkout.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
-from digests import ROOT, extract_src
+from digests import ROOT, src_archive, unpack
 
 
-def checkout(dest: str, src: str) -> str:
-    """A checkout at dest with src as its src/ and copies of perfbench/ (without
-    its results) and BENCHMARK.json; returns dest."""
-    shutil.copytree(src, os.path.join(dest, "src"),
-                    ignore=shutil.ignore_patterns("__pycache__"))
+def tree_archive() -> bytes:
+    """The working tree's ``src/`` without its bytecode, as a tar."""
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        tar.add(os.path.join(ROOT, "src"), "src",
+                filter=lambda info: None if "__pycache__" in info.name.split("/") else info)
+    return buf.getvalue()
+
+
+def checkout(dest: str, archive: bytes) -> str:
+    """A checkout at dest with the src/ of the tar archive and copies of perfbench/
+    (without its results) and BENCHMARK.json; returns dest."""
+    unpack(archive, dest)
     shutil.copytree(os.path.join(ROOT, "perfbench"), os.path.join(dest, "perfbench"),
                     ignore=shutil.ignore_patterns("__pycache__", "out"))
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), dest)
@@ -109,9 +122,8 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {args.rev: checkout(os.path.join(tmp, "rev"),
-                                    extract_src(args.rev, os.path.join(tmp, "archive"))),
-                 "working tree": checkout(os.path.join(tmp, "tree"), os.path.join(ROOT, "src"))}
+        sides = {args.rev: checkout(os.path.join(tmp, "a"), src_archive(args.rev)),
+                 "working tree": checkout(os.path.join(tmp, "b"), tree_archive())}
         for workload in args.workload.split(","):
             runs = {name: [] for name in sides}
             for k in range(args.pairs):

@@ -39,10 +39,14 @@ PRINTERS = {"tests/test_acceptance.py": [os.path.join(ROOT, "tests/test_acceptan
             "perfbench first passes": ["-c", PERFBENCH_DIGESTS]}
 
 
-def extract_src(rev: str, dest: str) -> str:
-    """``src/`` of revision rev, unpacked under dest; returns its path."""
-    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
-                             capture_output=True, check=True).stdout
+def src_archive(rev: str) -> bytes:
+    """``src/`` of revision rev, as the tar ``git archive`` writes."""
+    return subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
+                          capture_output=True, check=True).stdout
+
+
+def unpack(archive: bytes, dest: str) -> str:
+    """The ``src/`` of a tar, unpacked under dest; returns its path."""
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return os.path.join(dest, "src")
@@ -53,7 +57,7 @@ def main() -> int:
     ap.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        srcs = {args.rev: extract_src(args.rev, os.path.join(tmp, "rev")),
+        srcs = {args.rev: unpack(src_archive(args.rev), os.path.join(tmp, "rev")),
                 "working tree": os.path.join(ROOT, "src")}
         lines = {name: [] for name in srcs}
         for printer, argv in PRINTERS.items():

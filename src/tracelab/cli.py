@@ -170,13 +170,13 @@ def _point(args) -> ParameterPoint:
                           s=1.0 if args.s is None else args.s)
 
 
-def _build_family(args, dims, params: ParameterPoint | None = None) -> FamilySpec:
+def _build_family(args, family: str, dims, params: ParameterPoint | None = None) -> FamilySpec:
     n, m = dims[:2]
-    mean = args.mean if args.family == "mean" else None  # FamilySpec refuses a missing one
-    return FamilySpec(family=args.family, params=_point(args) if params is None else params,
+    mean = args.mean if family == "mean" else None  # FamilySpec refuses a missing one
+    return FamilySpec(family=family, params=_point(args) if params is None else params,
                       phi=_parse_map(args.phi, n),
                       norm=NormSpec.parse(args.antinorm or args.norm or "trace"),
-                      psi=None if args.family == "epstein" else _parse_map(args.psi, m),
+                      psi=None if family == "epstein" else _parse_map(args.psi, m),
                       mean=None if mean is None else MeanSpec.parse(mean))
 
 
@@ -203,10 +203,11 @@ def _atomic_write(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _envelope(args, keys: tuple[str, ...], **body) -> dict:
-    """A run's JSON output: the flags of keys that are set, the subcommand,
+def _envelope(args, **body) -> dict:
+    """A run's JSON output: the flags that are set but ``--out``, the subcommand,
     the version and the seed, then body."""
-    config = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    config = {k: v for k, v in vars(args).items()
+              if v is not None and k not in ("command", "config", "handler", "out")}
     return {"config": {**config, "command": args.command}, "version": __version__,
             "seed": args.seed, **body}
 
@@ -220,16 +221,12 @@ def cmd_eval(args) -> int:
     B = None
     if args.b is not None:
         B = PosDef.from_matrix(mat_from_json(_load_json(args.b)))
-    family = _build_family(args, (A.dim, B.dim if B is not None else A.dim))
+    family = _build_family(args, args.family, (A.dim, B.dim if B is not None else A.dim))
     if family.two_variable and B is None:
         raise CliError(f"family {args.family!r} needs --b")
     value = eval_family(family, A, B)
     print(f"{value:.14e}")
     return EXIT_PASS
-
-
-_VERIFY_KEYS = ("theorem", "p", "q", "s", "trials", "dims", "seed", "norm",
-                "antinorm", "mean", "phi", "psi", "force")
 
 
 def _theorem(theorem_id: str) -> Theorem:
@@ -262,19 +259,18 @@ def cmd_verify(args) -> int:
         family = _verify_family(args, theorem, dims)
         report = midpoint_test(family, theorem.direction, trials=args.trials,
                                sampler=sampler, label=args.theorem)
-    _emit(_envelope(args, _VERIFY_KEYS, report=report.to_dict()), args.out)
+    _emit(_envelope(args, report=report.to_dict()), args.out)
     return _VERDICT_EXIT[report.verdict]
 
 
 def _verify_family(args, theorem: Theorem, dims) -> FamilySpec:
-    """The functional verify tests, with the record's defaults written into
-    ``args`` (and so into the emitted config): its norm or anti-norm when
-    neither flag is given, its mean when ``--mean`` is not."""
-    args.family = theorem.family
+    """The functional verify tests, of the record's family, with the record's
+    defaults written into ``args`` (and so into the emitted config): its norm or
+    anti-norm when neither flag is given, its mean when ``--mean`` is not."""
     if args.norm is None and args.antinorm is None:
         args.norm, args.antinorm = theorem.norm, theorem.antinorm
     args.mean = args.mean or theorem.mean
-    family = _build_family(args, dims)
+    family = _build_family(args, theorem.family, dims)
     if theorem.cp_required and not family.phi.cp:
         raise CliError(f"{args.theorem} requires cp: true; map kind "
                        f"{family.phi.kind!r} is positive but not completely positive")
@@ -287,7 +283,7 @@ def cmd_sweep(args) -> int:
     if p_grid and s_grid and not q_grid:
         q_grid = [0.0]  # one-variable families ignore q
     # sweep() sets each cell's own point; (1, 1, 1) is valid for every family
-    family = _build_family(args, dims, ParameterPoint(1.0, 1.0, 1.0))
+    family = _build_family(args, args.family, dims, ParameterPoint(1.0, 1.0, 1.0))
     sampler = SamplerConfig(dim=dims[0], seed=args.seed)
     result = sweep(family, p_grid, q_grid, s_grid,
                    trials_per_cell=args.trials, sampler=sampler)
@@ -297,10 +293,6 @@ def cmd_sweep(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_PASS
-
-
-_HUNT_KEYS = ("family", "p", "q", "s", "direction", "budget", "dims", "seed",
-              "norm", "antinorm", "mean", "phi", "psi")
 
 
 def cmd_hunt(args) -> int:
@@ -323,11 +315,11 @@ def cmd_hunt(args) -> int:
         return EXIT_VIOLATED
 
     dims = _parse_dims(args.dims)
-    family = _build_family(args, dims)
+    family = _build_family(args, args.family, dims)
     sampler = SamplerConfig(dim=dims[0], seed=args.seed)
     result = hunt_counterexample(family, args.direction, budget=args.budget,
                                  sampler=sampler)
-    _emit(_envelope(args, _HUNT_KEYS, found=result.certificate is not None,
+    _emit(_envelope(args, found=result.certificate is not None,
                     trials_used=result.trials_used,
                     best_relative_violation=json_number(result.best_violation),
                     certificate=result.certificate.to_dict() if result.certificate else None),

@@ -12,7 +12,6 @@ whose infimum over positive definite B realizes Tr Phi(A^p)^{1/r}.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .linalg import (
     eigh,
     herm_grad_to_vec,
     hermitize,
+    is_real,
     matrix_exp_herm,
     matrix_log,
     matrix_power,
@@ -43,8 +43,7 @@ class EvaluationError(RuntimeError):
 
 def real_field(d: dict, key: str):
     """d[key] of a JSON payload, refused with TypeError unless it is a number."""
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_real(value := d[key]):
         raise TypeError(f"{key!r} must be a number, got {value!r}")
     return value
 
@@ -111,17 +110,9 @@ class FamilySpec:
         return tag + ")"
 
     def to_dict(self) -> dict:
-        d: dict = {
-            "family": self.family,
-            "phi": self.phi.to_dict(),
-            "norm": self.norm.to_dict(),
-            "params": self.params.to_dict(),
-        }
-        if self.psi is not None:
-            d["psi"] = self.psi.to_dict()
-        if self.mean is not None:
-            d["mean"] = self.mean.to_dict()
-        return d
+        # every field but the family's name is a spec
+        return {k: v if k == "family" else v.to_dict()
+                for k, v in vars(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FamilySpec":

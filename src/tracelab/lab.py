@@ -16,9 +16,9 @@ and evaluates each pair alone, loewner_midpoint_test evaluates one stack per blo
 Its Nelder-Mead restarts are _simplex generators: each does scipy 1.17's arithmetic,
 so it ends where scipy's minimize does, but yields a step's four candidate points
 as one stack, speculatively, and receives their values.  _lockstep runs a block of
-them with one objective call per round; the restarts go in blocks of 1, 2, 4, ...,
-judged in restart order up to the first witness.  Their objective and the
-power-mean dominance blocks pass the pair (A, B) as one PosDef stack to
+them with one objective call per round; the restarts go in _blocks of 1, 2, 4, ...,
+their end points in _blocks of 1, judged in restart order up to the first witness.
+Their objective and the power-mean dominance blocks pass (A, B) as one stack to
 _loewner_sides, then _loewner_excess; a PosDef builds its matrix only when a
 later step reads it.
 
@@ -30,14 +30,14 @@ random phase's draws, built and evaluated by _blocks in blocks of 1, 2, 4, ... u
 to HUNT_BLOCK draws.  The hill climb draws a block of steps as if each were rejected,
 evaluates them in one call and keeps the first accepted one, restoring the rng and
 step recorded after it; its blocks grow from 2 to HUNT_BLOCK steps and fall back
-to 2 on an acceptance.  The stability re-check and replay_certificate evaluate
-with the same evaluator (_evaluated_pairs), each in one call.
+to 2 on an acceptance.  The stability re-check evaluates its regularizations as
+candidates, and replay_certificate through _evaluated_pairs, each in one call.
 
 The stacks of trials, hunt values, climb steps and objective points keep one
 rule (_stacked): a stack that raises is evaluated again item by item, and an item
 that raises alone fails (a failed trial, a missing hunt value, a rejected climb
 step, an objective value of 1).  So each item's result is the one it has alone.
-The trial loops (builds, mixes, Loewner blocks, random draws) run through _blocks.
+Every trial loop (builds, mixes, Loewner blocks, random draws, restarts) runs on _blocks.
 """
 
 from __future__ import annotations
@@ -626,9 +626,9 @@ def hunt_counterexample(
 
         The violation must clear the claim threshold and survive a re-check on
         the inputs regularized by eps * lambda_max, at eps = CERT_EPS and
-        CERT_EPS / 10, which guards against conditioning artifacts.  Both
-        regularizations' pairs and mixes go in one _evaluated_pairs call, judged
-        eps first; a numerical failure in it counts as not stable, and so does a NaN.
+        CERT_EPS / 10, which guards against conditioning artifacts.  They go as
+        two candidates at lam in one _candidate_values call, judged eps first; a
+        failed build, a candidate without a side or a NaN counts as not stable.
         """
         rng = rng_for(sampler.seed, stream ^ 0x5EED)
         (A1, B1, A2, B2), lam, (viol, lhs, rhs, scale) = _hill_climb(
@@ -640,13 +640,11 @@ def hunt_counterexample(
                               if P is not None else None)
         try:
             regs = [[reg(P, eps) for P in (A1, B1, A2, B2)] for eps in (CERT_EPS, CERT_EPS / 10)]
-            values = _evaluated_pairs(family, [R[k:k + 2] for R in regs for k in (0, 2)]
-                                      + [(*R, lam) for R in regs])
-        except (EvaluationError, MatrixError):
+        except MatrixError:
             return None, rel
-        for k, mixed in enumerate(values[4:]):  # eps, then eps / 10
-            again = _violation(direction, lam, mixed, *values[2 * k:2 * k + 2])
-            if not again[0] / again[3] > 0.5 * CLAIM_REL:
+        for _, f_reg, sides in _candidate_values(family, [(R, (lam,)) for R in regs]):
+            if not (sides and (again := _violation(direction, *sides[0], *f_reg))[0] / again[3]
+                    > 0.5 * CLAIM_REL):
                 return None, rel
         return _make_certificate(family, direction, A1, B1, A2, B2, lam, lhs, rhs,
                                  viol, sampler.seed, stream), rel
@@ -916,25 +914,17 @@ def loewner_midpoint_test(
         # simplex restarts: dominance failures for close exponent pairs need extreme
         # anisotropy that random sampling essentially never reaches, so minimize the
         # negated excess over A = exp(H1), B = exp(H2) directly; the restarts run
-        # in lockstep blocks of 1, 2, 4, ..., judged in restart order
+        # in lockstep blocks of 1, 2, 4, ...; an end point that fails records nothing
         dim = sampler.dim
         objective = _dominance_objective(params["p"], params["q"], dim)
-        streams = [(sampler.stream_index + k) ^ 0x0D0A for k in range(24)]
-        block = 1
-        while streams and kept is None:
-            run, streams = streams[:block], streams[block:]
-            starts = [rng_for(sampler.seed, s).normal(0.0, 1.5, 2 * dim * dim) for s in run]
-            ends = _lockstep(objective, [_simplex(x0, maxiter=2000, xatol=1e-12, fatol=1e-16)
-                                         for x0 in starts])
-            for stream, x in zip(run, ends):
-                P = matrix_exp_herm(_log_pairs(x[None], dim))
-                try:
-                    excess, witness = _loewner_evaluation(expr, params, P)
-                except MatrixError:
-                    continue  # the search ended on a failed point: nothing to record
-                if record(excess[0], partial(witness, 0), stream):
-                    break
-            block *= 2
+        starts = ((s, rng_for(sampler.seed, s).normal(0.0, 1.5, 2 * dim * dim))
+                  for s in ((sampler.stream_index + k) ^ 0x0D0A for k in range(24)))
+        ends = _blocks(starts, (2 ** k for k in count()), lambda x0s: _lockstep(
+            objective, [_simplex(x0, maxiter=2000, xatol=1e-12, fatol=1e-16) for x0 in x0s]))
+        for stream, result in _blocks(ends, repeat(1), lambda xs: [_loewner_evaluation(
+                expr, params, matrix_exp_herm(_log_pairs(x[None], dim))) for x in xs]):
+            if result is not None and record(result[0][0], partial(result[1], 0), stream):
+                break
 
     return TestReport(
         label=label or f"loewner:{expr}",

@@ -45,6 +45,7 @@ the bytes it has built alone.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -307,7 +308,7 @@ def rng_for(seed: int, stream_index: int) -> np.random.Generator:
 
 
 def _complex(G: np.ndarray) -> np.ndarray:
-    """The complex Gaussians (re + 1j*im) / sqrt(2) of standard normals G, (..., 2, n, n)."""
+    """The complex Gaussians (re + 1j*im) / sqrt(2) of standard normals G, (..., 2, n, m)."""
     return (G[..., 0, :, :] + 1j * G[..., 1, :, :]) / np.sqrt(2)
 
 
@@ -367,6 +368,11 @@ def mat_from_json(obj: dict) -> np.ndarray:
     if M.shape != (dim, dim):
         raise MatrixError(f"matrix payload shape {M.shape} does not match dim {dim}")
     return M
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number and not a bool (JSON's true reads as 1)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
 def _matrix_payload(obj, *size_keys) -> tuple:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import PosDef, matrix_exp_herm, matrix_log, matrix_power
+from .linalg import PosDef, is_real, matrix_exp_herm, matrix_log, matrix_power
 
 KUBO_ANDO_KINDS = frozenset({"arithmetic", "harmonic", "geometric", "power"})
 ALL_KINDS = KUBO_ANDO_KINDS | {"sum"}
@@ -40,6 +40,9 @@ class MeanSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown mean kind {self.kind!r}")
+        for name in ("t", "r"):
+            if (value := getattr(self, name)) is not None and not is_real(value):
+                raise ValueError(f"mean parameter {name} must be a real number, got {value!r}")
         if self.kind == "geometric":
             if self.t is None or not (0 <= self.t <= 1):
                 raise ValueError(f"geometric mean requires t in [0, 1], got {self.t}")
@@ -73,14 +76,7 @@ class MeanSpec:
         return base
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.t is not None:
-            d["t"] = self.t
-        if self.r is not None:
-            d["r"] = self.r
-        if self.modifier is not None:
-            d["modifier"] = self.modifier
-        return d
+        return {k: v for k, v in vars(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeanSpec":

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import is_real
+
 
 #: eigenvalues below this fraction of the largest count as zero for rank decisions
 RANK_FLOOR = 1e-14
@@ -37,6 +39,8 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}")
+        if self.p is not None and not is_real(self.p):
+            raise ValueError(f"{self.kind} requires a real p, got {self.p!r}")
         if self.kind in ("kyfan", "kyfan-anti", "minkowski"):
             if type(self.k) is not int or self.k < 1:  # bool, float and None refused
                 raise ValueError(f"{self.kind} requires an integer k >= 1, got {self.k!r}")
@@ -44,7 +48,7 @@ class NormSpec:
             if self.p is None or not (0 < self.p < 1):
                 raise ValueError(f"schatten-quasi requires 0 < p < 1, got {self.p}")
         if self.kind == "neg-schatten":
-            if self.p is None or self.p <= 0:
+            if self.p is None or not self.p > 0:  # refuses NaN too
                 raise ValueError(f"neg-schatten requires p > 0, got {self.p}")
 
     def label(self) -> str:
@@ -55,12 +59,7 @@ class NormSpec:
         return self.kind
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.k is not None:
-            d["k"] = self.k
-        if self.p is not None:
-            d["p"] = self.p
-        return d
+        return {k: v for k, v in vars(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormSpec":

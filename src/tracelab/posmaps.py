@@ -17,6 +17,7 @@ from .linalg import (
     DimensionMismatchError,
     MatrixError,
     PosDef,
+    _complex,
     _matrix_payload,
     eigh,
     hermitize,
@@ -197,12 +198,7 @@ def sample_kraus(in_dim: int, out_dim: int, rank: int, seed: int,
     if out_dim > rank * in_dim:
         raise ValueError(f"a rank-{rank} map from dimension {in_dim} cannot be strictly "
                          f"positive on dimension {out_dim}")
-    rng = rng_for(seed, stream_index)
-    pieces = np.stack([
-        (rng.standard_normal((in_dim, out_dim))
-         + 1j * rng.standard_normal((in_dim, out_dim))) / np.sqrt(2)
-        for _ in range(rank)
-    ])
+    pieces = _complex(rng_for(seed, stream_index).standard_normal((rank, 2, in_dim, out_dim)))
     norm = float(eigh(hermitize(kraus_map(pieces).unit), vectors=False)[-1])
     spec = kraus_map(pieces / np.sqrt(norm))
     if not spec.strictly_positive:

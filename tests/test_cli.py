@@ -228,9 +228,13 @@ _CERTIFICATE_FRACTIONAL_K = _certificate(
     family={**json.loads(_certificate())["family"], "phi": identity_map(3).to_dict(),
             "norm": {"kind": "kyfan", "k": 2.5}},
     a1=mat_to_json(np.eye(3, dtype=complex)), a2=mat_to_json(3 * np.eye(3, dtype=complex)))
+#: a norm parameter that JSON writes as true, which would read as p = 1
+_CERTIFICATE_BOOLEAN_P = _certificate(
+    family={**json.loads(_certificate())["family"], "norm": {"kind": "neg-schatten", "p": True}})
 #: what stderr names, for the test_exits_4 cases that are checked for it
 _EXIT_4_ERRORS = {"certificate-lambda-outside": "lambda must lie in [0, 1]",
                   "certificate-fractional-k": "kyfan requires an integer k >= 1, got 2.5",
+                  "certificate-boolean-p": "neg-schatten requires a real p, got True",
                   "certificate-evaluation-raises": "Phi(I) + Psi(I) = I",
                   "certificate-shapes-differ": "differ in shape",
                   "certificate-without-b": "'b1'",
@@ -302,6 +306,8 @@ class TestBadInput:
                      id="certificate-without-b"),
         pytest.param(_CERTIFICATE_FRACTIONAL_K, ["hunt", "--replay", "{file}"],
                      id="certificate-fractional-k"),
+        pytest.param(_CERTIFICATE_BOOLEAN_P, ["hunt", "--replay", "{file}"],
+                     id="certificate-boolean-p"),
     ])
     def test_exits_4(self, content, argv, tmp_path, capsys, request):
         path = tmp_path / "input.json"

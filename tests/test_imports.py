@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module, only
 linalg calls numpy's Hermitian eigensolvers or imports the LAPACK gufuncs
-behind them, lab reaches eval_family from three functions only, and only
-lab._blocks reads islice."""
+behind them, lab reaches eval_family and its one evaluator _evaluated_pairs
+from three functions each, and only lab._blocks reads islice."""
 
 import ast
 import pathlib
@@ -118,6 +118,13 @@ def test_lab_evaluates_families_in_three_functions():
     # midpoint trials still evaluate one pair per call, and the curvature scan its rows
     assert holders((SRC / "lab.py").read_text(), "eval_family") == [
         "_curvature_direction", "_evaluated_pairs", "_midpoint_reports"]
+
+
+def test_lab_reaches_its_one_evaluator_from_three_functions():
+    # the hunt's candidates and its stability re-check through _candidate_values,
+    # the climb's steps and replay_certificate directly
+    assert holders((SRC / "lab.py").read_text(), "_evaluated_pairs") == [
+        "_candidate_values", "_hill_climb", "replay_certificate"]
 
 
 def test_lab_takes_trial_blocks_in_one_function():

@@ -266,6 +266,15 @@ class TestSpecPlumbing:
         with pytest.raises(ValueError, match="unknown mean kind"):
             MeanSpec(kind="custom")
 
+    @pytest.mark.parametrize("kind, name", [("power", "r"), ("geometric", "t"),
+                                            ("arithmetic", "t"), ("harmonic", "r")])
+    @pytest.mark.parametrize("value", [True, False, "0.5", [0.5], 0.5j])
+    def test_parameters_must_be_real_numbers(self, kind, name, value):
+        # JSON's true would otherwise be read as r = 1 or t = 1
+        with pytest.raises(ValueError, match=f"mean parameter {name} must be a real number"):
+            MeanSpec(kind=kind, **{name: value})
+        assert MeanSpec(kind="power", r=np.float64(0.5)).r == 0.5
+
     @pytest.mark.parametrize("text,spec", [
         ("geometric", MeanSpec(kind="geometric", t=0.5)),
         ("geometric:0.25", MeanSpec(kind="geometric", t=0.25)),

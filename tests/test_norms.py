@@ -161,6 +161,18 @@ class TestSpecPlumbing:
             NormSpec(kind=kind, k=k)
         assert NormSpec(kind=kind, k=2).k == 2
 
+    @pytest.mark.parametrize("kind", ["schatten-quasi", "neg-schatten", "trace"])
+    @pytest.mark.parametrize("p", [True, False, "0.5", [0.5], 0.5j])
+    def test_p_must_be_a_real_number(self, kind, p):
+        # JSON's true would otherwise be read as p = 1
+        with pytest.raises(ValueError, match=f"{kind} requires a real p"):
+            NormSpec(kind=kind, p=p)
+
+    def test_neg_schatten_refuses_a_nan_p(self):
+        with pytest.raises(ValueError, match="neg-schatten requires p > 0"):
+            NormSpec(kind="neg-schatten", p=float("nan"))
+        assert NormSpec(kind="neg-schatten", p=np.float64(0.5)).p == 0.5
+
     def test_k_out_of_range_at_eval(self):
         with pytest.raises(ValueError):
             eval_norm_from_eigs(NormSpec(kind="kyfan", k=5), _diag(1.0, 2.0).eigs)

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from tracelab import linalg, posmaps
 from tracelab.linalg import (
     DimensionMismatchError,
     MatrixError,
     PosDef,
     SamplerConfig,
+    eigh,
+    hermitize,
     loewner_leq,
     rng_for,
     sample_posdef,
@@ -175,6 +178,24 @@ class TestSampleKraus:
         b = sample_kraus(3, 2, rank=2, seed=61, stream_index=4)
         for Xa, Xb in zip(a.kraus, b.kraus):
             assert np.array_equal(Xa, Xb)
+
+    @pytest.mark.parametrize("in_dim, out_dim, rank, seed, stream", [
+        (2, 2, 1, 0, 0), (3, 2, 2, 61, 4), (2, 3, 2, 42, 1), (3, 3, 2, 71, 5), (4, 1, 3, 7, 9)])
+    def test_one_draw_gives_the_bytes_of_a_draw_per_piece(self, monkeypatch, in_dim, out_dim,
+                                                         rank, seed, stream):
+        # the reference draws each piece's real part, then its imaginary part
+        rng = rng_for(seed, stream)
+        pieces = np.stack([(rng.standard_normal((in_dim, out_dim))
+                            + 1j * rng.standard_normal((in_dim, out_dim))) / np.sqrt(2)
+                           for _ in range(rank)])
+        norm = float(eigh(hermitize(kraus_map(pieces).unit), vectors=False)[-1])
+        ref = kraus_map(pieces / np.sqrt(norm))
+        made = []
+        monkeypatch.setattr(posmaps, "rng_for",
+                            lambda *args: made.append(linalg.rng_for(*args)) or made[-1])
+        got = sample_kraus(in_dim, out_dim, rank, seed, stream)
+        assert got.kraus.tobytes() == ref.kraus.tobytes()
+        assert len(made) == 1 and made[0].bit_generator.state == rng.bit_generator.state
 
     def test_preserves_psd(self):
         spec = sample_kraus(3, 2, rank=2, seed=62)

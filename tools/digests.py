@@ -6,9 +6,10 @@ Usage, from anywhere inside a checkout:
 
 extracts ``src/`` of the git revision REV into a temporary directory and runs
 this checkout's digest printers, ``tests/test_acceptance.py`` (criteria 1-10),
-``tests/test_cli.py`` (the pinned CLI runs) and the first-pass digests of this
+``tests/test_cli.py`` (the pinned CLI runs), the first-pass digests of this
 checkout's perfbench workloads ``verify``, ``hunt`` and ``dominance`` at seed 1
-(computed in-process, nothing written under ``perfbench/out``), once on REV's
+(computed in-process, nothing written under ``perfbench/out``) and the SHA-256
+of the CSV of an 80-cell ``sweep`` (``SWEEP_DIGEST``), once on REV's
 ``src/`` and once on the working tree's; the two sides of each printer run at
 the same time.  It prints the lines of the two sides that differ as a unified
 diff and exits 1 on any difference or failed printer, 0 otherwise.  Nothing is
@@ -33,10 +34,22 @@ import run, workloads
 for name in ("verify", "hunt", "dominance"):
     print("perfbench", name, "seed 1", run.digest(run.run_pass(workloads.build(name, 1), 0)[0]))
 """
+#: the 80-cell sweep box of ROADMAP's Baseline: lieb, identity maps, trace norm,
+#: n = 2, 100 trials per cell, seed 3
+SWEEP_DIGEST = """\
+import contextlib, hashlib, io
+from tracelab.cli import main
+out, grid = io.StringIO(), "0.25,0.5,0.75,1"
+with contextlib.redirect_stdout(out):
+    code = main(["sweep", "--family", "lieb", "--p-grid", grid, "--q-grid", grid,
+                 "--s-grid", "0.3,0.6,0.9,1.2,1.6", "--trials", "100", "--seed", "3"])
+print("sweep lieb 80 cells seed 3 exit", code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
 #: the interpreter arguments of each printer, by name
 PRINTERS = {"tests/test_acceptance.py": [os.path.join(ROOT, "tests/test_acceptance.py")],
             "tests/test_cli.py": [os.path.join(ROOT, "tests/test_cli.py")],
-            "perfbench first passes": ["-c", PERFBENCH_DIGESTS]}
+            "perfbench first passes": ["-c", PERFBENCH_DIGESTS],
+            "80-cell sweep": ["-c", SWEEP_DIGEST]}
 
 
 def src_archive(rev: str) -> bytes:

@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .families import FAMILIES, EvaluationError, FamilySpec, ParameterPoint, eval_family
+from .families import READS, EvaluationError, FamilySpec, ParameterPoint, eval_family
 from .lab import (
     Certificate,
     certificate_is_valid,
@@ -32,15 +32,7 @@ from .lab import (
 from .linalg import MatrixError, PosDef, SamplerConfig, mat_from_json
 from .means import MeanSpec
 from .norms import NormSpec
-from .posmaps import (
-    MapSpec,
-    conjugation,
-    identity_map,
-    kraus_map,
-    mat_from_json_rect,
-    pinching,
-    transpose_then_kraus,
-)
+from .posmaps import MapSpec, mat_from_json_rect
 from .regions import THEOREM_IDS, THEOREMS, Theorem, region_member, region_violation
 
 EXIT_PASS = 0
@@ -109,23 +101,20 @@ def _parse_map(text: str, dim: int) -> MapSpec:
     """Map argument: identity | scale:c | conjugation:FILE | kraus:FILE |
     pinching:FILE | transpose-kraus:FILE."""
     if text == "identity":
-        return identity_map(dim)
+        return MapSpec("identity", [np.eye(dim)])
     kind, _, arg = text.partition(":")
     if kind == "scale":
         c = float(arg)
         if c <= 0:
             raise CliError(f"scale factor must be positive, got {arg}")
-        return conjugation(np.sqrt(c) * np.eye(dim, dtype=complex))
+        return MapSpec("conjugation", [np.sqrt(c) * np.eye(dim, dtype=complex)])
     if not arg:
         raise CliError(f"map spec {text!r} needs a file argument")
     if kind == "conjugation":
-        return conjugation(mat_from_json_rect(_load_json(arg)))
-    if kind in ("kraus", "transpose-kraus"):
-        pieces = [mat_from_json_rect(d) for d in _load_list(arg)]
-        build = kraus_map if kind == "kraus" else transpose_then_kraus
-        return build(pieces)
-    if kind == "pinching":
-        return pinching([mat_from_json(d) for d in _load_list(arg)])
+        return MapSpec(kind, [mat_from_json_rect(_load_json(arg))])
+    if kind in ("kraus", "transpose-kraus", "pinching"):
+        read = mat_from_json if kind == "pinching" else mat_from_json_rect
+        return MapSpec(kind, [read(d) for d in _load_list(arg)])
     raise CliError(f"unknown map kind {kind!r}")
 
 
@@ -172,12 +161,12 @@ def _point(args) -> ParameterPoint:
 
 def _build_family(args, family: str, dims, params: ParameterPoint | None = None) -> FamilySpec:
     n, m = dims[:2]
-    mean = args.mean if family == "mean" else None  # FamilySpec refuses a missing one
+    reads = READS.get(family, ())  # FamilySpec refuses an unknown family or a missing mean
     return FamilySpec(family=family, params=_point(args) if params is None else params,
                       phi=_parse_map(args.phi, n),
                       norm=NormSpec.parse(args.antinorm or args.norm or "trace"),
-                      psi=None if family == "epstein" else _parse_map(args.psi, m),
-                      mean=None if mean is None else MeanSpec.parse(mean))
+                      psi=_parse_map(args.psi, m) if "psi" in reads else None,
+                      mean=MeanSpec.parse(args.mean) if "mean" in reads and args.mean else None)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -343,7 +332,7 @@ def cmd_regions(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-_FAMILY_CHOICES = sorted(FAMILIES)
+_FAMILY_CHOICES = sorted(READS)
 
 
 def _add_point_flags(sub):

@@ -7,7 +7,8 @@ logexp:  ||exp{Phi(log A) + Psi(log B)}||     (unital premise Phi(I) + Psi(I) = 
 
 plus the variational functional
     (1/r) Tr{Phi(A^p) B^{1-r} + (r-1) B},
-whose infimum over positive definite B realizes Tr Phi(A^p)^{1/r}.
+whose infimum over positive definite B realizes Tr Phi(A^p)^{1/r}.  A FamilySpec
+holding a spec that its family does not read (see ``READS``) is refused.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .means import MeanSpec, eval_mean
 from .norms import NormSpec, eval_norm_from_eigs
 from .posmaps import MapSpec, apply_map
 
-FAMILIES = frozenset({"lieb", "mean", "epstein", "logexp"})
+#: the specs each family reads besides phi and its norm
+READS = {"lieb": ("psi",), "mean": ("psi", "mean"), "epstein": (), "logexp": ("psi",)}
 
 #: relative eigenvalue floor applied to the inner matrix before powering
 INNER_FLOOR = 1e-13
@@ -72,12 +74,13 @@ class FamilySpec:
     mean: MeanSpec | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in READS:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family in ("lieb", "mean", "logexp") and self.psi is None:
-            raise ValueError(f"{self.family} family requires psi")
-        if self.family == "mean" and self.mean is None:
-            raise ValueError("mean family requires a mean spec")
+        for name, what in (("psi", "psi"), ("mean", "a mean spec")):
+            if name in READS[self.family] and getattr(self, name) is None:
+                raise ValueError(f"{self.family} family requires {what}")
+            if name not in READS[self.family] and getattr(self, name) is not None:
+                raise ValueError(f"{self.family} family reads no {name}")
         if self.family in ("lieb", "mean"):
             if (self.params.p, self.params.q) == (0.0, 0.0) or self.params.s == 0.0:
                 raise ValueError("lieb/mean families require (p, q) != (0, 0) and s != 0")
@@ -97,7 +100,7 @@ class FamilySpec:
 
     @property
     def two_variable(self) -> bool:
-        return self.family != "epstein"
+        return "psi" in READS[self.family]
 
     def with_params(self, params: ParameterPoint) -> "FamilySpec":
         return FamilySpec(self.family, self.phi, self.norm, params, self.psi, self.mean)

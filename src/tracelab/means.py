@@ -2,7 +2,8 @@
 
 A mean is evaluated as A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} where f is its
 representing function with f(1) = 1.  The plain-sum combiner A + B is carried
-alongside as non-normalized plumbing.
+alongside as non-normalized plumbing.  A spec that sets a parameter its kind does
+not take (see ``PARAMETER``) is refused when it is built.
 
 The matrix power mean ((A^p + B^p)/2)^{1/p} is computed by power_mean_pair
 on A and B stacked as one PosDef, raised to p in one call; the mean's matrix
@@ -19,8 +20,8 @@ import numpy as np
 
 from .linalg import PosDef, is_real, matrix_exp_herm, matrix_log, matrix_power
 
-KUBO_ANDO_KINDS = frozenset({"arithmetic", "harmonic", "geometric", "power"})
-ALL_KINDS = KUBO_ANDO_KINDS | {"sum"}
+#: the parameter each kind takes; every kind but sum is a Kubo-Ando mean
+PARAMETER = {"geometric": "t", "power": "r", "arithmetic": None, "harmonic": None, "sum": None}
 MODIFIERS = frozenset({"transposed", "adjoint"})
 
 
@@ -38,11 +39,13 @@ class MeanSpec:
     modifier: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if self.kind not in PARAMETER:
             raise ValueError(f"unknown mean kind {self.kind!r}")
         for name in ("t", "r"):
             if (value := getattr(self, name)) is not None and not is_real(value):
                 raise ValueError(f"mean parameter {name} must be a real number, got {value!r}")
+            if value is not None and name != PARAMETER[self.kind]:
+                raise ValueError(f"{self.kind} mean takes no parameter {name}, got {value!r}")
         if self.kind == "geometric":
             if self.t is None or not (0 <= self.t <= 1):
                 raise ValueError(f"geometric mean requires t in [0, 1], got {self.t}")
@@ -67,10 +70,8 @@ class MeanSpec:
 
     def label(self) -> str:
         base = self.kind
-        if self.t is not None:
-            base += f":{self.t:g}"
-        if self.r is not None:
-            base += f":{self.r:g}"
+        if (name := PARAMETER[self.kind]) is not None:
+            base += f":{getattr(self, name):g}"
         if self.modifier:
             base = f"{self.modifier}({base})"
         return base
@@ -87,11 +88,9 @@ class MeanSpec:
         """Parse CLI shorthand like 'geometric:0.5', 'power:-0.3', 'sum'."""
         if ":" in text:
             kind, param = text.split(":", 1)
-            if kind == "geometric":
-                return cls(kind=kind, t=float(param))
-            if kind == "power":
-                return cls(kind=kind, r=float(param))
-            raise ValueError(f"mean kind {kind!r} takes no parameter")
+            if (name := PARAMETER.get(kind)) is None:
+                raise ValueError(f"mean kind {kind!r} takes no parameter")
+            return cls(kind=kind, **{name: float(param)})
         if text == "geometric":
             return cls(kind="geometric", t=0.5)
         return cls(kind=text)

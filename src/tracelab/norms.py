@@ -1,7 +1,8 @@
 """Catalog of symmetric norms and symmetric anti-norms on PSD matrices.
 
 All functionals here depend only on the eigenvalue multiset, so evaluation
-goes through the sorted spectrum.
+goes through the sorted spectrum.  A spec that sets a parameter its kind does
+not take (see ``PARAMETER``) is refused when it is built.
 """
 
 from __future__ import annotations
@@ -16,20 +17,17 @@ from .linalg import is_real
 #: eigenvalues below this fraction of the largest count as zero for rank decisions
 RANK_FLOOR = 1e-14
 
-NORM_KINDS = frozenset({"kyfan", "trace", "operator"})
-ANTINORM_KINDS = frozenset(
-    {"kyfan-anti", "schatten-quasi", "neg-schatten", "minkowski", "trace", "lambda-min"}
-)
-ALL_KINDS = NORM_KINDS | ANTINORM_KINDS
+#: the parameter each kind takes; kyfan, operator and trace are norms, the rest anti-norms
+PARAMETER = {"kyfan": "k", "kyfan-anti": "k", "minkowski": "k", "schatten-quasi": "p",
+             "neg-schatten": "p", "trace": None, "operator": None, "lambda-min": None}
 
 
 @dataclass(frozen=True)
 class NormSpec:
     """Tagged choice of symmetric norm or anti-norm.
 
-    kind: one of kyfan(k), kyfan-anti(k), schatten-quasi(p), neg-schatten(p),
-    minkowski(k), trace, operator, lambda-min.  The trace is simultaneously a
-    norm and an anti-norm.
+    kind: a key of PARAMETER, which names the parameter (k, p or none) that the
+    kind takes.  The trace is simultaneously a norm and an anti-norm.
     """
 
     kind: str
@@ -37,19 +35,22 @@ class NormSpec:
     p: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if self.kind not in PARAMETER:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.p is not None and not is_real(self.p):
             raise ValueError(f"{self.kind} requires a real p, got {self.p!r}")
-        if self.kind in ("kyfan", "kyfan-anti", "minkowski"):
+        for name in ("k", "p"):
+            if (value := getattr(self, name)) is not None and name != PARAMETER[self.kind]:
+                raise ValueError(f"{self.kind} takes no parameter {name}, got {value!r}")
+        if PARAMETER[self.kind] == "k":
             if type(self.k) is not int or self.k < 1:  # bool, float and None refused
                 raise ValueError(f"{self.kind} requires an integer k >= 1, got {self.k!r}")
         if self.kind == "schatten-quasi":
             if self.p is None or not (0 < self.p < 1):
                 raise ValueError(f"schatten-quasi requires 0 < p < 1, got {self.p}")
         if self.kind == "neg-schatten":
-            if self.p is None or not self.p > 0:  # refuses NaN too
-                raise ValueError(f"neg-schatten requires p > 0, got {self.p}")
+            if self.p is None or not 0 < self.p < np.inf:  # refuses NaN too
+                raise ValueError(f"neg-schatten requires p > 0 and finite, got {self.p}")
 
     def label(self) -> str:
         if self.k is not None:
@@ -70,7 +71,7 @@ class NormSpec:
         """Parse CLI shorthand like 'kyfan:2', 'schatten-quasi:0.5', 'trace'."""
         if ":" in text:
             kind, param = text.split(":", 1)
-            if kind in ("kyfan", "kyfan-anti", "minkowski"):
+            if PARAMETER.get(kind) == "k":
                 return cls(kind=kind, k=int(param))
             return cls(kind=kind, p=float(param))
         return cls(kind=text)

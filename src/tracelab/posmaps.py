@@ -4,7 +4,8 @@ Every map is a Kraus stack: A -> sum_k X_k* A X_k, optionally applied to A^T
 instead of A.  By Choi's theorem every completely positive map has this form;
 the transpose-composed variant is positive but not completely positive, so
 CP-only claims can be probed for CP-necessity.  Phi(I), and with it strict
-positivity, is computed once when a map is built.
+positivity, is computed once when a map is built, and a map whose pieces do not fit
+its kind is refused (identity: I alone; conjugation: one piece; pinching: projections).
 """
 
 from __future__ import annotations
@@ -62,9 +63,23 @@ class MapSpec:
         kraus = np.array(self.kraus, dtype=complex)
         if kraus.ndim != 3 or 0 in kraus.shape:
             raise ValueError(f"{self.kind} map requires a non-empty stack of Kraus pieces")
+        if self.kind == "identity" and not np.array_equal(kraus, np.eye(kraus.shape[1])[None]):
+            raise ValueError("identity map holds exactly one piece, the identity")
+        if self.kind == "conjugation" and len(kraus) != 1:
+            raise ValueError(f"conjugation map holds exactly one piece, got {len(kraus)}")
         kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "_adjoint", kraus.conj().transpose(0, 2, 1))
+        if self.kind == "pinching":  # orthogonal projections summing to I
+            if kraus.shape[1] != kraus.shape[2]:
+                raise DimensionMismatchError("pinching needs a stack of square projections")
+            if not np.allclose(kraus.sum(axis=0), np.eye(kraus.shape[1]), atol=1e-10):
+                raise ValueError("pinching projections must sum to the identity")
+            projection = (np.isclose(kraus @ kraus, kraus, atol=1e-10)
+                          & np.isclose(self._adjoint, kraus, atol=1e-10)).all(axis=(1, 2))
+            if not projection.all():
+                raise ValueError(f"pinching piece {projection.argmin()} is not an "
+                                 "orthogonal projection")
         unit = _kraus_sum(self._adjoint, np.eye(kraus.shape[1], dtype=complex), kraus)
         unit.setflags(write=False)
         w = eigh(hermitize(unit), vectors=False)
@@ -101,11 +116,12 @@ class MapSpec:
     def from_dict(cls, d: dict) -> "MapSpec":
         kind = d["kind"]
         if kind == "identity":
-            spec = identity_map(d["in_dim"])
+            pieces = [np.eye(d["in_dim"])]
         elif kind == "pinching":
-            spec = pinching([mat_from_json(x) for x in d["projections"]])
+            pieces = [mat_from_json(x) for x in d["projections"]]
         else:
-            spec = cls(kind, [mat_from_json_rect(x) for x in d.get("kraus", ())])
+            pieces = [mat_from_json_rect(x) for x in d.get("kraus", ())]
+        spec = cls(kind, pieces)
         if (spec.in_dim, spec.out_dim) != (d["in_dim"], d["out_dim"]):
             raise DimensionMismatchError("map payload dimensions do not match its pieces")
         return spec
@@ -138,16 +154,7 @@ def kraus_map(pieces) -> MapSpec:
 
 def pinching(projections) -> MapSpec:
     """The pinching A -> sum_k P_k A P_k by orthogonal projections summing to I."""
-    P = np.array(list(projections), dtype=complex)
-    if P.ndim != 3 or P.shape[1] != P.shape[2]:
-        raise DimensionMismatchError("pinching needs a stack of square projections")
-    if not np.allclose(P.sum(axis=0), np.eye(P.shape[1]), atol=1e-10):
-        raise ValueError("pinching projections must sum to the identity")
-    for i, Pi in enumerate(P):
-        if not (np.allclose(Pi @ Pi, Pi, atol=1e-10)
-                and np.allclose(Pi.conj().T, Pi, atol=1e-10)):
-            raise ValueError(f"pinching piece {i} is not an orthogonal projection")
-    return MapSpec("pinching", P)
+    return MapSpec("pinching", list(projections))
 
 
 def transpose_then_kraus(pieces) -> MapSpec:

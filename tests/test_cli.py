@@ -231,10 +231,18 @@ _CERTIFICATE_FRACTIONAL_K = _certificate(
 #: a norm parameter that JSON writes as true, which would read as p = 1
 _CERTIFICATE_BOOLEAN_P = _certificate(
     family={**json.loads(_certificate())["family"], "norm": {"kind": "neg-schatten", "p": True}})
+#: the trace norm carrying a p, which the trace does not take
+_CERTIFICATE_TRACE_WITH_P = _certificate(
+    family={**json.loads(_certificate())["family"], "norm": {"kind": "trace", "p": 0.5}})
 #: what stderr names, for the test_exits_4 cases that are checked for it
 _EXIT_4_ERRORS = {"certificate-lambda-outside": "lambda must lie in [0, 1]",
                   "certificate-fractional-k": "kyfan requires an integer k >= 1, got 2.5",
                   "certificate-boolean-p": "neg-schatten requires a real p, got True",
+                  "certificate-trace-with-p": "trace takes no parameter p, got 0.5",
+                  "norm-trace-with-p": "trace takes no parameter p, got 0.5",
+                  "antinorm-lambda-min-with-p": "lambda-min takes no parameter p, got 2.0",
+                  "norm-neg-schatten-infinite-p": "neg-schatten requires p > 0 and finite, "
+                                                  "got inf",
                   "certificate-evaluation-raises": "Phi(I) + Psi(I) = I",
                   "certificate-shapes-differ": "differ in shape",
                   "certificate-without-b": "'b1'",
@@ -308,6 +316,13 @@ class TestBadInput:
                      id="certificate-fractional-k"),
         pytest.param(_CERTIFICATE_BOOLEAN_P, ["hunt", "--replay", "{file}"],
                      id="certificate-boolean-p"),
+        pytest.param(_CERTIFICATE_TRACE_WITH_P, ["hunt", "--replay", "{file}"],
+                     id="certificate-trace-with-p"),
+        pytest.param(None, _ON_REGION + ["--norm", "trace:0.5"], id="norm-trace-with-p"),
+        pytest.param(None, _ON_REGION + ["--antinorm", "lambda-min:2"],
+                     id="antinorm-lambda-min-with-p"),
+        pytest.param(None, _ON_REGION + ["--norm", "neg-schatten:inf"],
+                     id="norm-neg-schatten-infinite-p"),
     ])
     def test_exits_4(self, content, argv, tmp_path, capsys, request):
         path = tmp_path / "input.json"

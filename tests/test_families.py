@@ -1,13 +1,19 @@
 """Functional families and the variational trace formula."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracelab import means, norms
 from tracelab.families import (
+    READS,
+    EvaluationError,
     FamilySpec,
     ParameterPoint,
+    _floored_eigs,
     eval_family,
     variational_min,
     variational_value,
@@ -222,26 +228,36 @@ _ORACLE = settings(max_examples=30, deadline=None, derandomize=True)
 _EXPONENTS = st.floats(-1.5, 1.5)
 _S = st.floats(0.1, 1.5) | st.floats(-1.5, -0.1)
 #: norms and anti-norms of every kind, with k <= 2
-_NORMS = st.sampled_from([TRACE, NormSpec("operator"), NormSpec("kyfan", k=2),
-                          NormSpec("lambda-min"), NormSpec("kyfan-anti", k=1),
-                          NormSpec("minkowski", k=2), NormSpec("schatten-quasi", p=0.5),
-                          NormSpec("neg-schatten", p=1.0)])
-_MEANS = st.sampled_from([MeanSpec("geometric", t=0.5), MeanSpec("geometric", t=0.2),
-                          MeanSpec("arithmetic"), MeanSpec("harmonic"),
-                          MeanSpec("power", r=0.3), MeanSpec("sum")])
+_NORM_LIST = [TRACE, NormSpec("operator"), NormSpec("kyfan", k=2), NormSpec("lambda-min"),
+              NormSpec("kyfan-anti", k=1), NormSpec("minkowski", k=2),
+              NormSpec("schatten-quasi", p=0.5), NormSpec("neg-schatten", p=1.0)]
+_MEAN_LIST = [MeanSpec("geometric", t=0.5), MeanSpec("geometric", t=0.2),
+              MeanSpec("arithmetic"), MeanSpec("harmonic"), MeanSpec("power", r=0.3),
+              MeanSpec("sum")]
+_NORMS, _MEANS = st.sampled_from(_NORM_LIST), st.sampled_from(_MEAN_LIST)
 
 
 def _oracle_family(family, p, q, s, norm, mean, dim):
     """family at (p, q, s) with identity maps, halved for logexp (whose premise
-    is Phi(I) + Psi(I) = I); None where (p, q, s) is not a valid point."""
+    is Phi(I) + Psi(I) = I), given psi and mean only where it reads them; None
+    where (p, q, s) is not a valid point."""
     phi = (conjugation(np.sqrt(0.5) * np.eye(dim, dtype=complex)) if family == "logexp"
            else identity_map(dim))
+    read = {name: spec for name, spec in (("psi", phi), ("mean", mean)) if name in READS[family]}
     try:
-        return FamilySpec(family=family, phi=phi, psi=phi, norm=norm,
-                          params=ParameterPoint(p, q, s),
-                          mean=mean if family == "mean" else None)
+        return FamilySpec(family=family, phi=phi, norm=norm, params=ParameterPoint(p, q, s),
+                          **read)
     except ValueError:
         return None
+
+
+@pytest.mark.parametrize("family", sorted(READS))
+def test_the_oracles_build_every_family_at_a_valid_point(family):
+    # _oracle_family answers None, and an oracle example then checks nothing, only
+    # where (p, q, s) is outside the family's domain, never for a spec it passed
+    for norm in _NORM_LIST:
+        for mean in _MEAN_LIST:
+            assert _oracle_family(family, 0.5, 0.5, 1.0, norm, mean, 2) is not None
 
 
 def _close(x, y):
@@ -481,6 +497,20 @@ class TestValidation:
         FamilySpec(family="logexp", phi=singular, psi=other, norm=TRACE,
                    params=ParameterPoint(1.0, 1.0, 1.0))
 
+    def test_two_variable_families_require_psi(self):
+        for family in ("lieb", "logexp"):
+            with pytest.raises(ValueError, match=f"^{family} family requires psi$"):
+                FamilySpec(family, identity_map(2), TRACE, ParameterPoint(1.0, 1.0, 1.0))
+
+    def test_phi_and_psi_must_agree_in_output_dimension(self):
+        with pytest.raises(ValueError, match="phi and psi output dimensions must agree"):
+            lieb_family(1.0, 1.0, 1.0, psi=sample_kraus(2, 3, rank=2, seed=93))
+
+    def test_an_indefinite_inner_matrix_aborts(self):
+        with pytest.raises(EvaluationError, match="inner matrix is indefinite: eigenvalue "
+                                                  r"-1\.000e\+00 below floor"):
+            _floored_eigs(np.diag([2.0, -1.0]).astype(complex))
+
     def test_serialization_roundtrip(self):
         fam = lieb_family(0.5, 0.7, 0.9, phi=sample_kraus(2, 2, rank=2, seed=91))
         back = FamilySpec.from_dict(fam.to_dict())
@@ -488,3 +518,46 @@ class TestValidation:
         assert back.params == fam.params
         A, B = _sample(91), _sample(91, 1)
         assert np.isclose(eval_family(back, A, B), eval_family(fam, A, B), rtol=1e-12)
+
+
+#: every setting that a spec's kind does not take, as (spec class, kind, field): a norm
+#: or mean parameter other than its kind's own, and a spec that a family does not read
+_FOREIGN_SETTINGS = (
+    [(NormSpec, kind, "p") for kind in ("kyfan", "kyfan-anti", "minkowski", "trace",
+                                        "operator", "lambda-min")]
+    + [(NormSpec, kind, "k") for kind in ("schatten-quasi", "neg-schatten", "trace",
+                                          "operator", "lambda-min")]
+    + [(MeanSpec, kind, "t") for kind in ("power", "arithmetic", "harmonic", "sum")]
+    + [(MeanSpec, kind, "r") for kind in ("geometric", "arithmetic", "harmonic", "sum")]
+    + [(FamilySpec, family, "mean") for family in ("lieb", "epstein", "logexp")]
+    + [(FamilySpec, "epstein", "psi")])
+_SETTING = {"k": 2, "p": 0.5, "t": 0.5, "r": 0.5, "psi": identity_map(2),
+            "mean": MeanSpec("sum")}
+
+
+def _valid_spec(cls, kind):
+    """A spec of kind that sets exactly what its kind takes."""
+    if cls is FamilySpec:
+        return _oracle_family(kind, 0.5, 0.5, 1.0, TRACE, _SETTING["mean"], 2)
+    own = (norms if cls is NormSpec else means).PARAMETER[kind]
+    return cls(kind, **({own: _SETTING[own]} if own else {}))
+
+
+def test_the_foreign_settings_are_those_that_no_table_declares():
+    declared = (
+        {(NormSpec, kind, name) for kind, own in norms.PARAMETER.items()
+         for name in ("k", "p") if name != own}
+        | {(MeanSpec, kind, name) for kind, own in means.PARAMETER.items()
+           for name in ("t", "r") if name != own}
+        | {(FamilySpec, family, name) for family, reads in READS.items()
+           for name in ("psi", "mean") if name not in reads})
+    assert len(_FOREIGN_SETTINGS) == 23 and set(_FOREIGN_SETTINGS) == declared
+
+
+@pytest.mark.parametrize("cls, kind, field", _FOREIGN_SETTINGS,
+                         ids=lambda v: v.__name__ if isinstance(v, type) else v)
+def test_a_spec_refuses_a_setting_its_kind_lacks(cls, kind, field):
+    spec = _valid_spec(cls, kind)
+    refusal = "family reads no" if cls is FamilySpec else "takes no parameter"
+    with pytest.raises(ValueError, match=f"^{kind} .*{refusal} {field}"):
+        dataclasses.replace(spec, **{field: _SETTING[field]})

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, only
 linalg calls numpy's Hermitian eigensolvers or imports the LAPACK gufuncs
 behind them, lab reaches eval_family and its one evaluator _evaluated_pairs
-from three functions each, and only lab._blocks reads islice."""
+from three functions each, only lab._blocks reads islice, and cli reads none of
+posmaps' per-kind constructors and compares nothing with a family's name."""
 
 import ast
 import pathlib
@@ -130,3 +131,45 @@ def test_lab_reaches_its_one_evaluator_from_three_functions():
 def test_lab_takes_trial_blocks_in_one_function():
     # every randomized trial loop takes its blocks through _blocks
     assert holders((SRC / "lab.py").read_text(), "islice") == ["_blocks"]
+
+
+#: posmaps' constructors that each build one kind of map
+PER_KIND_CONSTRUCTORS = {"identity_map", "conjugation", "kraus_map", "pinching",
+                         "transpose_then_kraus"}
+
+
+def read_names(source: str) -> set[str]:
+    """The names that source reads, plain or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def equality_operands(source: str) -> set:
+    """The constants that an == or != comparison in source has as an operand."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq))
+                                                 for op in node.ops):
+            found |= {operand.value for operand in [node.left, *node.comparators]
+                      if isinstance(operand, ast.Constant)}
+    return found
+
+
+def test_the_checks_find_a_read_name_and_a_compared_constant():
+    source = ('if family == "mean" or "lieb" != kind or x in ("epstein",):\n'
+              '    build = posmaps.pinching if f(1) else conjugation\n')
+    assert read_names(source) == {"family", "kind", "x", "build", "posmaps", "pinching",
+                                  "f", "conjugation"}
+    assert equality_operands(source) == {"mean", "lieb"}
+
+
+def test_cli_builds_maps_without_the_per_kind_constructors():
+    # a map's kind is checked against its pieces in MapSpec alone
+    assert read_names((SRC / "cli.py").read_text()) & PER_KIND_CONSTRUCTORS == set()
+
+
+def test_cli_compares_nothing_with_a_family_name():
+    # the specs a family reads are declared once, in families.READS
+    operands = equality_operands((SRC / "cli.py").read_text())
+    assert operands & {"lieb", "mean", "epstein", "logexp"} == set()

@@ -1012,6 +1012,10 @@ class TestLoewnerTests:
         A, B = matrix_exp_herm(lab._log_pairs(x[None], 2))
         assert A.dim == B.dim == 2
 
+    def test_an_unknown_expression_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown Loewner expression 'hat-log'$"):
+            loewner_midpoint_test("hat-log", {}, trials=1, sampler=SamplerConfig(dim=2))
+
     def test_dominance_violated_off_region(self):
         report = loewner_midpoint_test("power-mean-dominance", {"p": 0.3, "q": 1.0},
                                        trials=3000,
@@ -1035,6 +1039,19 @@ class TestSweep:
         assert row["worst_concave_violation"] >= direct.worst_violation
         assert row["worst_concave_violation"] <= 1e-8
         assert row["verdict"] == "concave-pass"
+
+    def test_a_linear_cell_passes_both_ways(self):
+        # epstein at p = s = 1 with the trace is Tr A, both concave and convex
+        result = sweep(epstein(1.0, 1.0), [1.0], [0.0], [1.0], trials_per_cell=40,
+                       sampler=SamplerConfig(dim=2, seed=117))
+        assert result.rows[0]["verdict"] == "both-pass"
+
+    @pytest.mark.parametrize("concave, convex, verdict", [
+        ("PASS", "PASS", "both-pass"), ("PASS", "VIOLATED", "concave-pass"),
+        ("INCONCLUSIVE", "PASS", "convex-pass"), ("VIOLATED", "VIOLATED", "both-violated"),
+        ("VIOLATED", "INCONCLUSIVE", "inconclusive")])
+    def test_a_cells_verdict_reads_its_two_directions(self, concave, convex, verdict):
+        assert lab._cell_verdict_from(concave, convex) == verdict
 
     def test_large_exponent_cell_fails_both_ways(self):
         fam = carlen_lieb(3.0)

@@ -297,6 +297,11 @@ class TestLoewnerLeq:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_a_sampler_needs_a_positive_dimension(self, dim):
+        with pytest.raises(ValueError, match=f"^dim must be positive, got {dim}$"):
+            SamplerConfig(dim=dim)
+
     def test_posdef_invariants(self):
         P = sample_posdef(SamplerConfig(dim=4, seed=1))
         assert P.eigs[0] > 0
@@ -695,3 +700,9 @@ class TestSerialization:
         d = mat_to_json(P.mat)
         assert d["dim"] == 3 and "re" in d and "im" in d
         assert np.array_equal(mat_from_json(d), P.mat)
+
+    def test_a_payload_whose_dim_does_not_fit_its_entries_is_refused(self):
+        d = {**mat_to_json(np.eye(2, dtype=complex)), "dim": 3}
+        with pytest.raises(MatrixError, match=r"^matrix payload shape \(2, 2\) does not "
+                                              "match dim 3$"):
+            mat_from_json(d)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracelab import means
 from tracelab.lab import SLACK_REL, loewner_midpoint_test
 from tracelab.linalg import (PosDef, SamplerConfig, loewner_leq, matrix_exp_herm, matrix_log,
                              matrix_power, rng_for, sample_posdef, sample_unitary)
@@ -258,9 +259,32 @@ class TestModifiers:
 
 class TestSpecPlumbing:
     def test_roundtrip(self):
-        for spec in KUBO_ANDO_SPECS + [MeanSpec(kind="sum"),
-                                       MeanSpec(kind="harmonic", modifier="adjoint")]:
+        specs = KUBO_ANDO_SPECS + [MeanSpec(kind="sum"),
+                                   MeanSpec(kind="harmonic", modifier="adjoint")]
+        assert {spec.kind for spec in specs} == set(means.PARAMETER)
+        for spec in specs:
             assert MeanSpec.from_dict(spec.to_dict()) == spec
+            if spec.modifier is None:
+                assert MeanSpec.parse(spec.label()) == spec
+
+    @pytest.mark.parametrize("kind, settings, refusal", [
+        ("geometric", {"t": 1.5}, r"geometric mean requires t in \[0, 1\], got 1.5"),
+        ("geometric", {"t": -0.1}, r"geometric mean requires t in \[0, 1\]"),
+        ("geometric", {}, r"geometric mean requires t in \[0, 1\], got None"),
+        ("power", {"r": 0.0}, r"power mean requires r in \[-1, 1\], r != 0, got 0.0"),
+        ("power", {"r": 1.5}, r"power mean requires r in \[-1, 1\]"),
+        ("power", {}, r"power mean requires r in \[-1, 1\], r != 0, got None"),
+        ("harmonic", {"modifier": "inverted"}, "unknown modifier 'inverted'"),
+    ])
+    def test_out_of_range_parameters_and_unknown_modifiers_are_refused(self, kind, settings,
+                                                                      refusal):
+        with pytest.raises(ValueError, match=refusal):
+            MeanSpec(kind=kind, **settings)
+
+    def test_power_alone_is_refused(self):
+        # unlike geometric, which alone is t = 1/2, power has no default r
+        with pytest.raises(ValueError, match="power mean requires r"):
+            MeanSpec.parse("power")
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="unknown mean kind"):

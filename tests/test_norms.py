@@ -141,9 +141,12 @@ class TestCompression:
 
 class TestSpecPlumbing:
     def test_parse_and_roundtrip(self):
-        for text in ("kyfan:2", "trace", "operator", "schatten-quasi:0.5",
-                     "neg-schatten:1", "minkowski:3", "lambda-min", "kyfan-anti:1"):
+        texts = ("kyfan:2", "trace", "operator", "schatten-quasi:0.5",
+                 "neg-schatten:1", "minkowski:3", "lambda-min", "kyfan-anti:1")
+        assert sorted(text.split(":")[0] for text in texts) == sorted(norms.PARAMETER)
+        for text in texts:
             spec = NormSpec.parse(text)
+            assert spec.label() == text
             assert NormSpec.from_dict(spec.to_dict()) == spec
 
     def test_validation(self):
@@ -167,6 +170,14 @@ class TestSpecPlumbing:
         # JSON's true would otherwise be read as p = 1
         with pytest.raises(ValueError, match=f"{kind} requires a real p"):
             NormSpec(kind=kind, p=p)
+
+    def test_neg_schatten_refuses_an_infinite_p(self):
+        # its value would read 1.0 on every full-rank spectrum
+        for p in (float("inf"), np.inf):
+            with pytest.raises(ValueError, match="neg-schatten requires p > 0 and finite"):
+                NormSpec(kind="neg-schatten", p=p)
+        with pytest.raises(ValueError, match="neg-schatten requires p > 0 and finite"):
+            NormSpec.parse("neg-schatten:inf")
 
     def test_neg_schatten_refuses_a_nan_p(self):
         with pytest.raises(ValueError, match="neg-schatten requires p > 0"):

@@ -293,3 +293,51 @@ class TestSpecPlumbing:
         bad = np.diag([1.0, 1.0]).astype(complex)
         with pytest.raises(ValueError):
             pinching([bad, bad])
+
+    def test_an_identity_map_holds_exactly_the_identity(self):
+        # 2I would apply as 4A but serialize, and so replay, as the identity
+        for pieces in ([2 * np.eye(2)], [np.eye(2), np.eye(2)], [np.eye(2, 3)]):
+            with pytest.raises(ValueError, match="identity map holds exactly one piece, "
+                                                 "the identity"):
+                MapSpec("identity", pieces)
+        assert np.array_equal(MapSpec("identity", [np.eye(3)]).kraus, identity_map(3).kraus)
+
+    def test_a_conjugation_holds_exactly_one_piece(self):
+        X = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ValueError, match="conjugation map holds exactly one piece, got 2"):
+            MapSpec("conjugation", [X, X])
+        payload = {"kind": "conjugation", "in_dim": 2, "out_dim": 2, "cp": True,
+                   "kraus": [posmaps.mat_to_json_rect(X)] * 2}
+        with pytest.raises(ValueError, match="conjugation map holds exactly one piece"):
+            MapSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("pieces, error, refusal", [
+        ([np.eye(2), np.eye(2)], ValueError, "pinching projections must sum to the identity"),
+        ([np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])], ValueError,
+         "pinching piece 0 is not an orthogonal projection"),  # oblique
+        ([np.diag([1.0, 0.0]), np.diag([0.0, 2.0]), np.diag([0.0, -1.0])], ValueError,
+         "pinching piece 1 is not an orthogonal projection"),
+        ([np.eye(2, 3)], DimensionMismatchError, "pinching needs a stack of square projections"),
+    ], ids=["sum", "oblique", "not-idempotent", "not-square"])
+    def test_a_directly_built_pinching_is_checked_as_pinching_checks_it(self, pieces, error,
+                                                                        refusal):
+        with pytest.raises(error, match=refusal):
+            MapSpec("pinching", pieces)
+        with pytest.raises(error, match=refusal):
+            pinching(pieces)
+        if error is ValueError:  # a payload is checked alike
+            payload = {"kind": "pinching", "in_dim": 2, "out_dim": 2, "cp": True,
+                       "projections": [linalg.mat_to_json(P.astype(complex)) for P in pieces]}
+            with pytest.raises(error, match=refusal):
+                MapSpec.from_dict(payload)
+
+    def test_an_unknown_kind_and_an_empty_stack_are_refused(self):
+        with pytest.raises(ValueError, match="unknown map kind 'rotation'"):
+            MapSpec("rotation", [np.eye(2)])
+        with pytest.raises(ValueError, match="unknown map kind 'rotation'"):
+            MapSpec.from_dict({"kind": "rotation", "in_dim": 2, "out_dim": 2, "cp": True,
+                               "kraus": [posmaps.mat_to_json_rect(np.eye(2))]})
+        for kind in ("kraus", "transpose-kraus", "pinching"):
+            with pytest.raises(ValueError, match=f"^{kind} map requires a non-empty stack of "
+                                                 "Kraus pieces$"):
+                MapSpec(kind, [])
